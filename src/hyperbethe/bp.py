@@ -10,6 +10,11 @@ q^(order-1) assignment sum into O(order * q) multiplications:
 The non-edge factors are absorbed into a global per-community external
 field computed from the marginal mass of each community.  All updates in a
 sweep are synchronous (Jacobi) so results are independent of scheduling.
+
+A sweep is two sparse products with 0/1 incidence matrices, (m x D) for the
+hyperedges and (n x D) for the nodes, each gathered back to the D incidences
+minus the message's own term.  Messages are (D, q) arrays in Fortran order,
+so per-row sums, maxima and normalisations run as q - 1 column operations.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hypergraph import Hypergraph, Partition
 
@@ -48,11 +54,13 @@ class BpConfig:
 
 
 class BpState:
-    """Message arrays plus the index structure of one hypergraph.
+    """Message arrays plus the incidence matrices of one hypergraph.
 
-    log_n2e / log_e2n are (D, q) arrays over directed incidences in
-    edge-major order; marginal is the (n, q) probability table; field is the
-    current length-q external field.
+    log_n2e / log_e2n are (D, q) Fortran-order arrays over the directed
+    incidences (pair_edges[r], pair_nodes[r]) in edge-major order; edge_inc
+    and node_inc are the (m, D) and (n, D) 0/1 CSR incidence matrices;
+    marginal is the (n, q) probability table; field is the current length-q
+    external field.
     """
 
     def __init__(self, h: Hypergraph, q, c_in, c_out, config: BpConfig):
@@ -65,19 +73,13 @@ class BpState:
         self.c_in = float(c_in)
         self.c_out = float(c_out)
         self.config = config
-        edge_ids, nodes = h.incidence_pairs()
-        self.pair_edges = edge_ids
-        self.pair_nodes = nodes
-        lengths = np.asarray([len(e) for e in h.edges], dtype=np.int64)
-        self.edge_starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        self.node_perm = np.argsort(nodes, kind="stable")
-        sorted_nodes = nodes[self.node_perm]
-        self.active_nodes, self.node_seg_starts = np.unique(
-            sorted_nodes, return_index=True
-        )
-        D = edge_ids.size
-        self.log_n2e = np.full((D, q), -np.log(q))
-        self.log_e2n = np.full((D, q), -np.log(q))
+        self.pair_edges, self.pair_nodes = h.incidence_pairs()
+        D = self.pair_edges.size
+        ones, cols = np.ones(D), np.arange(D)
+        self.edge_inc = sp.csr_matrix((ones, (self.pair_edges, cols)), shape=(h.m, D))
+        self.node_inc = sp.csr_matrix((ones, (self.pair_nodes, cols)), shape=(h.n, D))
+        self.log_n2e = np.full((D, q), -np.log(q), order="F")
+        self.log_e2n = np.full((D, q), -np.log(q), order="F")
         self.marginal = np.full((h.n, q), 1.0 / q)
         self.field = external_field(self)
 
@@ -87,7 +89,28 @@ class BpState:
 
 
 def _log_probs(p):
-    return np.log(np.maximum(p, np.exp(LOG_FLOOR)))
+    """Floored log of a probability array, in place."""
+    np.maximum(p, np.exp(LOG_FLOOR), out=p)
+    return np.log(p, out=p)
+
+
+def _softmax_rows(x):
+    """Per-row exp-normalise of log weights, in place, after a max shift."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
+def _settle(new, log_old, damping):
+    """Damp new messages toward the old ones and return the max-abs change; overwrites log_old."""
+    old = np.exp(log_old, out=log_old)
+    if damping > 0.0:
+        new *= 1.0 - damping
+        new += damping * old
+        new /= new.sum(axis=1, keepdims=True)
+    old -= new
+    return float(np.abs(old, out=old).max())
 
 
 def bp_init(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition = None) -> BpState:
@@ -102,7 +125,7 @@ def bp_init(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition
         noise = rng.uniform(-cfg.init_noise, cfg.init_noise, size=state.log_n2e.shape)
         p = np.clip(1.0 / q + noise, 1e-12, None)
         p /= p.sum(axis=1, keepdims=True)
-        state.log_n2e = _log_probs(p)
+        state.log_n2e = _log_probs(np.asfortranarray(p))
         return state
     if planted is None:
         raise BpError("planted init requires the planted partition")
@@ -110,7 +133,7 @@ def bp_init(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition
     onehot = np.full((h.n, q), s / q)
     onehot[np.arange(h.n), planted.labels] += 1.0 - s
     state.marginal = onehot
-    state.log_n2e = _log_probs(onehot[state.pair_nodes])
+    state.log_n2e = _log_probs(np.asfortranarray(onehot[state.pair_nodes]))
     state.field = external_field(state)
     return state
 
@@ -168,47 +191,34 @@ def bp_sweep(state: BpState):
     cfg = state.config
     state.field = external_field(state)
 
-    # hyperedge -> node
+    # hyperedge -> node: each hyperedge's log-message sum minus the receiver's own
     logb = state.log_n2e
-    seg = np.add.reduceat(logb, state.edge_starts, axis=0)
-    excl = seg[state.pair_edges] - logb
-    raw = state.c_out + (state.c_in - state.c_out) * np.exp(excl)
-    total = raw.sum(axis=1, keepdims=True)
-    dead = total[:, 0] <= 0.0
-    if dead.any():
-        raw[dead] = 1.0
-        total = raw.sum(axis=1, keepdims=True)
-    hat = raw / total
-    hat_old = np.exp(state.log_e2n)
-    if cfg.damping > 0.0:
-        hat = (1.0 - cfg.damping) * hat + cfg.damping * hat_old
-        hat /= hat.sum(axis=1, keepdims=True)
-    delta = float(np.abs(hat - hat_old).max())
+    hat = np.empty_like(logb)
+    for c in range(q):
+        np.take(state.edge_inc @ logb[:, c], state.pair_edges, out=hat[:, c], mode="clip")
+    hat -= logb
+    np.exp(hat, out=hat)
+    hat *= state.c_in - state.c_out
+    hat += state.c_out
+    hat[hat.sum(axis=1) <= 0.0] = 1.0  # every label impossible: send a uniform message
+    hat /= hat.sum(axis=1, keepdims=True)
+    delta = _settle(hat, state.log_e2n, cfg.damping)
     log_hat = _log_probs(hat)
 
-    # node -> hyperedge, through per-node log-sums of incoming hats
-    sums = np.add.reduceat(log_hat[state.node_perm], state.node_seg_starts, axis=0)
-    node_sum = np.zeros((state.h.n, q))
-    node_sum[state.active_nodes] = sums
-    logb_un = node_sum[state.pair_nodes] - log_hat - state.field[None, :]
-    logb_un -= logb_un.max(axis=1, keepdims=True)
-    b = np.exp(logb_un)
-    b /= b.sum(axis=1, keepdims=True)
-    b_old = np.exp(state.log_n2e)
-    if cfg.damping > 0.0:
-        b = (1.0 - cfg.damping) * b + cfg.damping * b_old
-        b /= b.sum(axis=1, keepdims=True)
-    delta = max(delta, float(np.abs(b - b_old).max()))
+    # node -> hyperedge: each node's log-sum of incoming hats minus the sender's
+    node_sum = np.empty((state.h.n, q), order="F")
+    b = np.empty_like(log_hat)
+    for c in range(q):
+        node_sum[:, c] = state.node_inc @ log_hat[:, c]
+        np.take(node_sum[:, c], state.pair_nodes, out=b[:, c], mode="clip")
+    b -= log_hat
+    b -= state.field
+    delta = max(delta, _settle(_softmax_rows(b), state.log_n2e, cfg.damping))
 
-    # marginals
-    logm = node_sum - state.field[None, :]
-    logm -= logm.max(axis=1, keepdims=True)
-    marg = np.exp(logm)
-    marg /= marg.sum(axis=1, keepdims=True)
-
+    node_sum -= state.field
+    state.marginal = _softmax_rows(node_sum)
     state.log_e2n = log_hat
     state.log_n2e = _log_probs(b)
-    state.marginal = marg
     return delta
 
 

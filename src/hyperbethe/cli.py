@@ -37,7 +37,6 @@ from .spectral import SpectralConfig, spectral_cluster
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--threads", type=int, default=None, help="BLAS thread hint")
     p.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -247,8 +246,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     args.func(args)
     return 0
 

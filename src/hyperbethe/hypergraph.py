@@ -9,6 +9,7 @@ because the spectral operators are undefined for them.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -162,15 +163,11 @@ class Hypergraph:
         non-backtracking operator.
         """
         if self._pairs_cache is None:
-            if self.m:
-                edge_ids = np.repeat(
-                    np.arange(self.m, dtype=np.int64),
-                    [len(e) for e in self.edges],
-                )
-                nodes = np.concatenate([np.asarray(e, dtype=np.int64) for e in self.edges])
-            else:
-                edge_ids = np.zeros(0, dtype=np.int64)
-                nodes = np.zeros(0, dtype=np.int64)
+            lengths = np.fromiter(map(len, self.edges), dtype=np.int64, count=self.m)
+            edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), lengths)
+            nodes = np.fromiter(
+                itertools.chain.from_iterable(self.edges), dtype=np.int64, count=edge_ids.size
+            )
             self._pairs_cache = (edge_ids, nodes)
         return self._pairs_cache
 

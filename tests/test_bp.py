@@ -38,6 +38,38 @@ def brute_force_message(c_in, c_out, incoming):
     return out
 
 
+def reference_sweep(state):
+    """One sweep written per incidence, from the state before the sweep.
+
+    Every hyperedge-to-node message comes from hyperedge_message over the
+    other members; every node-to-hyperedge message from an explicit per-node
+    log-sum of incoming hats minus the sender's and the field.  Returns the
+    hats, node messages, marginals, field and max change.
+    """
+    h, q, damp = state.h, state.q, state.config.damping
+    field = external_field(state)
+    b_old, hat_old = np.exp(state.log_n2e), np.exp(state.log_e2n)
+    edge_ids, nodes = h.incidence_pairs()
+    hat = np.empty_like(b_old)
+    for e in range(h.m):
+        rows = np.flatnonzero(edge_ids == e)
+        for r in rows:
+            hat[r] = hyperedge_message(state.c_in, state.c_out, b_old[rows[rows != r]])
+    hat = (1 - damp) * hat + damp * hat_old
+    hat /= hat.sum(axis=1, keepdims=True)
+    node_sum = np.zeros((h.n, q))
+    for r, i in enumerate(nodes):
+        node_sum[i] += np.log(hat[r])
+    b = np.exp(node_sum[nodes] - np.log(hat) - field)
+    b /= b.sum(axis=1, keepdims=True)
+    b = (1 - damp) * b + damp * b_old
+    b /= b.sum(axis=1, keepdims=True)
+    marg = np.exp(node_sum - field)
+    marg /= marg.sum(axis=1, keepdims=True)
+    delta = max(np.abs(hat - hat_old).max(), np.abs(b - b_old).max())
+    return hat, b, marg, field, delta
+
+
 @pytest.fixture
 def small_instance():
     spec = SymmetricHsbmSpec(n=400, q=2, orders=(2, 3), d=8.0, eps=0.1, seed=3)
@@ -183,6 +215,49 @@ class TestSweep:
         spec, h, _ = small_instance
         state = bp_init(h, 2, spec.rates(), BpConfig(init="uniform", damping=0.5))
         assert bp_sweep(state) <= 1e-12
+
+
+class TestKernelReference:
+    @staticmethod
+    def mixed_order():
+        # orders 2, 3 and 4 among nodes 0..29; nodes 30..34 are isolated
+        rng = np.random.default_rng(21)
+        edges = [
+            tuple(rng.choice(30, size=k, replace=False)) for k in (2, 3, 4) for _ in range(12)
+        ]
+        return Hypergraph(35, edges), 3, (6.0, 1.5)
+
+    @staticmethod
+    def order_ten():
+        rng = np.random.default_rng(22)
+        edges = [tuple(rng.choice(40, size=10, replace=False)) for _ in range(15)]
+        return Hypergraph(40, edges), 2, (9.0, 2.0)
+
+    def check_sweeps(self, h, q, rates, damping):
+        state = bp_init(h, q, rates, BpConfig(seed=7, damping=damping))
+        for _ in range(2):
+            hat, b, marg, field, delta = reference_sweep(state)
+            got = bp_sweep(state)
+            assert np.abs(np.exp(state.log_e2n) - hat).max() <= 1e-12
+            assert np.abs(np.exp(state.log_n2e) - b).max() <= 1e-12
+            assert np.abs(state.marginal - marg).max() <= 1e-12
+            assert np.abs(state.field - field).max() <= 1e-12
+            assert got == pytest.approx(delta, abs=1e-12)
+        return state
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_mixed_order_with_isolated_nodes(self, damping):
+        h, q, rates = self.mixed_order()
+        state = self.check_sweeps(h, q, rates, damping)
+        isolated = np.flatnonzero(h.node_degrees() == 0)
+        assert {30, 31, 32, 33, 34} <= set(isolated.tolist())
+        expected = np.exp(-state.field) / np.exp(-state.field).sum()
+        assert np.abs(state.marginal[isolated] - expected).max() <= 1e-12
+
+    def test_single_order_ten(self):
+        h, q, rates = self.order_ten()
+        assert h.orders == (10,)
+        self.check_sweeps(h, q, rates, 0.0)
 
 
 class TestRun:

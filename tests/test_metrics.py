@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import hypergeom
 
 from hyperbethe import (
     Hypergraph,
@@ -136,6 +137,19 @@ class TestExpectedMi:
                     prob = Fraction(comb(bj, nij) * comb(n - bj, ai - nij), comb(n, ai))
                     exact += float(prob) * (nij / n) * log(n * nij / (ai * bj))
         assert expected_mutual_information(cont) == pytest.approx(exact, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [500, 3000])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_matches_scipy_hypergeom(self, n, q):
+        rng = np.random.default_rng(100 * q + n)
+        cont = contingency(rng.integers(0, q, size=n), rng.integers(0, 7 - q, size=n))
+        ref = 0.0
+        for ai in cont.row_marginals:
+            for bj in cont.col_marginals:
+                k = np.arange(max(1, ai + bj - n), min(ai, bj) + 1)
+                pmf = hypergeom.pmf(k, n, ai, bj)
+                ref += float(np.sum((k / n) * np.log(n * k / (ai * bj)) * pmf))
+        assert expected_mutual_information(cont) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestConfusion:
