@@ -23,6 +23,9 @@ import scipy.sparse.linalg as spla
 from .hypergraph import Hypergraph, Partition
 from .sparsesym import SparseSymMatrix
 
+# Matrices with at most this many rows are solved densely.
+DENSE_CUTOFF = 600
+
 
 class SpectralError(RuntimeError):
     pass
@@ -48,7 +51,7 @@ class BetheHessian:
 class SpectralConfig:
     eta: float | None = None  # override for the degree-based default
     neg_tol: float = 1e-8  # negative-eigenvalue tolerance, relative to max |diag|
-    eig_tol: float = 1e-8  # residual tolerance for the iterative eigensolver
+    eig_tol: float = 1e-8  # ARPACK's stopping tolerance and the residual guard's
     kmeans_restarts: int = 20
     kmeans_iters: int = 300
     row_normalize: bool = False  # normalize embedding rows before k-means
@@ -119,14 +122,17 @@ def bethe_hessian(h: Hypergraph, eta) -> BetheHessian:
 def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, maxiter=None):
     """k algebraically smallest eigenpairs of a symmetric sparse matrix.
 
-    Dense solve below a size cutoff, Lanczos (ARPACK) above it with a seeded
-    start vector for determinism.  Residuals are verified against
-    tol * ||B||_inf; failure raises EigenConvergenceError carrying them.
+    Dense solve up to DENSE_CUTOFF rows, Lanczos (ARPACK) above it with a
+    seeded start vector for determinism.  tol is both ARPACK's stopping
+    tolerance (||r|| <= tol * |theta|) and the residual guard: residuals are
+    verified against max(tol, 1e-12) * ||B||_inf, a bound the stopping rule
+    meets since |theta| <= ||B||_inf.  Failure raises EigenConvergenceError
+    carrying them.
     """
     n = mat.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
-    if n <= 600 or k >= n - 1:
+    if n <= DENSE_CUTOFF or k >= n - 1:
         w, v = np.linalg.eigh(mat.to_dense())
         w, v = w[:k], v[:, :k]
     else:
@@ -135,7 +141,7 @@ def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, maxiter=None
         csr = mat.to_csr()
         try:
             w, v = spla.eigsh(
-                csr, k=k, which="SA", v0=v0, maxiter=maxiter, tol=0
+                csr, k=k, which="SA", v0=v0, maxiter=maxiter, tol=tol
             )
         except spla.ArpackNoConvergence as exc:
             raise EigenConvergenceError(
@@ -167,53 +173,60 @@ def negative_tolerance(B: BetheHessian, neg_tol=1e-8):
     return neg_tol * float(np.abs(B.matrix.diag).max() or 1.0)
 
 
-def count_negative_eigenvalues(B: BetheHessian, neg_tol=1e-8, seed=0):
-    """Number of eigenvalues below -neg_tol * max|B_ii|.
+def _negative_eigenpairs(B: BetheHessian, neg_tol=1e-8, *, tol=1e-8, seed=0):
+    """Eigenpairs of B below -neg_tol * max|B_ii|, ascending.
 
-    Small matrices use the full dense spectrum; large ones extract batches
-    of smallest eigenvalues until a nonnegative one appears.
+    Extracts batches of smallest eigenpairs (8, 16, ...) until one at or
+    above the threshold appears; the clustering slices these instead of
+    solving again.
     """
     thr = -negative_tolerance(B, neg_tol)
-    n = B.n
-    if n <= 600:
-        w = np.linalg.eigvalsh(B.matrix.to_dense())
-        return int(np.sum(w < thr))
     k = 8
     while True:
-        k = min(k, n - 1)
-        w, _ = lowest_eigenpairs(B.matrix, k, seed=seed)
+        k = min(k, B.n)
+        w, v = lowest_eigenpairs(B.matrix, k, tol=tol, seed=seed)
         count = int(np.sum(w < thr))
-        if count < k or k == n - 1:
-            return count
+        if count < k or k == B.n:
+            return w[:count], v[:, :count]
         k *= 2
 
 
+def count_negative_eigenvalues(B: BetheHessian, neg_tol=1e-8, seed=0):
+    """Number of eigenvalues below -neg_tol * max|B_ii|."""
+    return len(_negative_eigenpairs(B, neg_tol, seed=seed)[0])
+
+
 def kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
-    """Plain k-means with k-means++ seeding and best-objective restarts."""
+    """Plain k-means with k-means++ seeding and best-objective restarts.
+
+    Squared distances take the BLAS form ||x||^2 - 2 x.c + ||c||^2.  Centers
+    are bincount sums over the sizes, which add rows in the same order as
+    mean(axis=0) for two or more columns.
+    """
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"k must be in [1, {n}]")
+    xx = np.einsum("ij,ij->i", X, X)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(restarts):
         centers = _kmeanspp(X, k, rng)
         labels = None
         for _ in range(max_iter):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = xx[:, None] - 2.0 * (X @ centers.T) + np.einsum("ij,ij->i", centers, centers)
             new_labels = d2.argmin(axis=1)
             if labels is not None and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            for c in range(k):
-                mask = labels == c
-                if mask.any():
-                    centers[c] = X[mask].mean(axis=0)
-                else:
-                    # re-seed an empty cluster at the farthest point
-                    centers[c] = X[d2.min(axis=1).argmax()]
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        inertia = d2[np.arange(n), labels].sum()
+            sizes = np.bincount(labels, minlength=k)
+            sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in X.T], axis=1)
+            filled = sizes > 0
+            centers[filled] = sums[filled] / sizes[filled, None]
+            if not filled.all():
+                # re-seed an empty cluster at the farthest point
+                centers[~filled] = X[d2.min(axis=1).argmax()]
+        inertia = ((X - centers[labels]) ** 2).sum(axis=1).sum()
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels
     return best_labels
@@ -247,12 +260,13 @@ def spectral_cluster(h: Hypergraph, num_communities=None, config: SpectralConfig
     eta = cfg.eta if cfg.eta is not None else bulk_radius(h)
     B = bethe_hessian(h, eta)
     if num_communities is None:
-        q = count_negative_eigenvalues(B, cfg.neg_tol, seed=cfg.seed)
+        w, v = _negative_eigenpairs(B, cfg.neg_tol, tol=cfg.eig_tol, seed=cfg.seed)
+        q = len(w)
         if q == 0:
             raise SpectralError("no detectable structure: no negative eigenvalues")
     else:
         q = int(num_communities)
-    w, v = lowest_eigenpairs(B.matrix, q, tol=cfg.eig_tol, seed=cfg.seed)
+        w, v = lowest_eigenpairs(B.matrix, q, tol=cfg.eig_tol, seed=cfg.seed)
     thr = -negative_tolerance(B, cfg.neg_tol)
     emb = v / np.linalg.norm(v, axis=1, keepdims=True).clip(1e-300) if cfg.row_normalize else v
     labels = kmeans(

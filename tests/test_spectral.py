@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hyperbethe import (
     Hypergraph,
+    Partition,
     SpectralConfig,
     SpectralError,
     SymmetricHsbmSpec,
@@ -17,6 +18,8 @@ from hyperbethe import (
     sample_symmetric,
     spectral_cluster,
 )
+from hyperbethe import spectral
+from hyperbethe.spectral import _kmeanspp
 
 from conftest import labels_match_up_to_permutation, random_hypergraph
 
@@ -31,6 +34,39 @@ def dense_operator(h, eta):
         B -= np.diag((k - 1.0) / denom * proj.degree_diag)
         B += eta / denom * proj.comat.toarray()
     return B
+
+
+def broadcast_kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
+    """The (n, k, dim) broadcast Lloyd loop that kmeans replaced, as a reference."""
+    X = np.asarray(points, dtype=float)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(restarts):
+        centers = _kmeanspp(X, k, rng)
+        labels = None
+        for _ in range(max_iter):
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(k):
+                mask = labels == c
+                if mask.any():
+                    centers[c] = X[mask].mean(axis=0)
+                else:
+                    centers[c] = X[d2.min(axis=1).argmax()]
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        inertia = d2[np.arange(n), labels].sum()
+        if inertia < best_inertia:
+            best_inertia, best_labels = inertia, labels
+    return best_labels
+
+
+def with_isolated(h, extra):
+    """The same hyperedges on extra trailing nodes that no hyperedge touches."""
+    return Hypergraph(h.n + extra, list(h.edges))
 
 
 class TestBulkRadius:
@@ -105,6 +141,22 @@ class TestBetheHessian:
         assert np.allclose(B.matrix.to_dense(), dense, atol=1e-12)
         x = rng.standard_normal(n)
         assert np.allclose(B.matrix.matvec(x), dense @ x, atol=1e-12)
+
+    def test_isolated_nodes_are_identity_rows(self):
+        spec = SymmetricHsbmSpec(n=200, q=2, orders=(2, 3), d=10.0, eps=0.1, seed=5)
+        h, _ = sample_symmetric(spec)
+        eta = bulk_radius(h)
+        big = with_isolated(h, 5)
+        dense = bethe_hessian(big, eta).matrix.to_dense()
+        assert np.array_equal(dense[200:, :], np.eye(205)[200:, :])
+        assert np.array_equal(dense[:200, :200], bethe_hessian(h, eta).matrix.to_dense())
+
+    def test_single_order_ten_matches_dense_definition(self):
+        rng = np.random.default_rng(22)
+        h = Hypergraph(40, [tuple(rng.choice(40, size=10, replace=False)) for _ in range(15)])
+        assert h.orders == (10,)
+        B = bethe_hessian(h, 4.0)
+        assert np.allclose(B.matrix.to_dense(), dense_operator(h, 4.0), atol=1e-12)
 
     def test_nnz_bound(self):
         spec = SymmetricHsbmSpec(n=500, q=2, orders=(2, 3), d=6.0, eps=0.2, seed=4)
@@ -193,6 +245,31 @@ class TestCountNegative:
         assert count_negative_eigenvalues(B) == int((w < thr).sum())
 
 
+class TestDenseLanczosSwitch:
+    def test_n601_same_count_and_partition(self, monkeypatch):
+        spec = SymmetricHsbmSpec(n=601, q=3, orders=(2, 3), d=12.0, eps=0.05, seed=9)
+        h, _ = sample_symmetric(spec)
+        B = bethe_hessian(h, bulk_radius(h))
+        assert h.n == spectral.DENSE_CUTOFF + 1
+        lanczos_calls = []
+        eigsh = spectral.spla.eigsh
+        monkeypatch.setattr(
+            spectral.spla, "eigsh", lambda *a, **kw: lanczos_calls.append(1) or eigsh(*a, **kw)
+        )
+        lanczos_count = count_negative_eigenvalues(B)
+        lanczos = spectral_cluster(h)
+        assert len(lanczos_calls) == 2
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", h.n)
+        dense_count = count_negative_eigenvalues(B)
+        dense = spectral_cluster(h)
+        assert len(lanczos_calls) == 2
+        assert lanczos_count == dense_count == lanczos.partition.q == dense.partition.q == 3
+        assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, atol=1e-8)
+        assert labels_match_up_to_permutation(
+            lanczos.partition.labels, dense.partition.labels, 3
+        )
+
+
 class TestKmeans:
     def test_separated_clusters(self):
         rng = np.random.default_rng(0)
@@ -208,6 +285,23 @@ class TestKmeans:
     def test_k1(self):
         X = np.random.default_rng(0).standard_normal((10, 2))
         assert set(kmeans(X, 1)) == {0}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_broadcast_loop_random(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dim, k = int(rng.integers(50, 2000)), int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        means = rng.normal(0.0, 2.0, (k, dim))
+        X = means[rng.integers(k, size=n)] + rng.standard_normal((n, dim))
+        assert np.array_equal(kmeans(X, k, seed=seed), broadcast_kmeans(X, k, seed=seed))
+
+    @pytest.mark.parametrize(
+        "n, q, eps, seed", [(3000, 3, 0.1, 0), (1500, 2, 0.2, 1), (2000, 4, 0.05, 2), (800, 3, 0.3, 3)]
+    )
+    def test_matches_broadcast_loop_embeddings(self, n, q, eps, seed):
+        spec = SymmetricHsbmSpec(n=n, q=q, orders=(2, 3), d=10.0, eps=eps, seed=seed)
+        h, _ = sample_symmetric(spec)
+        emb = spectral_cluster(h, num_communities=q).embedding
+        assert np.array_equal(kmeans(emb, q), broadcast_kmeans(emb, q))
 
 
 class TestClusterPipeline:
@@ -226,13 +320,52 @@ class TestClusterPipeline:
 
     def test_no_structure_error_needs_zero_negatives(self):
         # a hyperedge-free operator is the identity: nothing negative
-        h = Hypergraph(40, [(i, (i + 1) % 40) for i in range(40)] * 3)
-        result_or_error = None
-        try:
-            result_or_error = spectral_cluster(h, config=SpectralConfig())
-        except SpectralError as exc:
-            result_or_error = exc
-        assert isinstance(result_or_error, (SpectralError,)) or result_or_error.partition.q >= 1
+        with pytest.raises(SpectralError, match="no negative eigenvalues"):
+            spectral_cluster(Hypergraph(40, []), config=SpectralConfig(eta=2.0))
+
+    @pytest.mark.parametrize("n", [400, 700])
+    def test_one_eigensolve_when_counting(self, monkeypatch, n):
+        calls = []
+        solve = spectral.lowest_eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        spec = SymmetricHsbmSpec(n=n, q=2, orders=(2, 3), d=10.0, eps=0.05, seed=11)
+        h, _ = sample_symmetric(spec)
+        monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
+        result = spectral_cluster(h)
+        assert len(calls) == 1
+        assert result.partition.q == 2
+        calls.clear()
+        spectral_cluster(h, num_communities=2)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("n", [400, 700])
+    def test_isolated_nodes(self, n):
+        spec = SymmetricHsbmSpec(n=n, q=2, orders=(2, 3), d=10.0, eps=0.05, seed=12)
+        h, planted = sample_symmetric(spec)
+        cfg = SpectralConfig(eta=bulk_radius(h))
+        base = spectral_cluster(h, config=cfg)
+        result = spectral_cluster(with_isolated(h, 5), config=cfg)
+        assert result.partition.q == base.partition.q == 2
+        assert np.allclose(result.eigenvalues, base.eigenvalues, atol=1e-8)
+        assert np.abs(result.embedding[n:]).max() <= 1e-6
+        labels = result.partition.labels[:n]
+        assert labels_match_up_to_permutation(labels, base.partition.labels, 2)
+        # the default eta sees the diluted mean degree and still detects both
+        diluted = spectral_cluster(with_isolated(h, 5))
+        assert diluted.partition.q == 2
+        assert ami(Partition(diluted.partition.labels[:n], 2), planted) >= 0.9
+
+    def test_single_order_ten(self):
+        spec = SymmetricHsbmSpec(n=800, q=2, orders=(10,), d=8.0, eps=0.002, seed=0)
+        h, planted = sample_symmetric(spec)
+        assert h.orders == (10,)
+        result = spectral_cluster(h)
+        assert result.partition.q == 2
+        assert ami(result.partition, planted) >= 0.7
 
     def test_embedding_orthonormal(self):
         spec = SymmetricHsbmSpec(n=700, q=2, orders=(2, 3), d=10.0, eps=0.1, seed=2)
