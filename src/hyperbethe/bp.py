@@ -75,9 +75,10 @@ class BpState:
         self.config = config
         self.pair_edges, self.pair_nodes = h.incidence_pairs()
         D = self.pair_edges.size
-        ones, cols = np.ones(D), np.arange(D)
-        self.edge_inc = sp.csr_matrix((ones, (self.pair_edges, cols)), shape=(h.m, D))
-        self.node_inc = sp.csr_matrix((ones, (self.pair_nodes, cols)), shape=(h.n, D))
+        # one incidence per column, as CSC; scipy counting-sorts it into canonical CSR
+        ones, cols = np.ones(D), np.arange(D + 1)
+        self.edge_inc = sp.csc_matrix((ones, self.pair_edges, cols), shape=(h.m, D)).tocsr()
+        self.node_inc = sp.csc_matrix((ones, self.pair_nodes, cols), shape=(h.n, D)).tocsr()
         self.log_n2e = np.full((D, q), -np.log(q), order="F")
         self.log_e2n = np.full((D, q), -np.log(q), order="F")
         self.marginal = np.full((h.n, q), 1.0 / q)

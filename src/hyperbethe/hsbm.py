@@ -199,11 +199,12 @@ def _sample_cells(n, q, cells, seed):
 
     Each cell gets an independent RNG stream derived from
     (seed, order, cell_index), so cells could run in parallel and still merge
-    deterministically in cell order.
+    deterministically in cell order.  Returns the hypergraph of all cells'
+    hyperedges in cell order.
     """
     ranges = block_ranges(n, q)
     sizes = [hi - lo for lo, hi in ranges]
-    edges = []
+    blocks, lengths = [np.zeros(0, dtype=np.int64)], []
     for cell_id, (order, counts, rate) in enumerate(cells):
         for community, c in counts:
             if c > sizes[community]:
@@ -211,12 +212,7 @@ def _sample_cells(n, q, cells, seed):
                     f"composition needs {c} nodes from community {community} "
                     f"of size {sizes[community]}"
                 )
-        if rate == 0.0:
-            continue
-        tuples = 1
-        for community, c in counts:
-            tuples *= comb(sizes[community], c)
-        mean = float(tuples) * rate / float(n) ** (order - 1)
+        mean = _cell_mean(n, sizes, order, counts, rate) if rate else 0.0
         if mean == 0.0:
             continue
         rng = np.random.default_rng([seed, order, cell_id])
@@ -227,49 +223,51 @@ def _sample_cells(n, q, cells, seed):
             _distinct_rows(rng, *ranges[community], c, m_cell)
             for community, c in counts
         ]
-        mat = np.sort(np.concatenate(cols, axis=1), axis=1)
-        edges.extend(map(tuple, mat))
-    return edges
+        blocks.append(np.concatenate(cols, axis=1).ravel())
+        lengths += [order] * m_cell
+    return Hypergraph(n, np.concatenate(blocks), lengths)
 
 
-def sample_symmetric(spec: SymmetricHsbmSpec):
-    """Draw (hypergraph, planted partition) from the symmetric HSBM."""
+def _cell_mean(n, sizes, order, counts, rate):
+    """Poisson mean of a cell: (#node tuples with its composition) * rate / n^(order-1)."""
+    tuples = 1
+    for community, c in counts:
+        tuples *= comb(sizes[community], c)
+    return float(tuples) * rate / float(n) ** (order - 1)
+
+
+def _symmetric_cells(spec: SymmetricHsbmSpec):
+    """(order, composition, rate) of every cell of the symmetric HSBM."""
     c_in, c_out = spec.rates()
     cells = []
     for order in spec.orders:
         for comp in combinations_with_replacement(range(spec.q), order):
             counts = tuple(sorted((c, comp.count(c)) for c in set(comp)))
-            rate = c_in if len(counts) == 1 else c_out
-            cells.append((order, counts, rate))
-    edges = _sample_cells(spec.n, spec.q, cells, spec.seed)
-    return Hypergraph(spec.n, edges), planted_partition(spec.n, spec.q)
+            cells.append((order, counts, c_in if len(counts) == 1 else c_out))
+    return cells
+
+
+def sample_symmetric(spec: SymmetricHsbmSpec):
+    """Draw (hypergraph, planted partition) from the symmetric HSBM."""
+    return _sample_cells(spec.n, spec.q, _symmetric_cells(spec), spec.seed), planted_partition(spec.n, spec.q)
 
 
 def sample_planted(spec: PlantedPatternSpec):
     """Draw (hypergraph, planted partition) from a pattern-planted model."""
     cells = [(p.order, p.counts, p.rate) for p in spec.patterns]
-    edges = _sample_cells(spec.n, spec.q, cells, spec.seed)
-    return Hypergraph(spec.n, edges), planted_partition(spec.n, spec.q)
+    return _sample_cells(spec.n, spec.q, cells, spec.seed), planted_partition(spec.n, spec.q)
 
 
 def expected_order_counts(spec):
     """Expected number of hyperedges per order under a spec (exact Poisson means)."""
     if isinstance(spec, SymmetricHsbmSpec):
-        c_in, c_out = spec.rates()
-        cells = []
-        for order in spec.orders:
-            for comp in combinations_with_replacement(range(spec.q), order):
-                counts = tuple(sorted((c, comp.count(c)) for c in set(comp)))
-                cells.append((order, counts, c_in if len(counts) == 1 else c_out))
+        cells = _symmetric_cells(spec)
     else:
         cells = [(p.order, p.counts, p.rate) for p in spec.patterns]
     sizes = block_sizes(spec.n, spec.q)
     out = {}
     for order, counts, rate in cells:
-        tuples = 1
-        for community, c in counts:
-            tuples *= comb(sizes[community], c)
-        out[order] = out.get(order, 0.0) + float(tuples) * rate / float(spec.n) ** (order - 1)
+        out[order] = out.get(order, 0.0) + _cell_mean(spec.n, sizes, order, counts, rate)
     return out
 
 

@@ -1,6 +1,7 @@
 """Hypergraph data model: incidence structure, degrees, per-order projections, file I/O.
 
-Hyperedges are stored as sorted tuples of distinct node indices.  Duplicate
+Hyperedges are stored as one (m_k, k) int64 array of sorted, distinct node
+indices per order k, next to the ids that keep their input order.  Duplicate
 hyperedges are allowed and everything downstream treats them as multiplicity
 counts (the generators are Poisson and may legitimately emit repeats).
 Hyperedges must have at least 2 distinct nodes; order-1 edges are rejected
@@ -10,6 +11,7 @@ because the spectral operators are undefined for them.
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -71,85 +73,82 @@ class DegreeStats:
 
 
 class Hypergraph:
-    """Immutable incidence structure with per-order bookkeeping.
-
-    Construction canonicalizes each hyperedge to a sorted tuple of distinct
-    node indices and groups hyperedges by order.  Instances are treated as
-    immutable after construction (projections are cached lazily; the cache
-    is an implementation detail and safe to share across threads).
+    """Immutable incidence structure: per order k, a read-only (m_k, k) int64
+    array of sorted distinct node rows, and edges_by_order[k], their ids in
+    input order.  hyperedges is an iterable of node sequences; or, with
+    lengths, all hyperedges' nodes concatenated, lengths[e] for hyperedge e.
     """
 
-    def __init__(self, n, hyperedges):
+    def __init__(self, n, hyperedges, lengths=None):
         n = int(n)
         if n < 0:
             raise HypergraphError("node count must be nonnegative")
-        edges = []
-        for e in hyperedges:
-            canon = tuple(sorted(set(int(v) for v in e)))
-            if len(canon) < 2:
-                raise HypergraphError(f"hyperedge {tuple(e)} has fewer than 2 distinct nodes")
-            if canon[0] < 0 or canon[-1] >= n:
-                raise HypergraphError(f"hyperedge {canon} has node index outside [0, {n})")
-            edges.append(canon)
-        self.n = n
-        self.edges = tuple(edges)
-        by_order = {}
-        for idx, e in enumerate(edges):
-            by_order.setdefault(len(e), []).append(idx)
-        self.orders = tuple(sorted(by_order))
-        self.edges_by_order = {k: np.asarray(v, dtype=np.int64) for k, v in by_order.items()}
-        self._proj_cache = {}
-        self._pairs_cache = None
+        if lengths is None:
+            hyperedges = [tuple(e) for e in hyperedges]
+            hyperedges, lengths = list(itertools.chain.from_iterable(hyperedges)), list(map(len, hyperedges))
+        raw, lengths = np.asarray(hyperedges, dtype=np.int64).ravel(), np.asarray(lengths, dtype=np.int64)
+        if lengths.sum() != raw.size or (lengths < 0).any():
+            raise HypergraphError(f"lengths do not split {raw.size} nodes into hyperedges")
+        nodes, sizes = _sorted_distinct(raw, lengths)
+        bad = sizes < 2
+        bad[np.repeat(np.arange(sizes.size), sizes)[(nodes < 0) | (nodes >= n)]] = True
+        if bad.any():
+            e = int(np.argmax(bad))
+            edge = raw[lengths[:e].sum():][:lengths[e]].tolist()
+            if len(set(edge)) < 2:
+                raise HypergraphError(f"hyperedge {tuple(edge)} has fewer than 2 distinct nodes")
+            raise HypergraphError(f"hyperedge {tuple(sorted(set(edge)))} has node index outside [0, {n})")
+        self.n, self.m = n, int(sizes.size)
+        self.orders = tuple(np.flatnonzero(np.bincount(sizes)).tolist())
+        starts = np.cumsum(sizes) - sizes
+        self.edges_by_order = {k: np.flatnonzero(sizes == k) for k in self.orders}
+        self._rows = {k: nodes[starts[e, None] + np.arange(k)] for k, e in self.edges_by_order.items()}
+        for arr in [*self.edges_by_order.values(), *self._rows.values()]:
+            arr.flags.writeable = False
+        self._proj_cache, self._pairs_cache, self._edges = {}, None, None
 
     @property
-    def m(self):
-        return len(self.edges)
+    def edges(self):
+        """Hyperedges as sorted node tuples in input order: a compatibility view, built on first use."""
+        if self._edges is None:
+            edge_ids, nodes = self.incidence_pairs()
+            it, sizes = iter(nodes.tolist()), np.bincount(edge_ids, minlength=self.m).tolist()
+            self._edges = tuple(tuple(itertools.islice(it, k)) for k in sizes)
+        return self._edges
 
     def order_counts(self):
         """Number of hyperedges of each order present."""
         return {k: int(v.size) for k, v in self.edges_by_order.items()}
 
     def edge_array(self, order):
-        """All hyperedges of one order as an (m_order, order) int array."""
-        if order not in self.edges_by_order:
+        """All hyperedges of one order: the stored read-only (m_order, order) array, not a copy."""
+        if order not in self._rows:
             raise HypergraphError(f"no hyperedges of order {order}")
-        idx = self.edges_by_order[order]
-        return np.asarray([self.edges[i] for i in idx], dtype=np.int64)
+        return self._rows[order]
 
     def degrees_by_order(self, order):
-        arr = self.edge_array(order)
-        return np.bincount(arr.ravel(), minlength=self.n).astype(np.int64)
+        return np.bincount(self.edge_array(order).ravel(), minlength=self.n)
 
     def node_degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        for k in self.orders:
-            deg += self.degrees_by_order(k)
-        return deg
+        return sum((self.degrees_by_order(k) for k in self.orders), np.zeros(self.n, dtype=np.int64))
 
     def degree_stats(self) -> DegreeStats:
         """Per-node degrees, per-order mean degrees, mean degree and mean order."""
-        deg = self.node_degrees()
-        per_order = {
-            k: k * self.edges_by_order[k].size / self.n if self.n else 0.0
-            for k in self.orders
-        }
-        mean = float(sum(per_order.values()))
-        total_size = sum(len(e) for e in self.edges)
-        mean_order = total_size / self.m if self.m else float("nan")
-        return DegreeStats(deg, per_order, mean, float(mean_order))
+        counts = self.order_counts()
+        per_order = {k: k * c / self.n if self.n else 0.0 for k, c in counts.items()}
+        mean_order = sum(k * c for k, c in counts.items()) / self.m if self.m else float("nan")
+        return DegreeStats(self.node_degrees(), per_order, float(sum(per_order.values())), float(mean_order))
 
     def projection(self, order) -> OrderProjection:
         """Per-order co-membership matrix and degree vector (cached)."""
-        if order not in self.edges_by_order:
+        if order not in self._rows:
             raise HypergraphError(f"order {order} not present in hypergraph")
         if order not in self._proj_cache:
             arr = self.edge_array(order)
-            ii, jj = np.triu_indices(order, k=1)
-            rows = arr[:, ii].ravel()
-            cols = arr[:, jj].ravel()
+            ii, jj = np.nonzero(~np.eye(order, dtype=bool))  # every ordered pair of members
+            rows, cols = arr[:, ii].ravel(), arr[:, jj].ravel()
             data = np.ones(rows.size, dtype=np.int64)
-            upper = sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
-            comat = (upper + upper.T).tocsr()
+            comat = sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
             self._proj_cache[order] = OrderProjection(
                 order, self.degrees_by_order(order), comat
             )
@@ -158,16 +157,19 @@ class Hypergraph:
     def incidence_pairs(self):
         """Directed incidences (edge_id, node) sorted by edge then node.
 
-        Returns (edge_ids, nodes), each of length sum of all orders.  This is
-        the shared indexing backbone for message passing and the
-        non-backtracking operator.
+        Returns read-only (edge_ids, nodes), each of length sum of all
+        orders, with edges in input order.  This is the shared indexing
+        backbone for message passing and the non-backtracking operator.
         """
         if self._pairs_cache is None:
-            lengths = np.fromiter(map(len, self.edges), dtype=np.int64, count=self.m)
-            edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), lengths)
-            nodes = np.fromiter(
-                itertools.chain.from_iterable(self.edges), dtype=np.int64, count=edge_ids.size
-            )
+            sizes = np.zeros(self.m, dtype=np.int64)
+            for k, e in self.edges_by_order.items():
+                sizes[e] = k
+            starts, nodes = np.cumsum(sizes) - sizes, np.empty(sizes.sum(), dtype=np.int64)
+            for k, e in self.edges_by_order.items():
+                nodes[starts[e, None] + np.arange(k)] = self._rows[k]
+            edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), sizes)
+            edge_ids.flags.writeable = nodes.flags.writeable = False
             self._pairs_cache = (edge_ids, nodes)
         return self._pairs_cache
 
@@ -175,14 +177,21 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m}, orders={list(self.orders)})"
 
 
+def _sorted_distinct(nodes, lengths):
+    """Each hyperedge's nodes sorted, repeats dropped: (nodes, sizes), laid out as (nodes, lengths)."""
+    starts, out = np.cumsum(lengths) - lengths, nodes.copy()
+    for k in np.flatnonzero(np.bincount(lengths, minlength=2)[2:]) + 2:
+        pos = starts[lengths == k, None] + np.arange(k)
+        out[pos] = np.sort(nodes[pos], axis=1)
+    edge = np.repeat(np.arange(lengths.size), lengths)
+    keep = np.ones(out.size, dtype=bool)
+    keep[1:] = (out[1:] != out[:-1]) | (edge[1:] != edge[:-1])
+    return out[keep], np.bincount(edge[keep], minlength=lengths.size)
+
+
 def degrees(h: Hypergraph) -> DegreeStats:
     """Module-level alias for Hypergraph.degree_stats."""
     return h.degree_stats()
-
-
-def _parse_line(line):
-    body = line.split("#", 1)[0]
-    return body.split()
 
 
 def load_hyperedge_list(path, *, dedup=False):
@@ -191,48 +200,55 @@ def load_hyperedge_list(path, *, dedup=False):
     One hyperedge per line, whitespace-separated node tokens, '#' starts a
     comment.  Tokens are mapped to dense indices in first-appearance order;
     duplicate tokens within a line are dropped; lines with fewer than 2
-    distinct nodes are skipped (a warning reports how many).  With dedup=True
-    repeated identical hyperedges collapse to one; the default keeps them as
-    multiplicity.
+    distinct nodes are skipped (a warning reports how many) and number no
+    node.  With dedup=True repeated identical hyperedges collapse to one,
+    in tuple-lexicographic order; the default keeps them as multiplicity.
 
     Returns (hypergraph, node_names) where node_names[i] is the token of node i.
     """
-    index = {}
-    names = []
-    edges = []
-    dropped = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tokens = _parse_line(line)
-            if not tokens:
-                continue
-            distinct = list(dict.fromkeys(tokens))
-            if len(distinct) < 2:
-                dropped += 1
-                continue
-            edge = []
-            for tok in distinct:
-                if tok not in index:
-                    index[tok] = len(names)
-                    names.append(tok)
-                edge.append(index[tok])
-            edges.append(tuple(sorted(edge)))
+        text = re.sub(r"#[^\n]*", "", fh.read()) + "\n"
+    # No token holds '#' once comments are cut, so '#' can mark each line end.
+    first_seen = {}  # token -> position of its first occurrence
+    ids = np.fromiter(map(first_seen.setdefault, text.replace("\n", " # ").split(), itertools.count()), np.int64)
+    line_end, tokens = ids == first_seen["#"], list(first_seen)
+    ids = (np.cumsum(ids == np.arange(ids.size)) - 1)[ids]  # index into tokens
+    line, ids = np.cumsum(line_end)[~line_end], ids[~line_end]
+    lengths = np.bincount(line, minlength=int(line_end.sum()))
+    kept = _sorted_distinct(ids, lengths)[1] >= 2
+    dropped = int(np.count_nonzero(lengths[~kept]))
     if dropped:
         warnings.warn(f"dropped {dropped} line(s) with fewer than 2 distinct nodes")
-    if not edges:
+    if not kept.any():
         raise HypergraphError(f"no hyperedges found in {path}")
+    # Number nodes in the order they first occur on a kept line.
+    ids = ids[kept[line]]
+    first = np.full(len(tokens), ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    seen = np.flatnonzero(first < ids.size)
+    seen = seen[np.argsort(first[seen])]
+    node = np.empty(len(tokens), dtype=np.int64)
+    node[seen] = np.arange(seen.size)
+    h = Hypergraph(seen.size, node[ids], lengths[kept])
     if dedup:
-        edges = sorted(set(edges))
-    return Hypergraph(len(names), edges), names
+        padded = np.full((h.m, max(h.orders)), -1)
+        for k, e in h.edges_by_order.items():
+            padded[e, :k] = h.edge_array(k)
+        padded = np.unique(padded, axis=0)
+        h = Hypergraph(h.n, padded[padded >= 0], (padded >= 0).sum(axis=1))
+    # Fresh copies: the split's own strings would keep its memory from being freed.
+    return h, "\n".join(map(tokens.__getitem__, seen.tolist())).split("\n")
 
 
 def save_hyperedge_list(h: Hypergraph, path, names=None):
     """Write the hyperedge-list text format (tokens default to node indices)."""
     if names is None:
         names = [str(i) for i in range(h.n)]
+    edge_ids, nodes = h.incidence_pairs()
+    seps = np.full(nodes.size, " ", dtype=object)
+    seps[np.cumsum(np.bincount(edge_ids, minlength=h.m)) - 1] = "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in h.edges:
-            fh.write(" ".join(names[i] for i in e) + "\n")
+        fh.write("".join(itertools.chain.from_iterable(zip(map(names.__getitem__, nodes.tolist()), seps))))
 
 
 def save_partition(partition: Partition, path, names=None):
@@ -253,7 +269,7 @@ def load_partition(path, names) -> Partition:
     labels = np.full(len(names), -1, dtype=np.int64)
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            tokens = _parse_line(line)
+            tokens = line.split("#", 1)[0].split()
             if not tokens:
                 continue
             if len(tokens) != 2:

@@ -47,19 +47,14 @@ def entropy_from_marginals(marg, n):
 
 def mutual_information(cont: Contingency):
     n = cont.n
-    mi = 0.0
-    for i in range(cont.counts.shape[0]):
-        ai = cont.row_marginals[i]
-        for j in range(cont.counts.shape[1]):
-            nij = cont.counts[i, j]
-            if nij == 0:
-                continue
-            # log(nij/n) - log(ai/n) - log(bj/n): shared sub-terms keep
-            # MI(a, a) bitwise equal to H(a)
-            mi += (nij / n) * (
-                np.log(nij / n) - np.log(ai / n) - np.log(cont.col_marginals[j] / n)
-            )
-    return float(mi)
+    i, j = np.nonzero(cont.counts)
+    nij = cont.counts[i, j]
+    # log(nij/n) - log(ai/n) - log(bj/n): shared sub-terms keep
+    # MI(a, a) bitwise equal to H(a)
+    terms = (nij / n) * (
+        np.log(nij / n) - np.log(cont.row_marginals[i] / n) - np.log(cont.col_marginals[j] / n)
+    )
+    return float(terms.sum())
 
 
 def expected_mutual_information(cont: Contingency):
@@ -144,11 +139,13 @@ def hyperedge_composition(h, p):
     the second maps order -> count.
     """
     labels = _labels(p)
-    max_same = {}
-    order_freq = {}
-    for e in h.edges:
-        k = len(e)
-        best = int(np.bincount(labels[list(e)]).max())
-        max_same[(k, best)] = max_same.get((k, best), 0) + 1
-        order_freq[k] = order_freq.get(k, 0) + 1
+    q = int(labels.max(initial=0)) + 1
+    max_same, order_freq = {}, {}
+    for k in h.orders:
+        lab = labels[h.edge_array(k)]
+        m_k = lab.shape[0]
+        per_label = np.bincount((np.arange(m_k)[:, None] * q + lab).ravel(), minlength=m_k * q)
+        best, count = np.unique(per_label.reshape(m_k, q).max(axis=1), return_counts=True)
+        max_same.update({(k, int(b)): int(c) for b, c in zip(best, count)})
+        order_freq[k] = m_k
     return max_same, order_freq

@@ -40,29 +40,17 @@ def nonbacktracking_matrix(h: Hypergraph, guard=5000) -> NonBacktracking:
     dim = edge_ids.size
     if dim > guard:
         raise SpectralError(f"non-backtracking dimension {dim} exceeds guard {guard}")
-    # sort directed hyperedges by (order of e, e, node)
-    order_of_edge = np.asarray([len(e) for e in h.edges], dtype=np.int64)
-    perm = np.lexsort((nodes, edge_ids, order_of_edge[edge_ids]))
+    # sort directed hyperedges by (order of e, e, node); pairs already run by (e, node)
+    perm = np.argsort(np.bincount(edge_ids, minlength=h.m)[edge_ids], kind="stable")
     pe, pn = edge_ids[perm], nodes[perm]
-    pos = {(int(e), int(i)): r for r, (e, i) in enumerate(zip(pe, pn))}
-    edges_of_node = [[] for _ in range(h.n)]
-    for e_idx, e in enumerate(h.edges):
-        for i in e:
-            edges_of_node[i].append(e_idx)
-    rows, cols = [], []
-    for r in range(dim):
-        e1, i = int(pe[r]), int(pn[r])
-        for j in h.edges[e1]:
-            if j == i:
-                continue
-            for e2 in edges_of_node[j]:
-                if e2 == e1:
-                    continue
-                rows.append(r)
-                cols.append(pos[(e2, j)])
-    data = np.ones(len(rows), dtype=np.int8)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-    return NonBacktracking(pe, pn, mat)
+    # (r, s) is 1 when r's hyperedge holds s's node elsewhere and s lies in another
+    # hyperedge: (E'E - I)(N'N - I), E and N the 0/1 edge and node incidence matrices
+    ones, cols = np.ones(dim, dtype=np.int64), np.arange(dim)
+    edge_inc = sp.csr_matrix((ones, (pe, cols)), shape=(h.m, dim))
+    node_inc = sp.csr_matrix((ones, (pn, cols)), shape=(h.n, dim))
+    eye = sp.identity(dim, dtype=np.int64, format="csr")
+    mat = (edge_inc.T @ edge_inc - eye) @ (node_inc.T @ node_inc - eye)
+    return NonBacktracking(pe, pn, mat.tocsr().astype(np.int8))
 
 
 def pooling_matrix(nb: NonBacktracking, n) -> sp.csr_matrix:

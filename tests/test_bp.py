@@ -3,6 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hyperbethe import (
     BpConfig,
@@ -215,6 +216,30 @@ class TestSweep:
         spec, h, _ = small_instance
         state = bp_init(h, 2, spec.rates(), BpConfig(init="uniform", damping=0.5))
         assert bp_sweep(state) <= 1e-12
+
+
+class TestIncidenceMatrices:
+    @staticmethod
+    def coo_built(owner, rows):
+        cols = np.arange(owner.size)
+        return sp.csr_matrix((np.ones(owner.size), (owner, cols)), shape=(rows, owner.size))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (35, [tuple(np.random.default_rng(21).choice(30, size=k, replace=False)) for k in (2, 3, 4) for _ in range(12)]),
+            (9, [(0, 1, 2), (3, 4), (1, 2, 3, 4), (0, 4), (2, 3, 4), (5, 0), (4, 5)]),  # nodes 6-8 isolated
+            (4, [(3, 2), (0, 1, 2, 3)]),
+        ],
+    )
+    def test_equal_to_coo_build(self, n, edges):
+        state = bp_init(Hypergraph(n, edges), 2, (4.0, 1.0), BpConfig(init="uniform"))
+        for got, owner, rows in ((state.edge_inc, state.pair_edges, len(edges)), (state.node_inc, state.pair_nodes, n)):
+            ref = self.coo_built(owner, rows)
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestKernelReference:

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,66 @@ from hyperbethe import (
 )
 
 from conftest import random_hypergraph
+
+
+def reference_edges(n, hyperedges):
+    """Per-edge canonical form: sorted distinct node tuples, with the constructor's errors."""
+    edges = []
+    for e in hyperedges:
+        canon = tuple(sorted(set(int(v) for v in e)))
+        if len(canon) < 2:
+            raise HypergraphError(f"hyperedge {tuple(e)} has fewer than 2 distinct nodes")
+        if canon[0] < 0 or canon[-1] >= n:
+            raise HypergraphError(f"hyperedge {canon} has node index outside [0, {n})")
+        edges.append(canon)
+    return edges
+
+
+def reference_load(path, dedup=False):
+    """Per-line hyperedge-list reader: (edges, names, dropped line count)."""
+    index, names, edges, dropped = {}, [], [], 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            distinct = list(dict.fromkeys(tokens))
+            if len(distinct) < 2:
+                dropped += 1
+                continue
+            edge = []
+            for tok in distinct:
+                if tok not in index:
+                    index[tok] = len(names)
+                    names.append(tok)
+                edge.append(index[tok])
+            edges.append(tuple(sorted(edge)))
+    if dedup:
+        edges = sorted(set(edges))
+    return edges, names, dropped
+
+
+def reference_save(edges, path, names):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for e in edges:
+            fh.write(" ".join(names[i] for i in e) + "\n")
+
+
+def check_against_reference_load(path, dedup=False):
+    """The loader gives the per-line reader's hyperedges, names and warning, or both find none."""
+    edges, names, dropped = reference_load(path, dedup)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if not edges:
+            with pytest.raises(HypergraphError, match="no hyperedges"):
+                load_hyperedge_list(path, dedup=dedup)
+        else:
+            h, got_names = load_hyperedge_list(path, dedup=dedup)
+            assert got_names == names
+            assert h.n == len(names)
+            assert h.edges == tuple(edges)
+    expected = [f"dropped {dropped} line(s) with fewer than 2 distinct nodes"] if dropped else []
+    assert [str(w.message) for w in caught] == expected
 
 
 class TestConstruction:
@@ -39,6 +102,101 @@ class TestConstruction:
         proj = h.projection(3)
         assert proj.comat[0, 1] == 2
         assert list(proj.degree_diag) == [2, 2, 2]
+
+    def test_duplicate_hyperedges_are_multiplicity(self):
+        h = Hypergraph(4, [(2, 1, 0), (0, 1), (0, 1, 2), (1, 0)])
+        assert h.m == 4
+        assert h.edge_array(3).tolist() == [[0, 1, 2], [0, 1, 2]]
+        assert h.edge_array(2).tolist() == [[0, 1], [0, 1]]
+        edge_ids, nodes = h.incidence_pairs()
+        assert edge_ids.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 3, 3]
+        assert nodes.tolist() == [0, 1, 2, 0, 1, 0, 1, 2, 0, 1]
+        assert h.node_degrees().tolist() == [4, 4, 2, 0]
+
+    def test_repeated_node_lowers_the_order(self):
+        h = Hypergraph(3, [(1, 1, 2)])
+        assert h.orders == (2,)
+        assert h.edge_array(2).tolist() == [[1, 2]]
+        assert h.edges == ((1, 2),)
+
+    def test_error_messages(self):
+        with pytest.raises(HypergraphError, match=r"^hyperedge \(1, 1\) has fewer than 2 distinct nodes$"):
+            Hypergraph(3, [(0, 1), (1, 1)])
+        with pytest.raises(HypergraphError, match=r"^hyperedge \(1,\) has fewer than 2 distinct nodes$"):
+            Hypergraph(3, [(1,)])
+        with pytest.raises(HypergraphError, match=r"^hyperedge \(0, 3\) has node index outside \[0, 3\)$"):
+            Hypergraph(3, [(0, 1), (3, 0, 3)])
+        with pytest.raises(HypergraphError, match=r"^hyperedge \(-1, 2\) has node index outside"):
+            Hypergraph(3, [(2, -1)])
+        # the first bad hyperedge in input order is reported
+        with pytest.raises(HypergraphError, match="outside"):
+            Hypergraph(3, [(0, 5), (1,)])
+        with pytest.raises(HypergraphError, match="fewer than 2"):
+            Hypergraph(3, [(), (0, 5)])
+
+    def test_interleaved_orders_keep_input_order(self):
+        edges = [(2, 1, 0), (4, 3), (1, 2, 3, 4), (0, 4), (2, 3, 4), (1, 0)]
+        h = Hypergraph(5, edges)
+        assert h.orders == (2, 3, 4)
+        assert {k: v.tolist() for k, v in h.edges_by_order.items()} == {3: [0, 4], 2: [1, 3, 5], 4: [2]}
+        edge_ids, nodes = h.incidence_pairs()
+        assert edge_ids.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5]
+        assert nodes.tolist() == list(itertools.chain.from_iterable(sorted(e) for e in edges))
+        assert h.edges == tuple(tuple(sorted(e)) for e in edges)
+
+    def test_edge_array_is_stored_read_only(self):
+        h = Hypergraph(4, [(0, 1), (1, 2, 3), (2, 3)])
+        arr = h.edge_array(2)
+        assert arr is h.edge_array(2)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 3
+        with pytest.raises(HypergraphError):
+            h.edge_array(4)
+
+    def test_concatenated_input(self):
+        edges = [(2, 1, 0), (4, 3), (3, 3, 1)]
+        h = Hypergraph(5, [2, 1, 0, 4, 3, 3, 3, 1], lengths=[3, 2, 3])
+        assert h.edges == Hypergraph(5, edges).edges
+        with pytest.raises(HypergraphError, match="lengths"):
+            Hypergraph(5, [0, 1, 2], lengths=[2, 2])
+
+    def test_empty(self):
+        h = Hypergraph(3, [])
+        assert (h.m, h.orders, h.edges) == (0, (), ())
+        assert [a.size for a in h.incidence_pairs()] == [0, 0]
+        assert h.node_degrees().tolist() == [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.lists(st.lists(st.integers(-1, 8), max_size=6), max_size=12),
+    )
+    def test_matches_per_edge_reference(self, n, hyperedges):
+        try:
+            edges = reference_edges(n, hyperedges)
+        except HypergraphError as exc:
+            with pytest.raises(HypergraphError) as got:
+                Hypergraph(n, hyperedges)
+            assert str(got.value) == str(exc)
+            return
+        h = Hypergraph(n, hyperedges)
+        assert h.m == len(edges)
+        assert h.edges == tuple(edges)
+        assert h.orders == tuple(sorted({len(e) for e in edges}))
+        for k in h.orders:
+            ids = [i for i, e in enumerate(edges) if len(e) == k]
+            assert h.edges_by_order[k].tolist() == ids
+            assert h.edge_array(k).tolist() == [list(edges[i]) for i in ids]
+            dense = np.zeros((n, n), dtype=np.int64)
+            for i in ids:
+                for a, b in itertools.permutations(edges[i], 2):
+                    dense[a, b] += 1
+            assert np.array_equal(h.projection(k).comat.toarray(), dense)
+        edge_ids, nodes = h.incidence_pairs()
+        assert edge_ids.tolist() == [i for i, e in enumerate(edges) for _ in e]
+        assert nodes.tolist() == list(itertools.chain.from_iterable(edges))
+        assert h.node_degrees().tolist() == np.bincount(nodes, minlength=n).tolist()
 
 
 class TestDegrees:
@@ -137,6 +295,58 @@ class TestFileIO:
         path.write_text("a b\nb a\n")
         h, _ = load_hyperedge_list(path, dedup=True)
         assert h.m == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"a b\r\nb c d\r\n",
+            b"a b\rb c\rc d\r",
+            b"# only a comment\n   # indented comment\na b # trailing\nc d#\n#\nd e#f\n",
+            b"a\tb\t\tc\n\td\te \n",
+            "\u03b1 \u03b2\n\u03b2 \u03b3 \u03b4\n\u65e5\u672c \u8a9e\n".encode(),
+            "a\u00a0b\nb\u2028c d\nc\x85e\x0cf\x1cg\n".encode(),
+            b"x x\na b\nx y\n",  # x is first seen on a dropped line and takes no id there
+            b"a b a c b\nc c a\n",
+            b"a b\nb c",
+            b"a\x00 b\nb a\x00 c\n",
+            b"\n\n  \na b\n\n",
+        ],
+    )
+    def test_matches_per_line_reader(self, tmp_path, content):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(content)
+        check_against_reference_load(path)
+
+    def test_dedup_mixed_orders_matches_per_line_reader(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("c a b\na b\nb a c\nd a\na b\nb d\nd c b a\na d\nb c a d\n")
+        check_against_reference_load(path, dedup=True)
+        h, names = load_hyperedge_list(path, dedup=True)
+        assert names == ["c", "a", "b", "d"]
+        assert h.edges == ((0, 1, 2), (0, 1, 2, 3), (1, 2), (1, 3), (2, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "c", "\u00e9", "x\x00", " ", "\t", "\n", "\r", "\r\n", "#", "\u00a0", "\u2028"]),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_random_text_matches_per_line_reader(self, tmp_path_factory, pieces, dedup):
+        path = tmp_path_factory.mktemp("load") / "edges.txt"
+        path.write_bytes("".join(pieces).encode("utf-8"))
+        check_against_reference_load(path, dedup)
+
+    def test_save_matches_per_edge_writer(self, tmp_path, rng):
+        h = random_hypergraph(rng, 15, orders=(3, 2, 4))
+        names = [f"n{i}\u00e9" for i in range(h.n)]
+        for args in ((), (names,)):
+            save_hyperedge_list(h, tmp_path / "got.txt", *args)
+            reference_save(h.edges, tmp_path / "ref.txt", *args or ([str(i) for i in range(h.n)],))
+            assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        save_hyperedge_list(Hypergraph(2, []), tmp_path / "empty.txt")
+        assert (tmp_path / "empty.txt").read_bytes() == b""
 
     def test_roundtrip_identity(self, tmp_path, rng):
         h = random_hypergraph(rng, 15, orders=(2, 3))

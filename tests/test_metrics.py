@@ -17,6 +17,9 @@ from hyperbethe import (
     hyperedge_composition,
     mutual_information,
 )
+from hyperbethe.metrics import entropy_from_marginals
+
+from conftest import random_hypergraph
 
 
 def ami_oracle(a, b):
@@ -169,7 +172,47 @@ class TestConfusion:
         assert mat[0].sum() == pytest.approx(1.0)
 
 
+def reference_mi(cont):
+    """Cell-by-cell mutual information, summed in row-major order."""
+    n = cont.n
+    mi = 0.0
+    for i in range(cont.counts.shape[0]):
+        for j in range(cont.counts.shape[1]):
+            nij = cont.counts[i, j]
+            if nij:
+                mi += (nij / n) * (
+                    np.log(nij / n) - np.log(cont.row_marginals[i] / n) - np.log(cont.col_marginals[j] / n)
+                )
+    return mi
+
+
+class TestMutualInformation:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 12))
+    def test_matches_cell_loop(self, seed, qa, qb):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        cont = contingency(rng.integers(0, qa, size=n), rng.integers(0, qb, size=n))
+        assert mutual_information(cont) == pytest.approx(reference_mi(cont), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 8, 9, 30])
+    def test_self_information_is_entropy_bitwise(self, q):
+        rng = np.random.default_rng(q)
+        cont = contingency(*[rng.integers(0, q, size=500)] * 2)
+        assert mutual_information(cont) == entropy_from_marginals(cont.row_marginals, cont.n)
+
+
 class TestComposition:
+    def test_matches_per_edge_count(self, rng):
+        h = random_hypergraph(rng, 40, orders=(3, 2, 5, 4), mean_edges_per_order=30)
+        labels = rng.integers(0, 4, size=h.n)
+        max_same, order_freq = {}, {}
+        for e in h.edges:
+            key = (len(e), int(np.bincount(labels[list(e)]).max()))
+            max_same[key] = max_same.get(key, 0) + 1
+            order_freq[len(e)] = order_freq.get(len(e), 0) + 1
+        assert hyperedge_composition(h, Partition(labels, 4)) == (max_same, order_freq)
+
     def test_pure_partition_max_counts(self):
         h = Hypergraph(4, [(0, 1), (0, 1, 2, 3)])
         p = Partition(np.zeros(4, dtype=int), 1)

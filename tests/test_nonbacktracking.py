@@ -67,6 +67,28 @@ class TestConstruction:
                 expected = int(j in h.edges[e1] and j != i and e2 != e1)
                 assert dense[r, c] == expected
 
+    def test_matches_per_incidence_build(self):
+        # duplicates, interleaved orders and isolated nodes, against a loop
+        # over (incidence, co-member, other hyperedge) triples
+        rng = np.random.default_rng(5)
+        edges = [tuple(rng.choice(25, size=k, replace=False)) for k in rng.integers(2, 6, size=40)]
+        h = Hypergraph(30, edges + edges[:3])
+        nb = nonbacktracking_matrix(h)
+        sizes = [len(e) for e in h.edges]
+        pairs = sorted(((sizes[e], e, i) for e, edge in enumerate(h.edges) for i in edge))
+        assert nb.pair_edges.tolist() == [e for _, e, _ in pairs]
+        assert nb.pair_nodes.tolist() == [i for _, _, i in pairs]
+        pos = {(e, i): r for r, (_, e, i) in enumerate(pairs)}
+        dense = np.zeros((nb.dim, nb.dim), dtype=np.int8)
+        for (_, e1, i), r in zip(pairs, range(nb.dim)):
+            for j in h.edges[e1]:
+                for e2, edge in enumerate(h.edges):
+                    if j != i and e2 != e1 and j in edge:
+                        dense[r, pos[(e2, j)]] = 1
+        assert nb.matrix.dtype == np.int8
+        assert np.array_equal(nb.matrix.toarray(), dense)
+        assert nb.matrix.nnz == int(dense.sum())
+
     def test_size_guard(self):
         spec = SymmetricHsbmSpec(n=500, q=2, orders=(2, 3), d=12.0, eps=0.2, seed=0)
         h, _ = sample_symmetric(spec)
