@@ -60,14 +60,18 @@ class BpState:
     incidences (pair_edges[r], pair_nodes[r]) in edge-major order; edge_inc
     and node_inc are the (m, D) and (n, D) 0/1 CSR incidence matrices;
     marginal is the (n, q) probability table; field is the current length-q
-    external field.
+    external field.  log_n2e starts as config.init says: exact uniform,
+    uniform plus seeded noise, or the planted partition's smoothed labels,
+    which then also set marginal.
     """
 
-    def __init__(self, h: Hypergraph, q, c_in, c_out, config: BpConfig):
+    def __init__(self, h: Hypergraph, q, c_in, c_out, config: BpConfig, planted: Partition = None):
         if q < 2:
             raise BpError("q must be >= 2")
         if h.m < 1:
             raise BpError("hypergraph has no hyperedges")
+        if config.init == "planted" and planted is None:
+            raise BpError("planted init requires the planted partition")
         self.h = h
         self.q = int(q)
         self.c_in = float(c_in)
@@ -79,9 +83,25 @@ class BpState:
         ones, cols = np.ones(D), np.arange(D + 1)
         self.edge_inc = sp.csc_matrix((ones, self.pair_edges, cols), shape=(h.m, D)).tocsr()
         self.node_inc = sp.csc_matrix((ones, self.pair_nodes, cols), shape=(h.n, D)).tocsr()
-        self.log_n2e = np.full((D, q), -np.log(q), order="F")
         self.log_e2n = np.full((D, q), -np.log(q), order="F")
+        self.log_n2e = np.empty((D, q), order="F")
         self.marginal = np.full((h.n, q), 1.0 / q)
+        if config.init == "uniform":
+            self.log_n2e.fill(-np.log(q))
+        elif config.init == "perturbed":
+            # drawn and row-summed in C order (numpy's Fortran-order row sums differ from q = 8 on)
+            rng = np.random.default_rng(config.seed)
+            p = rng.uniform(-config.init_noise, config.init_noise, size=(D, q))
+            p += 1.0 / q
+            np.maximum(p, 1e-12, out=p)
+            _log_probs(np.divide(p, p.sum(axis=1, keepdims=True), out=self.log_n2e))
+        else:
+            s = config.planted_smoothing
+            self.marginal[:] = s / q
+            self.marginal[np.arange(h.n), planted.labels] += 1.0 - s
+            log_marginal = _log_probs(self.marginal.copy())
+            for c in range(q):
+                np.take(log_marginal[:, c], self.pair_nodes, out=self.log_n2e[:, c], mode="clip")
         self.field = external_field(self)
 
     @property
@@ -116,27 +136,8 @@ def _settle(new, log_old, damping):
 
 def bp_init(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition = None) -> BpState:
     """Initialize messages: exact uniform, noise-perturbed uniform, or planted."""
-    cfg = config or BpConfig()
     c_in, c_out = rates
-    state = BpState(h, q, c_in, c_out, cfg)
-    if cfg.init == "uniform":
-        return state
-    if cfg.init == "perturbed":
-        rng = np.random.default_rng(cfg.seed)
-        noise = rng.uniform(-cfg.init_noise, cfg.init_noise, size=state.log_n2e.shape)
-        p = np.clip(1.0 / q + noise, 1e-12, None)
-        p /= p.sum(axis=1, keepdims=True)
-        state.log_n2e = _log_probs(np.asfortranarray(p))
-        return state
-    if planted is None:
-        raise BpError("planted init requires the planted partition")
-    s = cfg.planted_smoothing
-    onehot = np.full((h.n, q), s / q)
-    onehot[np.arange(h.n), planted.labels] += 1.0 - s
-    state.marginal = onehot
-    state.log_n2e = _log_probs(np.asfortranarray(onehot[state.pair_nodes]))
-    state.field = external_field(state)
-    return state
+    return BpState(h, q, c_in, c_out, config or BpConfig(), planted)
 
 
 def hyperedge_message(c_in, c_out, incoming, normalize=True):

@@ -215,7 +215,9 @@ def load_hyperedge_list(path, *, dedup=False):
     ids = (np.cumsum(ids == np.arange(ids.size)) - 1)[ids]  # index into tokens
     line, ids = np.cumsum(line_end)[~line_end], ids[~line_end]
     lengths = np.bincount(line, minlength=int(line_end.sum()))
-    kept = _sorted_distinct(ids, lengths)[1] >= 2
+    # a line has 2 distinct nodes iff one of its tokens differs from its first
+    kept = np.zeros(lengths.size, dtype=bool)
+    kept[line[ids != ids[(np.cumsum(lengths) - lengths)[line]]]] = True
     dropped = int(np.count_nonzero(lengths[~kept]))
     if dropped:
         warnings.warn(f"dropped {dropped} line(s) with fewer than 2 distinct nodes")

@@ -100,6 +100,41 @@ class TestInit:
         assert np.allclose(top, 1.0 - 1e-3 / 2, atol=1e-12)
         assert np.allclose(state.marginal.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("init", ["uniform", "perturbed", "planted"])
+    @pytest.mark.parametrize("q", [2, 3, 9])
+    def test_start_matches_formula(self, init, q):
+        # the start as a C-order formula; from q = 8 on, C- and Fortran-order row sums differ in the last bits
+        spec = SymmetricHsbmSpec(n=300, q=q, orders=(2, 3, 4), d=8.0, eps=0.2, seed=q)
+        h, planted = sample_symmetric(spec)
+        cfg = BpConfig(init=init, seed=11)
+        nodes = h.incidence_pairs()[1]
+        marginal = np.full((h.n, q), 1.0 / q)
+        if init == "uniform":
+            expected = np.full((nodes.size, q), -np.log(q))
+        elif init == "perturbed":
+            noise = np.random.default_rng(11).uniform(-cfg.init_noise, cfg.init_noise, size=(nodes.size, q))
+            p = np.clip(1.0 / q + noise, 1e-12, None)
+            p /= p.sum(axis=1, keepdims=True)
+            expected = np.log(np.maximum(p, np.exp(-700.0)))
+        else:
+            s = cfg.planted_smoothing
+            marginal = np.full((h.n, q), s / q)
+            marginal[np.arange(h.n), planted.labels] += 1.0 - s
+            expected = np.log(np.maximum(marginal[nodes], np.exp(-700.0)))
+        state = bp_init(h, q, spec.rates(), cfg, planted=planted)
+        assert state.log_n2e.flags.f_contiguous and state.log_e2n.flags.f_contiguous
+        assert state.log_n2e.tobytes(order="F") == expected.tobytes(order="F")
+        assert state.marginal.tobytes() == marginal.tobytes()
+        assert np.array_equal(state.log_e2n, np.full((nodes.size, q), -np.log(q)))
+        reference = bp_init(h, q, spec.rates(), BpConfig(init="uniform"))
+        reference.marginal = marginal
+        assert state.field.tobytes() == external_field(reference).tobytes()
+
+    def test_planted_needs_partition(self, small_instance):
+        spec, h, _ = small_instance
+        with pytest.raises(BpError, match="planted partition"):
+            bp_init(h, 2, spec.rates(), BpConfig(init="planted"))
+
     def test_q_lower_bound(self, small_instance):
         spec, h, _ = small_instance
         with pytest.raises(BpError):

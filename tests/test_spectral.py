@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +273,78 @@ class TestDenseLanczosSwitch:
         assert labels_match_up_to_permutation(
             lanczos.partition.labels, dense.partition.labels, 3
         )
+
+    def test_lanczos_batches_double_from_four(self, monkeypatch):
+        spec = SymmetricHsbmSpec(n=800, q=5, orders=(2, 3), d=15.0, eps=0.05, seed=0)
+        h, _ = sample_symmetric(spec)
+        calls = []
+        solve = spectral.lowest_eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        ncv = []
+        eigsh = spectral.spla.eigsh
+        monkeypatch.setattr(
+            spectral.spla, "eigsh", lambda *a, **kw: ncv.append(kw["ncv"]) or eigsh(*a, **kw)
+        )
+        monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
+        lanczos = spectral_cluster(h)
+        assert calls == [4, 8]
+        assert ncv == [32, 32]
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", h.n)
+        calls.clear()
+        dense = spectral_cluster(h)
+        assert calls == [h.n]
+        assert lanczos.partition.q == dense.partition.q == 5
+        assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, atol=1e-8)
+        assert labels_match_up_to_permutation(
+            lanczos.partition.labels, dense.partition.labels, 5
+        )
+
+    def test_dense_count_solves_once(self, monkeypatch):
+        spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
+        h, _ = sample_symmetric(spec)
+        B = bethe_hessian(h, bulk_radius(h))
+        full_w, full_v = lowest_eigenpairs(B.matrix, h.n)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(spectral.np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        w, v = spectral._negative_eigenpairs(B)
+        assert len(calls) == 1
+        assert len(w) == 4
+        # the pairs of one full solve, sliced: bitwise what a k = 8 solve returns
+        w8, v8 = lowest_eigenpairs(B.matrix, 8)
+        for pairs in ((full_w[:4], full_v[:, :4]), (w8[:4], v8[:, :4])):
+            assert np.array_equal(w, pairs[0]) and np.array_equal(v, pairs[1])
+
+
+class TestBlasThreads:
+    def test_cluster_identical_across_thread_counts(self, tmp_path):
+        # n = 3000 takes the Lanczos path; the thread counts are set in the children only
+        child = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from hyperbethe import SymmetricHsbmSpec, sample_symmetric, spectral_cluster
+            spec = SymmetricHsbmSpec(n=3000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0)
+            r = spectral_cluster(sample_symmetric(spec)[0])
+            np.savez(sys.argv[1], w=r.eigenvalues, v=r.embedding, labels=r.partition.labels)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", child, str(out)], env=env, check=True, timeout=300)
+            runs.append(np.load(out))
+        one, two = runs
+        for key in ("w", "v", "labels"):
+            assert one[key].tobytes() == two[key].tobytes(), key
+        assert len(one["w"]) == 3
 
 
 class TestKmeans:
