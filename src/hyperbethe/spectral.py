@@ -29,6 +29,9 @@ DENSE_CUTOFF = 600
 FIRST_BATCH = 4
 # Smallest Krylov basis ARPACK is given; scipy's default is 20.
 MIN_NCV = 32
+# ARPACK's stopping tolerance for the count's batches, whose Ritz values only
+# have to be sign-resolved against the threshold by their own residuals.
+COUNT_TOL = 1e-2
 
 
 class SpectralError(RuntimeError):
@@ -123,19 +126,23 @@ def bethe_hessian(h: Hypergraph, eta) -> BetheHessian:
     return BetheHessian(float(eta), SparseSymMatrix.from_scipy(full))
 
 
-def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, maxiter=None):
+def lowest_eigenpairs(
+    mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, maxiter=None, v0=None, residuals=False
+):
     """k algebraically smallest eigenpairs of a symmetric sparse matrix.
 
-    Dense solve up to DENSE_CUTOFF rows, Lanczos (ARPACK) above it with a
-    seeded start vector for determinism.  ARPACK gets a Krylov basis of
-    max(2k + 1, MIN_NCV) vectors, scipy's own rule with 32 in place of its 20:
-    the small batches of the negative-eigenvalue count converge pairs next to
-    the clustered bulk edge, and a basis that keeps more Krylov information
-    across each implicit restart needs fewer restarts to do it.  tol is both
-    ARPACK's stopping tolerance (||r|| <= tol * |theta|) and the residual
-    guard: residuals are verified against max(tol, 1e-12) * ||B||_inf, a
+    Dense solve up to DENSE_CUTOFF rows, Lanczos (ARPACK) above it, started
+    from v0 or, by default, from a seeded random vector for determinism.
+    ARPACK gets a Krylov basis of max(2k + 1, MIN_NCV) vectors, scipy's own
+    rule with 32 in place of its 20: the small batches of the
+    negative-eigenvalue count converge pairs next to the clustered bulk edge,
+    and a basis that keeps more Krylov information across each implicit
+    restart needs fewer restarts to do it.  tol is both ARPACK's stopping
+    tolerance (||r|| <= tol * |theta|) and the residual guard: the residuals
+    ||B v - theta v|| are verified against max(tol, 1e-12) * ||B||_inf, a
     bound the stopping rule meets since |theta| <= ||B||_inf.  Failure raises
-    EigenConvergenceError carrying them.
+    EigenConvergenceError carrying them.  With residuals=True they are
+    returned as a third array, for callers that test each pair on its own.
     """
     n = mat.n
     if not 1 <= k <= n:
@@ -144,8 +151,8 @@ def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, maxiter=None
         w, v = np.linalg.eigh(mat.to_dense())
         w, v = w[:k], v[:, :k]
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
+        if v0 is None:
+            v0 = np.random.default_rng(seed).standard_normal(n)
         csr = mat.to_csr()
         try:
             w, v = spla.eigsh(
@@ -159,14 +166,21 @@ def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, maxiter=None
             ) from exc
         order = np.argsort(w)
         w, v = w[order], v[:, order]
-    norm = float(abs(mat.to_csr()).sum(axis=1).max()) or 1.0
+    bound = _residual_bound(mat, tol)
     res = np.linalg.norm(mat.to_csr() @ v - v * w, axis=0)
-    if np.any(res > max(tol, 1e-12) * norm):
+    if np.any(res > bound):
         raise EigenConvergenceError(
-            f"residuals {res.max():g} exceed {tol:g} * ||B|| = {tol * norm:g}",
+            f"residuals {res.max():g} exceed {tol:g} * ||B|| = {bound:g}",
             residuals=res,
         )
-    return w, _fix_signs(v)
+    v = _fix_signs(v)
+    return (w, v, res) if residuals else (w, v)
+
+
+def _residual_bound(mat: SparseSymMatrix, tol):
+    """The residual guard's bound: max(tol, 1e-12) * ||B||_inf."""
+    norm = float(abs(mat.to_csr()).sum(axis=1).max()) or 1.0
+    return max(tol, 1e-12) * norm
 
 
 def _fix_signs(v):
@@ -183,25 +197,48 @@ def negative_tolerance(B: BetheHessian, neg_tol=1e-8):
 
 
 def _negative_eigenpairs(B: BetheHessian, neg_tol=1e-8, *, tol=1e-8, seed=0):
-    """Eigenpairs of B below -neg_tol * max|B_ii|, ascending.
+    """Eigenpairs of B below thr = -neg_tol * max|B_ii|, ascending.
 
-    Extracts batches of smallest eigenpairs (4, 8, 16, ...) until one at or
-    above the threshold appears; the clustering slices these instead of
-    solving again.  The detector needs only the negative eigenvalues and the
-    first one above them, so a first batch of 4 settles q <= 3 in one solve;
-    a batch of 8 would also converge pairs inside the clustered bulk edge just
-    above zero, which is most of ARPACK's cost.  Up to DENSE_CUTOFF rows one
-    dense solve yields every pair, so the count takes them all from it.
+    Up to DENSE_CUTOFF rows one dense solve yields every pair, and the count
+    copies its negative columns out of it.  Above, batches of smallest
+    eigenpairs (4, 8, 16, ...) are extracted until one at or above thr
+    appears; the clustering takes these pairs instead of solving again.  A
+    first batch of 4 settles q <= 3 in one solve, where a batch of 8 would
+    also converge pairs inside the clustered bulk edge just above zero.
+
+    Only the signs of theta - thr decide the count, so each batch runs ARPACK
+    at the loose COUNT_TOL.  For a symmetric matrix some eigenvalue lies
+    within ||r|| of a Ritz value theta with unit Ritz vector and residual r
+    (Parlett, The Symmetric Eigenvalue Problem), so a batch is accepted only
+    when every |theta_i - thr| > 2 ||r_i||; otherwise that batch is solved
+    again at tol, as a tight-only count would.  A thin margin thus costs
+    time, never a sign.  The count is Krylov evidence either way, not a
+    certificate: an eigenvalue the Krylov space never saw is not counted.
+
+    The negative pairs feed the embedding, so they must also pass the
+    residual guard at tol.  Well-separated pairs converge far past COUNT_TOL
+    and usually pass already; if one does not, the pairs are refined by one
+    k = count solve at tol, started from the sum of the loose vectors.
     """
     thr = -negative_tolerance(B, neg_tol)
-    k = B.n if B.n <= DENSE_CUTOFF else FIRST_BATCH
+    if B.n <= DENSE_CUTOFF:
+        w, v = lowest_eigenpairs(B.matrix, B.n, tol=tol, seed=seed)
+        count = int(np.sum(w < thr))
+        return w[:count], v[:, :count].copy()
+    k = FIRST_BATCH
     while True:
         k = min(k, B.n)
-        w, v = lowest_eigenpairs(B.matrix, k, tol=tol, seed=seed)
+        w, v, res = lowest_eigenpairs(B.matrix, k, tol=COUNT_TOL, seed=seed, residuals=True)
+        if np.any(np.abs(w - thr) <= 2.0 * res):
+            w, v, res = lowest_eigenpairs(B.matrix, k, tol=tol, seed=seed, residuals=True)
         count = int(np.sum(w < thr))
         if count < k or k == B.n:
-            return w[:count], v[:, :count]
+            break
         k *= 2
+    w, v = w[:count], v[:, :count]
+    if np.any(res[:count] > _residual_bound(B.matrix, tol)):
+        w, v = lowest_eigenpairs(B.matrix, count, tol=tol, seed=seed, v0=v.sum(axis=1))
+    return w, v
 
 
 def count_negative_eigenvalues(B: BetheHessian, neg_tol=1e-8, seed=0):

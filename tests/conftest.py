@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hyperbethe import Hypergraph
+from hyperbethe import Hypergraph, spectral
 
 
 def labels_match_up_to_permutation(a, b, q):
@@ -34,3 +34,28 @@ def random_hypergraph(rng, n, orders=(2, 3), mean_edges_per_order=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def matvecs(monkeypatch):
+    """Matvec count of each ARPACK call in spectral, one entry per call.
+
+    The matrix is wrapped in a counting LinearOperator; eigsh wraps a sparse
+    matrix in one itself, so the arithmetic is unchanged.
+    """
+    spla = spectral.spla
+    eigsh = spla.eigsh
+    counts = []
+
+    def counting_eigsh(A, *args, **kwargs):
+        counts.append(0)
+
+        def matvec(x):
+            counts[-1] += 1
+            return A @ x
+
+        op = spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
+        return eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+    return counts

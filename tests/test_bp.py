@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from math import factorial
 
 import numpy as np
@@ -17,6 +21,7 @@ from hyperbethe import (
     hyperedge_message,
     sample_symmetric,
 )
+from hyperbethe import bp
 from hyperbethe.bp import BpError
 
 from conftest import labels_match_up_to_permutation
@@ -357,3 +362,31 @@ class TestRun:
     def test_argmax_tie_breaks_low(self):
         marg = np.array([[0.5, 0.5], [0.2, 0.8]])
         assert list(np.argmax(marg, axis=1)) == [0, 1]
+
+
+class TestBlasThreads:
+    def test_bp_identical_across_thread_counts(self, tmp_path):
+        # the thread counts are set in the children only
+        child = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from hyperbethe import BpConfig, SymmetricHsbmSpec, bp_run, sample_symmetric
+            spec = SymmetricHsbmSpec(n=3000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0)
+            r = bp_run(sample_symmetric(spec)[0], 3, spec.rates(), BpConfig(seed=0))
+            np.savez(sys.argv[1], marginals=r.marginals, labels=r.partition.labels,
+                     sweeps=r.sweeps, converged=r.converged)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bp.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", child, str(out)], env=env, check=True, timeout=300)
+            runs.append(np.load(out))
+        one, two = runs
+        for key in ("marginals", "labels", "sweeps", "converged"):
+            assert one[key].tobytes() == two[key].tobytes(), key
+        assert bool(one["converged"])

@@ -18,13 +18,14 @@ from hyperbethe import (
     bethe_hessian,
     bulk_radius,
     count_negative_eigenvalues,
+    critical_epsilon,
     kmeans,
     lowest_eigenpairs,
     sample_symmetric,
     spectral_cluster,
 )
 from hyperbethe import spectral
-from hyperbethe.spectral import _kmeanspp
+from hyperbethe.spectral import EigenConvergenceError, _kmeanspp
 
 from conftest import labels_match_up_to_permutation, random_hypergraph
 
@@ -67,6 +68,17 @@ def broadcast_kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels
     return best_labels
+
+
+def bench_model(n, *, q=3, eps=0.1, seed=0):
+    """An instance of the bench model (orders 2 and 3, d = 10) and its operator."""
+    spec = SymmetricHsbmSpec(n=n, q=q, orders=(2, 3), d=10.0, eps=eps, seed=seed)
+    h, _ = sample_symmetric(spec)
+    return h, bethe_hessian(h, bulk_radius(h))
+
+
+def guard_bound(B, tol=1e-8):
+    return tol * np.abs(B.matrix.to_dense()).sum(axis=1).max()
 
 
 def with_isolated(h, extra):
@@ -318,6 +330,128 @@ class TestDenseLanczosSwitch:
         w8, v8 = lowest_eigenpairs(B.matrix, 8)
         for pairs in ((full_w[:4], full_v[:, :4]), (w8[:4], v8[:, :4])):
             assert np.array_equal(w, pairs[0]) and np.array_equal(v, pairs[1])
+
+    def test_dense_embedding_owns_its_columns(self):
+        spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
+        h, _ = sample_symmetric(spec)
+        B = bethe_hessian(h, bulk_radius(h))
+        _, full_v = lowest_eigenpairs(B.matrix, h.n)
+        result = spectral_cluster(h)
+        assert result.partition.q == 4
+        # a copy of the negative columns, not a view that keeps all n alive
+        assert result.embedding.base is None
+        assert np.array_equal(result.embedding, full_v[:, :4])
+
+
+EPS_BH = critical_epsilon(3, (2, 3), 10.0, which="bh")
+EPS_MID = 0.5 * (EPS_BH + critical_epsilon(3, (2, 3), 10.0, which="bp"))
+
+
+class TestSignResolvedCount:
+    @staticmethod
+    def record_solves(monkeypatch, edit=None):
+        """(k, tol, v0) of each lowest_eigenpairs call; edit may alter its output."""
+        calls = []
+        solve = spectral.lowest_eigenpairs
+
+        def recorded(mat, k, **kwargs):
+            calls.append((k, kwargs["tol"], kwargs.get("v0")))
+            out = solve(mat, k, **kwargs)
+            return edit(mat, kwargs, out) if edit else out
+
+        monkeypatch.setattr(spectral, "lowest_eigenpairs", recorded)
+        return calls
+
+    @staticmethod
+    def tight_only(B):
+        """The count with every batch at eig_tol, as before the loose pass."""
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(spectral, "COUNT_TOL", 1e-8)
+            return spectral._negative_eigenpairs(B)
+
+    def test_unresolved_batch_is_solved_again_tight(self, monkeypatch):
+        # at 0.9 ARPACK stops before every Ritz value's sign is resolved
+        _, B = bench_model(800, seed=2)
+        tight_w, tight_v = self.tight_only(B)
+        calls = self.record_solves(monkeypatch)
+        monkeypatch.setattr(spectral, "COUNT_TOL", 0.9)
+        w, v = spectral._negative_eigenpairs(B)
+        assert [(k, tol) for k, tol, _ in calls] == [(4, 0.9), (4, 1e-8)]
+        assert all(v0 is None for *_, v0 in calls)
+        assert len(w) == 3
+        assert np.array_equal(w, tight_w) and np.array_equal(v, tight_v)
+
+    def test_guard_failure_refines_from_loose_vectors(self, monkeypatch):
+        _, B = bench_model(800)
+        tight_w, tight_v = self.tight_only(B)
+        loose = []
+
+        def unconverged_first_pair(mat, kwargs, out):
+            if not kwargs.get("residuals"):
+                return out
+            # still sign-resolved, but outside the guard at eig_tol
+            w, v, res = out
+            x = v[:, 0] + 1e-5 * np.random.default_rng(0).standard_normal(mat.n)
+            v[:, 0] = x / np.linalg.norm(x)
+            res[0] = np.linalg.norm(mat.to_csr() @ v[:, 0] - w[0] * v[:, 0])
+            loose.append(v.copy())
+            return w, v, res
+
+        calls = self.record_solves(monkeypatch, unconverged_first_pair)
+        w, v = spectral._negative_eigenpairs(B)
+        assert [(k, tol) for k, tol, _ in calls] == [(4, spectral.COUNT_TOL), (3, 1e-8)]
+        assert calls[0][2] is None
+        assert np.array_equal(calls[1][2], loose[0][:, :3].sum(axis=1))
+        res = np.linalg.norm(B.matrix.to_csr() @ v - v * w, axis=0)
+        assert res.max() <= guard_bound(B)
+        assert np.allclose(w, tight_w, atol=1e-8)
+        assert np.allclose(v, tight_v, atol=1e-6)
+
+    def test_guard_rejects_perturbed_embedding_pair(self, monkeypatch):
+        h, B = bench_model(800)
+        eigsh = spectral.spla.eigsh
+
+        def perturbed(*args, **kwargs):
+            w, v = eigsh(*args, **kwargs)
+            i = np.argmin(w)
+            x = v[:, i] + 1e-5 * np.random.default_rng(0).standard_normal(v.shape[0])
+            v[:, i] = x / np.linalg.norm(x)
+            return w, v
+
+        monkeypatch.setattr(spectral.spla, "eigsh", perturbed)
+        with pytest.raises(EigenConvergenceError) as info:
+            spectral_cluster(h)
+        assert info.value.residuals.max() > guard_bound(B)
+
+    @pytest.mark.parametrize(
+        "eps", [0.1, 0.2, 0.8 * EPS_BH, 0.95 * EPS_BH, EPS_BH, 1.05 * EPS_BH, EPS_MID]
+    )
+    def test_count_and_partition_equal_dense(self, monkeypatch, eps):
+        for seed, n in enumerate((601, 700, 800)):
+            h, _ = bench_model(n, eps=eps, seed=seed)
+            lanczos = spectral_cluster(h)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "DENSE_CUTOFF", h.n)
+                dense = spectral_cluster(h)
+            q = dense.partition.q
+            assert lanczos.partition.q == q
+            assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, atol=1e-8)
+            assert labels_match_up_to_permutation(
+                lanczos.partition.labels, dense.partition.labels, q
+            )
+
+    @pytest.mark.parametrize("eps, count", [(0.1, 3), (0.5, 1)])
+    def test_loose_count_needs_fewer_matvecs(self, matvecs, eps, count):
+        _, B = bench_model(3000, eps=eps)
+        w, v = spectral._negative_eigenpairs(B)
+        loose = list(matvecs)
+        matvecs.clear()
+        tight_w, tight_v = self.tight_only(B)
+        assert len(w) == len(tight_w) == count
+        assert len(loose) == len(matvecs) == 1
+        assert sum(loose) < 0.75 * sum(matvecs)
+        assert np.allclose(w, tight_w, atol=1e-8)
+        assert np.allclose(v, tight_v, atol=1e-6)
 
 
 class TestBlasThreads:
