@@ -1,9 +1,9 @@
 """Belief propagation for the symmetric HSBM.
 
-Messages live on directed incidences (node, hyperedge) and are stored in the
-log domain with a floor at exp(-700).  The hyperedge-to-node update uses the
-node-removal recursion, which for two-rate affinities collapses the full
-q^(order-1) assignment sum into O(order * q) multiplications:
+Messages live on directed incidences (node, hyperedge) as probabilities;
+node messages and the logs of hyperedge messages are floored at exp(-700).
+For two-rate affinities the hyperedge-to-node update collapses the full
+q^(order-1) assignment sum into O(order * q) products:
 
     value(psi) = c_out + (c_in - c_out) * prod_{j in e \\ i} b_j(psi)
 
@@ -11,10 +11,14 @@ The non-edge factors are absorbed into a global per-community external
 field computed from the marginal mass of each community.  All updates in a
 sweep are synchronous (Jacobi) so results are independent of scheduling.
 
-A sweep is two sparse products with 0/1 incidence matrices, (m x D) for the
-hyperedges and (n x D) for the nodes, each gathered back to the D incidences
-minus the message's own term.  Messages are (D, q) arrays in Fortran order,
-so per-row sums, maxima and normalisations run as q - 1 column operations.
+Incidences run by order, then by position within the hyperedge, then by
+hyperedge, so the order-k rows of each community column form a contiguous
+(k, m_k) plane.  The hyperedge side takes the product above directly: order
+2 swaps the two plane rows, higher orders multiply prefix and suffix
+products.  The node side stays in the log domain: each node's sum of
+incoming log-hats is one bincount per community, shifted by the field and
+the node's max before one gather back to the incidences.  Four (D, q)
+Fortran-order buffers, so row sums run column-wise, rotate across sweeps.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hypergraph import Hypergraph, Partition
 
@@ -54,14 +57,16 @@ class BpConfig:
 
 
 class BpState:
-    """Message arrays plus the incidence matrices of one hypergraph.
+    """Message arrays of one hypergraph, laid out in per-order planes.
 
-    log_n2e / log_e2n are (D, q) Fortran-order arrays over the directed
-    incidences (pair_edges[r], pair_nodes[r]) in edge-major order; edge_inc
-    and node_inc are the (m, D) and (n, D) 0/1 CSR incidence matrices;
-    marginal is the (n, q) probability table; field is the current length-q
-    external field.  log_n2e starts as config.init says: exact uniform,
-    uniform plus seeded noise, or the planted partition's smoothed labels,
+    n2e / e2n are (D, q) Fortran-order probability arrays over the directed
+    incidences.  For each (k, lo, hi) in planes, row lo + j * m_k + t is
+    position j of hyperedge h.edges_by_order[k][t], and nodes[row] is its
+    node.  marginal is the (n, q) probability table; field is the current
+    length-q external field; spare holds the two buffers the next sweep
+    writes into.  n2e starts as config.init says: exact uniform, uniform plus
+    seeded noise drawn in h.incidence_pairs() order (so a seed means the
+    same start on every input), or the planted partition's smoothed labels,
     which then also set marginal.
     """
 
@@ -72,60 +77,48 @@ class BpState:
             raise BpError("hypergraph has no hyperedges")
         if config.init == "planted" and planted is None:
             raise BpError("planted init requires the planted partition")
-        self.h = h
-        self.q = int(q)
-        self.c_in = float(c_in)
-        self.c_out = float(c_out)
-        self.config = config
-        self.pair_edges, self.pair_nodes = h.incidence_pairs()
-        D = self.pair_edges.size
-        # one incidence per column, as CSC; scipy counting-sorts it into canonical CSR
-        ones, cols = np.ones(D), np.arange(D + 1)
-        self.edge_inc = sp.csc_matrix((ones, self.pair_edges, cols), shape=(h.m, D)).tocsr()
-        self.node_inc = sp.csc_matrix((ones, self.pair_nodes, cols), shape=(h.n, D)).tocsr()
-        self.log_e2n = np.full((D, q), -np.log(q), order="F")
-        self.log_n2e = np.empty((D, q), order="F")
+        self.h, self.q, self.c_in, self.c_out, self.config = h, int(q), float(c_in), float(c_out), config
+        self.nodes = np.concatenate([h.edge_array(k).T.ravel() for k in h.orders])
+        bounds = np.cumsum([0] + [k * h.edges_by_order[k].size for k in h.orders]).tolist()
+        self.planes = tuple(zip(h.orders, bounds[:-1], bounds[1:]))
+        D = self.nodes.size
+        self.e2n = np.full((D, q), 1.0 / q, order="F")
+        self.n2e = np.empty((D, q), order="F")
         self.marginal = np.full((h.n, q), 1.0 / q)
         if config.init == "uniform":
-            self.log_n2e.fill(-np.log(q))
+            self.n2e.fill(1.0 / q)
         elif config.init == "perturbed":
             # drawn and row-summed in C order (numpy's Fortran-order row sums differ from q = 8 on)
             rng = np.random.default_rng(config.seed)
             p = rng.uniform(-config.init_noise, config.init_noise, size=(D, q))
             p += 1.0 / q
             np.maximum(p, 1e-12, out=p)
-            _log_probs(np.divide(p, p.sum(axis=1, keepdims=True), out=self.log_n2e))
+            p /= p.sum(axis=1, keepdims=True)
+            # plane row -> its row in edge-major incidence_pairs() order
+            sizes = np.empty(h.m, dtype=np.int64)
+            for k, e in h.edges_by_order.items():
+                sizes[e] = k
+            starts = np.cumsum(sizes) - sizes
+            perm = np.concatenate([(starts[e] + np.arange(k)[:, None]).ravel() for k, e in h.edges_by_order.items()])
+            for c in range(q):
+                np.take(p[:, c], perm, out=self.n2e[:, c], mode="clip")
+            del p, perm  # freed before the spare buffers are allocated
         else:
             s = config.planted_smoothing
             self.marginal[:] = s / q
             self.marginal[np.arange(h.n), planted.labels] += 1.0 - s
-            log_marginal = _log_probs(self.marginal.copy())
             for c in range(q):
-                np.take(log_marginal[:, c], self.pair_nodes, out=self.log_n2e[:, c], mode="clip")
+                np.take(np.maximum(self.marginal[:, c], np.exp(LOG_FLOOR)), self.nodes, out=self.n2e[:, c], mode="clip")
+        self.spare = [np.empty((D, q), order="F") for _ in range(2)]
         self.field = external_field(self)
 
     @property
     def num_messages(self):
-        return int(self.pair_edges.size)
+        return int(self.nodes.size)
 
 
-def _log_probs(p):
-    """Floored log of a probability array, in place."""
-    np.maximum(p, np.exp(LOG_FLOOR), out=p)
-    return np.log(p, out=p)
-
-
-def _softmax_rows(x):
-    """Per-row exp-normalise of log weights, in place, after a max shift."""
-    x -= x.max(axis=1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=1, keepdims=True)
-    return x
-
-
-def _settle(new, log_old, damping):
-    """Damp new messages toward the old ones and return the max-abs change; overwrites log_old."""
-    old = np.exp(log_old, out=log_old)
+def _settle(new, old, damping):
+    """Damp new messages toward the old ones and return the max-abs change; overwrites old."""
     if damping > 0.0:
         new *= 1.0 - damping
         new += damping * old
@@ -189,38 +182,45 @@ def bp_sweep(state: BpState):
     hyperedge-to-node messages from the previous node-to-hyperedge messages,
     then all node-to-hyperedge messages, then marginals.
     """
-    q = state.q
-    cfg = state.config
+    q, n, damping, floor = state.q, state.h.n, state.config.damping, np.exp(LOG_FLOOR)
     state.field = external_field(state)
 
-    # hyperedge -> node: each hyperedge's log-message sum minus the receiver's own
-    logb = state.log_n2e
-    hat = np.empty_like(logb)
-    for c in range(q):
-        np.take(state.edge_inc @ logb[:, c], state.pair_edges, out=hat[:, c], mode="clip")
-    hat -= logb
-    np.exp(hat, out=hat)
+    # hyperedge -> node: the other members' product, prefix times suffix per plane;
+    # row 0 of each plane carries the running suffix product
+    b, (hat, new_b) = state.n2e, state.spare
+    for k, lo, hi in state.planes:
+        src, dst = b[lo:hi].reshape(k, -1, q), hat[lo:hi].reshape(k, -1, q)
+        dst[1] = src[0]
+        for j in range(2, k):
+            np.multiply(dst[j - 1], src[j - 1], out=dst[j])
+        dst[0] = src[k - 1]
+        for j in range(k - 2, 0, -1):
+            dst[j] *= dst[0]
+            dst[0] *= src[j]
     hat *= state.c_in - state.c_out
     hat += state.c_out
     hat[hat.sum(axis=1) <= 0.0] = 1.0  # every label impossible: send a uniform message
     hat /= hat.sum(axis=1, keepdims=True)
-    delta = _settle(hat, state.log_e2n, cfg.damping)
-    log_hat = _log_probs(hat)
+    delta = _settle(hat, state.e2n, damping)
+    log_hat = np.log(np.maximum(hat, floor, out=state.e2n), out=state.e2n)
 
     # node -> hyperedge: each node's log-sum of incoming hats minus the sender's
-    node_sum = np.empty((state.h.n, q), order="F")
-    b = np.empty_like(log_hat)
+    node_sum = np.empty((n, q), order="F")
     for c in range(q):
-        node_sum[:, c] = state.node_inc @ log_hat[:, c]
-        np.take(node_sum[:, c], state.pair_nodes, out=b[:, c], mode="clip")
-    b -= log_hat
-    b -= state.field
-    delta = max(delta, _settle(_softmax_rows(b), state.log_n2e, cfg.damping))
-
+        node_sum[:, c] = np.bincount(state.nodes, weights=log_hat[:, c], minlength=n)
     node_sum -= state.field
-    state.marginal = _softmax_rows(node_sum)
-    state.log_e2n = log_hat
-    state.log_n2e = _log_probs(b)
+    node_sum -= node_sum.max(axis=1, keepdims=True)
+    for c in range(q):
+        np.take(node_sum[:, c], state.nodes, out=new_b[:, c], mode="clip")
+    new_b -= log_hat
+    np.exp(new_b, out=new_b)
+    new_b /= new_b.sum(axis=1, keepdims=True)
+    delta = max(delta, _settle(new_b, b, damping))
+    np.maximum(new_b, floor, out=new_b)
+
+    np.exp(node_sum, out=node_sum)
+    state.marginal = node_sum / node_sum.sum(axis=1, keepdims=True)
+    state.e2n, state.n2e, state.spare = hat, new_b, [log_hat, b]
     return delta
 
 

@@ -156,7 +156,8 @@ def run_eps_sweep(cfg: ExperimentConfig):
     Per grid point and repetition: sample, detect with the requested
     methods, score AMI against the planted partition.  Spectral detection
     estimates the community count from the negative eigenvalues unless
-    fixed_q is set; finding no structure scores 0.
+    fixed_q is set; finding no structure scores 0.  BP that stops at its
+    sweep cap still scores; an error it raises fails the sweep.
     """
     rows = []
     curves = {m: [] for m in cfg.methods}
@@ -177,12 +178,8 @@ def run_eps_sweep(cfg: ExperimentConfig):
                 except Exception:
                     pass
             if "bp" in cfg.methods:
-                try:
-                    bp_cfg = replace(cfg.bp, seed=seed)
-                    res = bp_run(h, cfg.q, spec.rates(), bp_cfg, planted=planted)
-                    scores["bp"].append(ami(res.partition, planted))
-                except Exception:
-                    pass
+                res = bp_run(h, cfg.q, spec.rates(), replace(cfg.bp, seed=seed), planted=planted)
+                scores["bp"].append(ami(res.partition, planted))
         row = [_fmt(eps)]
         for m in ("bh", "bp"):
             if m in cfg.methods:

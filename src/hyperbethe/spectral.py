@@ -166,6 +166,11 @@ def lowest_eigenpairs(
             ) from exc
         order = np.argsort(w)
         w, v = w[order], v[:, order]
+    return _guarded(mat, w, v, tol, residuals)
+
+
+def _guarded(mat: SparseSymMatrix, w, v, tol, residuals=False):
+    """The pairs with signs fixed, once their residuals pass the guard at tol."""
     bound = _residual_bound(mat, tol)
     res = np.linalg.norm(mat.to_csr() @ v - v * w, axis=0)
     if np.any(res > bound):
@@ -199,12 +204,13 @@ def negative_tolerance(B: BetheHessian, neg_tol=1e-8):
 def _negative_eigenpairs(B: BetheHessian, neg_tol=1e-8, *, tol=1e-8, seed=0):
     """Eigenpairs of B below thr = -neg_tol * max|B_ii|, ascending.
 
-    Up to DENSE_CUTOFF rows one dense solve yields every pair, and the count
-    copies its negative columns out of it.  Above, batches of smallest
-    eigenpairs (4, 8, 16, ...) are extracted until one at or above thr
-    appears; the clustering takes these pairs instead of solving again.  A
-    first batch of 4 settles q <= 3 in one solve, where a batch of 8 would
-    also converge pairs inside the clustered bulk edge just above zero.
+    Up to DENSE_CUTOFF rows one dense solve yields every eigenvalue; only
+    the negative columns go through the guard and the sign fix, and leave
+    as a copy.  Above, batches of smallest eigenpairs (4, 8, 16, ...) are
+    extracted until one at or above thr appears; the clustering takes these
+    pairs instead of solving again.  A first batch of 4 settles q <= 3 in
+    one solve, where a batch of 8 would also converge pairs inside the
+    clustered bulk edge just above zero.
 
     Only the signs of theta - thr decide the count, so each batch runs ARPACK
     at the loose COUNT_TOL.  For a symmetric matrix some eigenvalue lies
@@ -222,9 +228,9 @@ def _negative_eigenpairs(B: BetheHessian, neg_tol=1e-8, *, tol=1e-8, seed=0):
     """
     thr = -negative_tolerance(B, neg_tol)
     if B.n <= DENSE_CUTOFF:
-        w, v = lowest_eigenpairs(B.matrix, B.n, tol=tol, seed=seed)
+        w, v = np.linalg.eigh(B.matrix.to_dense())
         count = int(np.sum(w < thr))
-        return w[:count], v[:, :count].copy()
+        return _guarded(B.matrix, w[:count], v[:, :count], tol)
     k = FIRST_BATCH
     while True:
         k = min(k, B.n)

@@ -7,11 +7,11 @@ from math import factorial
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hyperbethe import (
     BpConfig,
     Hypergraph,
+    Partition,
     SymmetricHsbmSpec,
     ami,
     bp_init,
@@ -44,6 +44,11 @@ def brute_force_message(c_in, c_out, incoming):
     return out
 
 
+def plane_edges(state):
+    """Hyperedge id of every message row, from the documented plane layout."""
+    return np.concatenate([np.tile(state.h.edges_by_order[k], k) for k, _, _ in state.planes])
+
+
 def reference_sweep(state):
     """One sweep written per incidence, from the state before the sweep.
 
@@ -54,8 +59,8 @@ def reference_sweep(state):
     """
     h, q, damp = state.h, state.q, state.config.damping
     field = external_field(state)
-    b_old, hat_old = np.exp(state.log_n2e), np.exp(state.log_e2n)
-    edge_ids, nodes = h.incidence_pairs()
+    b_old, hat_old = state.n2e.copy(), state.e2n.copy()
+    edge_ids, nodes = plane_edges(state), state.nodes
     hat = np.empty_like(b_old)
     for e in range(h.m):
         rows = np.flatnonzero(edge_ids == e)
@@ -63,10 +68,11 @@ def reference_sweep(state):
             hat[r] = hyperedge_message(state.c_in, state.c_out, b_old[rows[rows != r]])
     hat = (1 - damp) * hat + damp * hat_old
     hat /= hat.sum(axis=1, keepdims=True)
+    log_hat = np.log(np.maximum(hat, np.exp(-700.0)))  # the floor keeps an underflowed hat finite
     node_sum = np.zeros((h.n, q))
     for r, i in enumerate(nodes):
-        node_sum[i] += np.log(hat[r])
-    b = np.exp(node_sum[nodes] - np.log(hat) - field)
+        node_sum[i] += log_hat[r]
+    b = np.exp(node_sum[nodes] - log_hat - field)
     b /= b.sum(axis=1, keepdims=True)
     b = (1 - damp) * b + damp * b_old
     b /= b.sum(axis=1, keepdims=True)
@@ -86,15 +92,15 @@ class TestInit:
     def test_uniform_is_exact(self, small_instance):
         spec, h, _ = small_instance
         state = bp_init(h, 2, spec.rates(), BpConfig(init="uniform"))
-        assert np.all(np.exp(state.log_n2e) == 0.5)
+        assert np.all(state.n2e == 0.5)
         assert np.all(state.marginal == 0.5)
 
     def test_perturbed_deterministic(self, small_instance):
         spec, h, _ = small_instance
         s1 = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=4))
         s2 = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=4))
-        assert np.array_equal(s1.log_n2e, s2.log_n2e)
-        probs = np.exp(s1.log_n2e)
+        assert np.array_equal(s1.n2e, s2.n2e)
+        probs = s1.n2e
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.abs(probs - 0.5).max() <= 2e-2
 
@@ -108,29 +114,33 @@ class TestInit:
     @pytest.mark.parametrize("init", ["uniform", "perturbed", "planted"])
     @pytest.mark.parametrize("q", [2, 3, 9])
     def test_start_matches_formula(self, init, q):
-        # the start as a C-order formula; from q = 8 on, C- and Fortran-order row sums differ in the last bits
+        # the start as a C-order formula over incidence_pairs(), moved row by row into plane order;
+        # from q = 8 on, C- and Fortran-order row sums differ in the last bits
         spec = SymmetricHsbmSpec(n=300, q=q, orders=(2, 3, 4), d=8.0, eps=0.2, seed=q)
         h, planted = sample_symmetric(spec)
+        h = Hypergraph(h.n, [h.edges[e] for e in np.random.default_rng(q).permutation(h.m)])  # orders interleaved
         cfg = BpConfig(init=init, seed=11)
-        nodes = h.incidence_pairs()[1]
+        edge_ids, nodes = h.incidence_pairs()
+        rows = [np.flatnonzero(edge_ids == e) for e in range(h.m)]
+        to_plane = [rows[e][j] for k in h.orders for j in range(k) for e in h.edges_by_order[k]]
         marginal = np.full((h.n, q), 1.0 / q)
         if init == "uniform":
-            expected = np.full((nodes.size, q), -np.log(q))
+            expected = np.full((nodes.size, q), 1.0 / q)
         elif init == "perturbed":
             noise = np.random.default_rng(11).uniform(-cfg.init_noise, cfg.init_noise, size=(nodes.size, q))
             p = np.clip(1.0 / q + noise, 1e-12, None)
-            p /= p.sum(axis=1, keepdims=True)
-            expected = np.log(np.maximum(p, np.exp(-700.0)))
+            expected = p / p.sum(axis=1, keepdims=True)
         else:
             s = cfg.planted_smoothing
             marginal = np.full((h.n, q), s / q)
             marginal[np.arange(h.n), planted.labels] += 1.0 - s
-            expected = np.log(np.maximum(marginal[nodes], np.exp(-700.0)))
+            expected = np.maximum(marginal[nodes], np.exp(-700.0))
         state = bp_init(h, q, spec.rates(), cfg, planted=planted)
-        assert state.log_n2e.flags.f_contiguous and state.log_e2n.flags.f_contiguous
-        assert state.log_n2e.tobytes(order="F") == expected.tobytes(order="F")
+        assert np.array_equal(state.nodes, nodes[to_plane])
+        assert state.n2e.flags.f_contiguous and state.e2n.flags.f_contiguous
+        assert state.n2e.tobytes(order="F") == expected[to_plane].tobytes(order="F")
         assert state.marginal.tobytes() == marginal.tobytes()
-        assert np.array_equal(state.log_e2n, np.full((nodes.size, q), -np.log(q)))
+        assert np.array_equal(state.e2n, np.full((nodes.size, q), 1.0 / q))
         reference = bp_init(h, q, spec.rates(), BpConfig(init="uniform"))
         reference.marginal = marginal
         assert state.field.tobytes() == external_field(reference).tobytes()
@@ -235,8 +245,8 @@ class TestSweep:
         state = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=1))
         for _ in range(5):
             bp_sweep(state)
-        assert np.allclose(np.exp(state.log_n2e).sum(axis=1), 1.0, atol=1e-10)
-        assert np.allclose(np.exp(state.log_e2n).sum(axis=1), 1.0, atol=1e-10)
+        assert np.allclose(state.n2e.sum(axis=1), 1.0, atol=1e-10)
+        assert np.allclose(state.e2n.sum(axis=1), 1.0, atol=1e-10)
         assert np.allclose(state.marginal.sum(axis=1), 1.0, atol=1e-10)
 
     def test_hard_constraints_converge_fast(self):
@@ -252,18 +262,30 @@ class TestSweep:
         assert np.all(top[used] > 0.999)
         assert bp_run(h, 2, spec.rates(), BpConfig(init="planted"), planted=planted).converged
 
+    def test_hub_sums_stay_finite(self):
+        # 1200 log(1/2) is below exp's range: without the per-node max shift the hub's messages are 0/0
+        h = Hypergraph(1201, [(0, i) for i in range(1, 1201)])
+        state = bp_init(h, 2, (4.0, 1.0), BpConfig(init="uniform"))
+        assert bp_sweep(state) <= 1e-12
+        assert np.all(state.n2e == 0.5) and np.all(state.marginal == 0.5)
+
+    def test_node_messages_keep_the_floor(self):
+        # hard constraints drive the losing labels' messages below exp(-700); they stop at the floor
+        spec = SymmetricHsbmSpec(n=200, q=2, orders=(2, 3), d=6.0, eps=0.0, seed=2)
+        h, planted = sample_symmetric(spec)
+        cfg = BpConfig(init="planted", planted_smoothing=0.0)
+        state = bp_init(h, 2, spec.rates(), cfg, planted=planted)
+        for _ in range(3):
+            bp_sweep(state)
+        assert state.n2e.min() == np.exp(-700.0)
+
     def test_damping_keeps_fixed_point(self, small_instance):
         spec, h, _ = small_instance
         state = bp_init(h, 2, spec.rates(), BpConfig(init="uniform", damping=0.5))
         assert bp_sweep(state) <= 1e-12
 
 
-class TestIncidenceMatrices:
-    @staticmethod
-    def coo_built(owner, rows):
-        cols = np.arange(owner.size)
-        return sp.csr_matrix((np.ones(owner.size), (owner, cols)), shape=(rows, owner.size))
-
+class TestPlaneLayout:
     @pytest.mark.parametrize(
         "n, edges",
         [
@@ -272,14 +294,18 @@ class TestIncidenceMatrices:
             (4, [(3, 2), (0, 1, 2, 3)]),
         ],
     )
-    def test_equal_to_coo_build(self, n, edges):
-        state = bp_init(Hypergraph(n, edges), 2, (4.0, 1.0), BpConfig(init="uniform"))
-        for got, owner, rows in ((state.edge_inc, state.pair_edges, len(edges)), (state.node_inc, state.pair_nodes, n)):
-            ref = self.coo_built(owner, rows)
-            assert got.shape == ref.shape
-            for name in ("indptr", "indices", "data"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+    def test_matches_edge_tuples(self, n, edges):
+        h = Hypergraph(n, edges)
+        state = bp_init(h, 2, (4.0, 1.0), BpConfig(init="uniform"))
+        assert [k for k, _, _ in state.planes] == list(h.orders)
+        start = 0
+        for k, lo, hi in state.planes:
+            ids = h.edges_by_order[k]
+            assert lo == start and hi == lo + k * ids.size
+            for t, e in enumerate(ids):
+                assert [state.nodes[lo + j * ids.size + t] for j in range(k)] == sorted(set(edges[e]))
+            start = hi
+        assert start == state.num_messages == sum(map(len, edges))
 
 
 class TestKernelReference:
@@ -298,13 +324,20 @@ class TestKernelReference:
         edges = [tuple(rng.choice(40, size=10, replace=False)) for _ in range(15)]
         return Hypergraph(40, edges), 2, (9.0, 2.0)
 
-    def check_sweeps(self, h, q, rates, damping):
-        state = bp_init(h, q, rates, BpConfig(seed=7, damping=damping))
+    @staticmethod
+    def interleaved_orders():
+        # input order 2, 4, 3, 2, 5, 2, 4, 3, 2, 5, ...: each plane gathers rows from all over the input
+        rng = np.random.default_rng(23)
+        sizes = itertools.islice(itertools.cycle((2, 4, 3, 2, 5)), 40)
+        return Hypergraph(32, [tuple(rng.choice(30, size=k, replace=False)) for k in sizes]), 3, (6.0, 1.5)
+
+    def check_sweeps(self, h, q, rates, damping, config=None, planted=None):
+        state = bp_init(h, q, rates, config or BpConfig(seed=7, damping=damping), planted=planted)
         for _ in range(2):
             hat, b, marg, field, delta = reference_sweep(state)
             got = bp_sweep(state)
-            assert np.abs(np.exp(state.log_e2n) - hat).max() <= 1e-12
-            assert np.abs(np.exp(state.log_n2e) - b).max() <= 1e-12
+            assert np.abs(state.e2n - hat).max() <= 1e-12
+            assert np.abs(state.n2e - b).max() <= 1e-12
             assert np.abs(state.marginal - marg).max() <= 1e-12
             assert np.abs(state.field - field).max() <= 1e-12
             assert got == pytest.approx(delta, abs=1e-12)
@@ -323,6 +356,40 @@ class TestKernelReference:
         h, q, rates = self.order_ten()
         assert h.orders == (10,)
         self.check_sweeps(h, q, rates, 0.0)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_interleaved_orders(self, damping):
+        h, q, rates = self.interleaved_orders()
+        assert h.orders == (2, 3, 4, 5)
+        self.check_sweeps(h, q, rates, damping)
+
+    def test_zero_hat_row_sends_uniform(self):
+        # c_out = 0 and one-hot starts: on the order-6 edge every label's product holds at least
+        # two floored factors, exp(-1400) underflows to 0, and each member gets a uniform message
+        h = Hypergraph(8, [(0, 1, 2, 3, 4, 5), (0, 6), (3, 7)])
+        planted = Partition(np.array([0, 0, 0, 1, 1, 1, 0, 1]), 2)
+        cfg = BpConfig(init="planted", planted_smoothing=0.0)
+        state = bp_init(h, 2, (5.0, 0.0), cfg, planted=planted)
+        k, lo, hi = state.planes[-1]
+        assert k == 6
+        self.check_sweeps(h, 2, (5.0, 0.0), 0.0, cfg, planted)
+        state = bp_init(h, 2, (5.0, 0.0), cfg, planted=planted)
+        bp_sweep(state)
+        assert np.all(state.e2n[lo:hi] == 0.5)
+        assert np.all(state.e2n[:lo].max(axis=1) > 0.99)
+
+
+class TestEdgeOrder:
+    def test_shuffled_edges_same_result(self):
+        spec = SymmetricHsbmSpec(n=1500, q=3, orders=(2, 3, 4), d=10.0, eps=0.15, seed=4)
+        h, planted = sample_symmetric(spec)
+        shuffled = Hypergraph(h.n, [h.edges[e] for e in np.random.default_rng(5).permutation(h.m)])
+        cfg = BpConfig(init="planted")
+        a = bp_run(h, 3, spec.rates(), cfg, planted=planted)
+        b = bp_run(shuffled, 3, spec.rates(), cfg, planted=planted)
+        assert a.converged and a.sweeps > 2
+        assert np.array_equal(a.partition.labels, b.partition.labels) and a.sweeps == b.sweeps
+        assert np.abs(a.marginals - b.marginals).max() <= 1e-12
 
 
 class TestRun:

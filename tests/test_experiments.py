@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -16,6 +19,7 @@ from hyperbethe import (
     save_partition,
     transition_point,
 )
+from hyperbethe import experiments
 from hyperbethe.cli import main as cli_main
 from hyperbethe.experiments import ExperimentError
 from hyperbethe.hypergraph import save_hyperedge_list
@@ -96,6 +100,39 @@ class TestEpsSweep:
         p2, j2, _ = run_eps_sweep(c2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
         assert open(j1, "rb").read() == open(j2, "rb").read()
+
+    def test_bp_error_fails_the_sweep(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(experiments, "bp_run", broken)
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            run_eps_sweep(self._config(tmp_path))
+
+
+class TestBlasThreads:
+    def test_sweep_identical_across_thread_counts(self, tmp_path):
+        # the thread counts are set in the children only
+        child = textwrap.dedent(
+            """
+            import sys
+            from hyperbethe import ExperimentConfig, run_eps_sweep
+            run_eps_sweep(ExperimentConfig(
+                experiment="eps-sweep", n=600, q=3, orders=(2, 3), d=10.0, grid=(0.1, 0.3),
+                reps=2, methods=("bh", "bp"), seed=3, out=sys.argv[1],
+            ))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c", child, str(out)], env=env, check=True, timeout=300)
+            outputs.append([(out / name).read_bytes() for name in ("eps_sweep.csv", "eps_sweep.json")])
+        assert outputs[0] == outputs[1]
+        assert len(read_csv(tmp_path / "threads1" / "eps_sweep.csv")) == 3
 
 
 class TestShapeSweepLimits:

@@ -307,8 +307,10 @@ class TestDenseLanczosSwitch:
         assert ncv == [32, 32]
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", h.n)
         calls.clear()
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(spectral.np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))
         dense = spectral_cluster(h)
-        assert calls == [h.n]
+        assert calls == [h.n]  # the count's one dense solve, and no further call
         assert lanczos.partition.q == dense.partition.q == 5
         assert np.allclose(lanczos.eigenvalues, dense.eigenvalues, atol=1e-8)
         assert labels_match_up_to_permutation(
@@ -330,6 +332,30 @@ class TestDenseLanczosSwitch:
         w8, v8 = lowest_eigenpairs(B.matrix, 8)
         for pairs in ((full_w[:4], full_v[:, :4]), (w8[:4], v8[:, :4])):
             assert np.array_equal(w, pairs[0]) and np.array_equal(v, pairs[1])
+
+    def test_dense_guard_covers_returned_pairs_only(self, monkeypatch):
+        spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
+        h, _ = sample_symmetric(spec)
+        B = bethe_hessian(h, bulk_radius(h))
+        full_w, full_v = lowest_eigenpairs(B.matrix, h.n)
+        eigh = np.linalg.eigh
+
+        def perturbed(column):
+            def solve(a):
+                w, v = eigh(a)
+                x = v[:, column] + 1e-5 * np.random.default_rng(0).standard_normal(v.shape[0])
+                v[:, column] = x / np.linalg.norm(x)
+                return w, v
+            return solve
+
+        # a column past the count is neither guarded nor returned
+        monkeypatch.setattr(spectral.np.linalg, "eigh", perturbed(4))
+        w, v = spectral._negative_eigenpairs(B)
+        assert np.array_equal(w, full_w[:4]) and np.array_equal(v, full_v[:, :4])
+        monkeypatch.setattr(spectral.np.linalg, "eigh", perturbed(3))
+        with pytest.raises(EigenConvergenceError) as info:
+            spectral._negative_eigenpairs(B)
+        assert info.value.residuals.shape == (4,) and info.value.residuals[3] > guard_bound(B)
 
     def test_dense_embedding_owns_its_columns(self):
         spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
@@ -543,15 +569,21 @@ class TestClusterPipeline:
             calls.append(args[1])
             return solve(*args, **kwargs)
 
+        # every dense or Lanczos solve, whether or not it goes through lowest_eigenpairs
+        solves = []
+        eigh, eigsh = np.linalg.eigh, spectral.spla.eigsh
+        monkeypatch.setattr(spectral.np.linalg, "eigh", lambda *a: solves.append(1) or eigh(*a))
+        monkeypatch.setattr(spectral.spla, "eigsh", lambda *a, **kw: solves.append(1) or eigsh(*a, **kw))
         spec = SymmetricHsbmSpec(n=n, q=2, orders=(2, 3), d=10.0, eps=0.05, seed=11)
         h, _ = sample_symmetric(spec)
         monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
         result = spectral_cluster(h)
-        assert len(calls) == 1
+        assert len(solves) == 1 and len(calls) <= 1
         assert result.partition.q == 2
         calls.clear()
+        solves.clear()
         spectral_cluster(h, num_communities=2)
-        assert calls == [2]
+        assert calls == [2] and len(solves) == 1
 
     @pytest.mark.parametrize("n", [400, 700])
     def test_isolated_nodes(self, n):
