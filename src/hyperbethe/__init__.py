@@ -48,7 +48,6 @@ from .hypergraph import (
     HypergraphError,
     OrderProjection,
     Partition,
-    degrees,
     load_hyperedge_list,
     load_partition,
     save_hyperedge_list,

@@ -136,19 +136,14 @@ def bp_init(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition
 def hyperedge_message(c_in, c_out, incoming, normalize=True):
     """Message a hyperedge sends to one member, from the other members' messages.
 
-    incoming has shape (order-1, q).  Node-removal recursion: start from the
-    pair base case c_in + (c_out - c_in) * (1 - b(psi)) and fold the
-    remaining members in one at a time while tracking the running product of
-    their psi-components.
+    incoming has shape (order-1, q); the value is the direct product
+    c_out + (c_in - c_out) * prod_j incoming[j], exact even when a message
+    is within rounding of one-hot.
     """
     inc = np.asarray(incoming, dtype=float)
     if inc.ndim != 2 or inc.shape[0] < 1:
         raise BpError("need at least one incoming message")
-    val = c_in + (c_out - c_in) * (1.0 - inc[0])
-    prefix = inc[0].copy()
-    for t in range(1, inc.shape[0]):
-        val = val + (c_out - c_in) * (1.0 - inc[t]) * prefix
-        prefix = prefix * inc[t]
+    val = c_out + (c_in - c_out) * inc.prod(axis=0)
     if not normalize:
         return val
     total = val.sum()
@@ -199,8 +194,10 @@ def bp_sweep(state: BpState):
             dst[0] *= src[j]
     hat *= state.c_in - state.c_out
     hat += state.c_out
-    hat[hat.sum(axis=1) <= 0.0] = 1.0  # every label impossible: send a uniform message
-    hat /= hat.sum(axis=1, keepdims=True)
+    total = hat.sum(axis=1, keepdims=True)
+    dead = total[:, 0] <= 0.0  # every label impossible: send a uniform message
+    hat[dead], total[dead] = 1.0, q
+    hat /= total
     delta = _settle(hat, state.e2n, damping)
     log_hat = np.log(np.maximum(hat, floor, out=state.e2n), out=state.e2n)
 

@@ -113,16 +113,9 @@ def cmd_bp(args):
 
 
 def cmd_snr(args):
-    kwargs = dict(with_roots=args.roots)
-    if args.c_in is not None or args.c_out is not None:
-        if args.c_in is None or args.c_out is None:
-            raise SystemExit("both --c-in and --c-out are required")
-        kwargs.update(c_in=args.c_in, c_out=args.c_out)
-    elif args.d is not None and args.eps is not None:
-        kwargs.update(d=args.d, eps=args.eps)
-    else:
-        raise SystemExit("give either --c-in/--c-out or --d/--eps")
-    report = snr_report(args.q, _orders(args.orders), **kwargs)
+    orders = _orders(args.orders)
+    c_in, c_out = _rate_args(args, orders, args.q)
+    report = snr_report(args.q, orders, c_in=c_in, c_out=c_out, with_roots=args.roots)
     json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
     print()
 

@@ -3,6 +3,11 @@
 Every runner is deterministic for a fixed config: per-run seeds derive from
 (master seed, grid index, repetition) and outputs are written as CSV/JSON
 with stable formatting, so repeated runs produce byte-identical files.
+
+All sweeps share one grid x reps loop.  A repetition in which spectral
+detection finds no structure (SpectralError) scores 0 on every column the
+spectral partition feeds, and means always run over all repetitions; any
+other exception fails the sweep.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -146,8 +152,37 @@ def crossing_points(grid, a, b):
     return out
 
 
-def _detect_bh(h, q):
-    return spectral_cluster(h, num_communities=q, config=SpectralConfig(seed=0)).partition
+def _bh_scores(h, q, *truths):
+    """AMI of the Bethe Hessian partition against each truth; no structure scores 0."""
+    try:
+        part = spectral_cluster(h, num_communities=q, config=SpectralConfig(seed=0)).partition
+    except SpectralError:
+        return [0.0] * len(truths)
+    return [ami(part, t) for t in truths]
+
+
+def _sweep(cfg, name, axis, columns, score):
+    """The grid x reps loop of every sweep; writes <name>_sweep.csv.
+
+    score(value, seed) samples one instance, detects and returns
+    {column: AMI} for the columns it ran.  Each column's mean and stderr go
+    over every rep; a column never scored is written as "".  Returns the
+    CSV path and the per-column curves of means.
+    """
+    rows, curves = [], {c: [] for c in columns}
+    for p_idx, value in enumerate(cfg.grid):
+        scores = {c: [] for c in columns}
+        for rep in range(cfg.reps):
+            for c, s in score(value, _run_seed(cfg.seed, p_idx, rep)).items():
+                scores[c].append(s)
+        row = [_fmt(value)]
+        for c in columns:
+            mean, stderr = _mean_stderr(scores[c])
+            curves[c].append(mean)
+            row += [_fmt(mean), _fmt(stderr)]
+        rows.append(row)
+    header = [axis] + [f"ami_{c}_{stat}" for c in columns for stat in ("mean", "stderr")]
+    return write_csv(os.path.join(cfg.out, f"{name}_sweep.csv"), header, rows), curves
 
 
 def run_eps_sweep(cfg: ExperimentConfig):
@@ -156,44 +191,24 @@ def run_eps_sweep(cfg: ExperimentConfig):
     Per grid point and repetition: sample, detect with the requested
     methods, score AMI against the planted partition.  Spectral detection
     estimates the community count from the negative eigenvalues unless
-    fixed_q is set; finding no structure scores 0.  BP that stops at its
-    sweep cap still scores; an error it raises fails the sweep.
+    fixed_q is set.  Finding no structure (a SpectralError) scores 0; BP
+    that stops at its sweep cap still scores; any other error fails the
+    sweep.
     """
-    rows = []
-    curves = {m: [] for m in cfg.methods}
-    for p_idx, eps in enumerate(cfg.grid):
-        scores = {m: [] for m in cfg.methods}
-        for rep in range(cfg.reps):
-            seed = _run_seed(cfg.seed, p_idx, rep)
-            spec = SymmetricHsbmSpec(
-                n=cfg.n, q=cfg.q, orders=cfg.orders, d=cfg.d, eps=eps, seed=seed
-            )
-            h, planted = sample_symmetric(spec)
-            if "bh" in cfg.methods:
-                try:
-                    part = _detect_bh(h, cfg.fixed_q)
-                    scores["bh"].append(ami(part, planted))
-                except SpectralError:
-                    scores["bh"].append(0.0)
-                except Exception:
-                    pass
-            if "bp" in cfg.methods:
-                res = bp_run(h, cfg.q, spec.rates(), replace(cfg.bp, seed=seed), planted=planted)
-                scores["bp"].append(ami(res.partition, planted))
-        row = [_fmt(eps)]
-        for m in ("bh", "bp"):
-            if m in cfg.methods:
-                mean, stderr = _mean_stderr(scores[m])
-                curves[m].append(mean)
-                row += [_fmt(mean), _fmt(stderr)]
-            else:
-                row += ["", ""]
-        rows.append(row)
-    csv_path = write_csv(
-        os.path.join(cfg.out, "eps_sweep.csv"),
-        ["eps", "ami_bh_mean", "ami_bh_stderr", "ami_bp_mean", "ami_bp_stderr"],
-        rows,
-    )
+
+    def score(eps, seed):
+        spec = SymmetricHsbmSpec(n=cfg.n, q=cfg.q, orders=cfg.orders, d=cfg.d, eps=eps, seed=seed)
+        h, planted = sample_symmetric(spec)
+        out = {}
+        if "bh" in cfg.methods:
+            out["bh"] = _bh_scores(h, cfg.fixed_q, planted)[0]
+        if "bp" in cfg.methods:
+            res = bp_run(h, cfg.q, spec.rates(), replace(cfg.bp, seed=seed), planted=planted)
+            out["bp"] = ami(res.partition, planted)
+        return out
+
+    csv_path, means = _sweep(cfg, "eps", "eps", ("bh", "bp"), score)
+    curves = {m: means.get(m, []) for m in cfg.methods}
     report = snr_report(cfg.q, cfg.orders, d=cfg.d, eps=0.0, with_roots=True)
     doc = {
         "experiment": "eps-sweep",
@@ -205,103 +220,60 @@ def run_eps_sweep(cfg: ExperimentConfig):
         "reps": cfg.reps,
         "eps_bh_star": report.eps_bh,
         "eps_bp_star": report.eps_bp,
-        "transition_bh": transition_point(cfg.grid, curves.get("bh", [])) if "bh" in curves else None,
-        "transition_bp": transition_point(cfg.grid, curves.get("bp", [])) if "bp" in curves else None,
+        "transition_bh": transition_point(cfg.grid, curves["bh"]) if "bh" in curves else None,
+        "transition_bp": transition_point(cfg.grid, curves["bp"]) if "bp" in curves else None,
     }
     json_path = write_json(os.path.join(cfg.out, "eps_sweep.json"), doc)
     return csv_path, json_path, curves
 
 
-def _coarse_labels(planted, merge):
-    lut = np.empty(4, dtype=np.int64)
-    for g, group in enumerate(merge):
-        for c in group:
-            lut[c] = g
-    return lut[planted.labels]
+def _run_competition(cfg: ExperimentConfig, name, make_spec, rho_star, annotations):
+    """Shared runner of the shape and order sweeps: detect 2 communities and
+    score against both coarse plantings; writes <name>_sweep.csv/.json.
 
+    make_spec(rho, seed) is the planted model; rho_star(adjusted=, d=) the
+    predicted switching point.
+    """
 
-def _run_competition(cfg: ExperimentConfig, kind):
-    """Shared driver of the shape and order sweeps: detect 2 communities and
-    score against both coarse plantings."""
-    rows = []
-    curve_a, curve_b = [], []
-    for p_idx, rho in enumerate(cfg.grid):
-        s_a, s_b = [], []
-        for rep in range(cfg.reps):
-            seed = _run_seed(cfg.seed, p_idx, rep)
-            if kind == "shape":
-                spec = shape_experiment_spec(cfg.n, cfg.d, rho, order=cfg.shape_order, seed=seed)
-            else:
-                spec = order_experiment_spec(
-                    cfg.n, cfg.d, rho, cfg.low_order, cfg.high_order, seed=seed
-                )
-            h, planted = sample_planted(spec)
-            try:
-                part = _detect_bh(h, 2)
-            except Exception:
-                continue
-            lab_a = Partition(_coarse_labels(planted, ((0, 1), (2, 3))), 2)
-            lab_b = Partition(_coarse_labels(planted, ((0, 2), (1, 3))), 2)
-            s_a.append(ami(part, lab_a))
-            s_b.append(ami(part, lab_b))
-        mean_a, se_a = _mean_stderr(s_a)
-        mean_b, se_b = _mean_stderr(s_b)
-        curve_a.append(mean_a)
-        curve_b.append(mean_b)
-        rows.append([_fmt(rho), _fmt(mean_a), _fmt(se_a), _fmt(mean_b), _fmt(se_b)])
-    return rows, curve_a, curve_b
+    def score(rho, seed):
+        h, planted = sample_planted(make_spec(rho, seed))
+        # the coarse plantings {0,1}|{2,3} and {0,2}|{1,3} as maps of the 4 planted labels
+        truths = [Partition(np.array(lut)[planted.labels], 2) for lut in ((0, 0, 1, 1), (0, 1, 0, 1))]
+        return dict(zip(("0123", "0213"), _bh_scores(h, 2, *truths)))
+
+    csv_path, curves = _sweep(cfg, name, "rho", ("0123", "0213"), score)
+    curve_a, curve_b = curves["0123"], curves["0213"]
+    doc = dict(
+        annotations,
+        experiment=f"{name}-sweep",
+        n=cfg.n,
+        d=cfg.d,
+        grid=list(cfg.grid),
+        reps=cfg.reps,
+        rho_star_raw=rho_star(),
+        rho_star_adjusted=rho_star(adjusted=True, d=cfg.d),
+        crossings=crossing_points(cfg.grid, curve_a, curve_b),
+    )
+    json_path = write_json(os.path.join(cfg.out, f"{name}_sweep.json"), doc)
+    return csv_path, json_path, (curve_a, curve_b)
 
 
 def run_shape_sweep(cfg: ExperimentConfig):
     """Balanced-vs-imbalanced hyperedge shape competition at one order."""
-    kind = f"shape{cfg.shape_order}"
-    rows, curve_a, curve_b = _run_competition(cfg, "shape")
-    csv_path = write_csv(
-        os.path.join(cfg.out, "shape_sweep.csv"),
-        ["rho", "ami_0123_mean", "ami_0123_stderr", "ami_0213_mean", "ami_0213_stderr"],
-        rows,
+    k = cfg.shape_order
+    return _run_competition(
+        cfg, "shape", lambda rho, seed: shape_experiment_spec(cfg.n, cfg.d, rho, order=k, seed=seed),
+        partial(switching_rho, f"shape{k}"), {"order": k},
     )
-    doc = {
-        "experiment": "shape-sweep",
-        "order": cfg.shape_order,
-        "n": cfg.n,
-        "d": cfg.d,
-        "grid": list(cfg.grid),
-        "reps": cfg.reps,
-        "rho_star_raw": switching_rho(kind),
-        "rho_star_adjusted": switching_rho(kind, adjusted=True, d=cfg.d),
-        "crossings": crossing_points(cfg.grid, curve_a, curve_b),
-    }
-    json_path = write_json(os.path.join(cfg.out, "shape_sweep.json"), doc)
-    return csv_path, json_path, (curve_a, curve_b)
 
 
 def run_order_sweep(cfg: ExperimentConfig):
     """Low-order vs high-order boundary hyperedge competition."""
-    rows, curve_a, curve_b = _run_competition(cfg, "order")
-    csv_path = write_csv(
-        os.path.join(cfg.out, "order_sweep.csv"),
-        ["rho", "ami_0123_mean", "ami_0123_stderr", "ami_0213_mean", "ami_0213_stderr"],
-        rows,
+    orders = {"low_order": cfg.low_order, "high_order": cfg.high_order}
+    return _run_competition(
+        cfg, "order", lambda rho, seed: order_experiment_spec(cfg.n, cfg.d, rho, seed=seed, **orders),
+        partial(switching_rho, "order", **orders), orders,
     )
-    doc = {
-        "experiment": "order-sweep",
-        "low_order": cfg.low_order,
-        "high_order": cfg.high_order,
-        "n": cfg.n,
-        "d": cfg.d,
-        "grid": list(cfg.grid),
-        "reps": cfg.reps,
-        "rho_star_raw": switching_rho(
-            "order", low_order=cfg.low_order, high_order=cfg.high_order
-        ),
-        "rho_star_adjusted": switching_rho(
-            "order", low_order=cfg.low_order, high_order=cfg.high_order, adjusted=True, d=cfg.d
-        ),
-        "crossings": crossing_points(cfg.grid, curve_a, curve_b),
-    }
-    json_path = write_json(os.path.join(cfg.out, "order_sweep.json"), doc)
-    return csv_path, json_path, (curve_a, curve_b)
 
 
 def run_spectrum(cfg: ExperimentConfig):

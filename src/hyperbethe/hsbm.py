@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -66,18 +66,11 @@ def rates_from_mean_degree(q, orders, d, eps):
     denom = 0.0
     for k in orders:
         w = q ** (k - 1)
-        denom += (1.0 + eps * (w - 1)) / (w * _factorial(k - 1))
+        denom += (1.0 + eps * (w - 1)) / (w * factorial(k - 1))
     if denom <= 0.0:
         raise HsbmError("degenerate order set: zero mean-degree coefficient")
     c_in = d / denom
     return c_in, eps * c_in
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 @dataclass(frozen=True)
@@ -314,8 +307,8 @@ def order_experiment_spec(n, d, rho, low_order, high_order, seed=0) -> PlantedPa
     k, ks = int(low_order), int(high_order)
     if k < 2 or ks < 2:
         raise HsbmError("orders must be >= 2")
-    a = 4**k * _factorial(k) * d * rho / (2.0 * (2**k - 2) * (k * rho + ks))
-    a_star = 4**ks * _factorial(ks) * d / (2.0 * (2**ks - 2) * (k * rho + ks))
+    a = 4**k * factorial(k) * d * rho / (2.0 * (2**k - 2) * (k * rho + ks))
+    a_star = 4**ks * factorial(ks) * d / (2.0 * (2**ks - 2) * (k * rho + ks))
     patterns = []
     for pair, rate, order in (((0, 2), a, k), ((1, 3), a, k), ((0, 1), a_star, ks), ((2, 3), a_star, ks)):
         u, v = pair

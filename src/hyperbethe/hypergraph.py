@@ -189,11 +189,6 @@ def _sorted_distinct(nodes, lengths):
     return out[keep], np.bincount(edge[keep], minlength=lengths.size)
 
 
-def degrees(h: Hypergraph) -> DegreeStats:
-    """Module-level alias for Hypergraph.degree_stats."""
-    return h.degree_stats()
-
-
 def load_hyperedge_list(path, *, dedup=False):
     """Read a hyperedge-list text file.
 

@@ -185,6 +185,13 @@ class TestHyperedgeMessage:
         msg = hyperedge_message(2.0, 0.0, inc)
         assert np.allclose(msg, [1.0, 0.0], atol=1e-15)
 
+    def test_near_one_hot_keeps_the_product(self):
+        # 1 - (1 - f) rounds to 0, so a recursion on (1 - b) loses the product f;
+        # the exact value is proportional to (f, f^3), i.e. (1, 0) normalised
+        f = np.exp(-700.0)
+        inc = np.array([[1.0, f], [1.0, f], [1.0, f], [f, 1.0]])
+        assert hyperedge_message(1.0, 0.0, inc).tolist() == [1.0, 0.0]
+
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(99)
         for k in range(2, 7):

@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from hyperbethe import (
@@ -14,15 +16,21 @@ from hyperbethe import (
     run,
     run_empirical,
     run_eps_sweep,
+    run_order_sweep,
+    run_shape_sweep,
     run_spectrum,
     sample_symmetric,
     save_partition,
+    switching_rho,
     transition_point,
 )
 from hyperbethe import experiments
 from hyperbethe.cli import main as cli_main
 from hyperbethe.experiments import ExperimentError
 from hyperbethe.hypergraph import save_hyperedge_list
+from hyperbethe.spectral import SpectralError
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def read_csv(path):
@@ -108,6 +116,60 @@ class TestEpsSweep:
         monkeypatch.setattr(experiments, "bp_run", broken)
         with pytest.raises(RuntimeError, match="kernel fault"):
             run_eps_sweep(self._config(tmp_path))
+
+
+def shape_config(out, reps=3):
+    return ExperimentConfig(
+        experiment="shape-sweep", n=400, d=10.0, shape_order=4,
+        grid=(1.0,), reps=reps, seed=4, out=str(out),
+    )
+
+
+class TestFailureRule:
+    @pytest.fixture
+    def broken_spectral(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("eigensolver fault")
+
+        monkeypatch.setattr(experiments, "spectral_cluster", broken)
+
+    def test_eps_sweep_error_propagates(self, tmp_path, broken_spectral):
+        cfg = ExperimentConfig(
+            experiment="eps-sweep", n=200, q=2, d=8.0, grid=(0.05,), reps=2,
+            methods=("bh",), out=str(tmp_path),
+        )
+        with pytest.raises(RuntimeError, match="eigensolver fault"):
+            run_eps_sweep(cfg)
+
+    def test_shape_sweep_error_propagates(self, tmp_path, broken_spectral):
+        with pytest.raises(RuntimeError, match="eigensolver fault"):
+            run_shape_sweep(shape_config(tmp_path))
+
+    def test_no_structure_rep_scores_zero(self, tmp_path, monkeypatch):
+        real_cluster, real_ami = experiments.spectral_cluster, experiments.ami
+        calls, scores = [], []
+
+        def cluster(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SpectralError("no negative eigenvalues")
+            return real_cluster(*args, **kwargs)
+
+        def recording_ami(*args):
+            scores.append(real_ami(*args))
+            return scores[-1]
+
+        monkeypatch.setattr(experiments, "spectral_cluster", cluster)
+        monkeypatch.setattr(experiments, "ami", recording_ami)
+        csv_path, _, (curve_a, curve_b) = run_shape_sweep(shape_config(tmp_path))
+        assert len(calls) == 3 and len(scores) == 4
+        # rep 1 scores 0 on both columns and the means run over all 3 reps
+        per_rep_a = [scores[0], 0.0, scores[2]]
+        per_rep_b = [scores[1], 0.0, scores[3]]
+        assert curve_a == [np.mean(per_rep_a)]
+        assert curve_b == [np.mean(per_rep_b)]
+        stderr_a = np.std(per_rep_a, ddof=1) / np.sqrt(3)
+        assert read_csv(csv_path)[1][2] == f"{stderr_a:.12g}"
 
 
 class TestBlasThreads:
@@ -285,6 +347,38 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         cli_main(["sweep-eps", "--config", str(cfg)])
         assert (tmp_path / "sweep" / "eps_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, runner, doc",
+        [
+            ("sweep-shape", run_shape_sweep, {"n": 300, "d": 10.0, "shape_order": 5, "grid": [0.9, 1.5], "reps": 2}),
+            ("sweep-order", run_order_sweep, {"n": 300, "d": 20.0, "grid": [1.8, 2.2], "reps": 2}),
+        ],
+    )
+    def test_competition_subcommands_match_runners(self, tmp_path, command, runner, doc):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(dict(doc, seed=5, out=str(tmp_path / "cli"))))
+        cli_main([command, "--config", str(cfg)])
+        experiment = command.split("-")[1] + "-sweep"
+        csv_path, json_path, _ = runner(
+            ExperimentConfig.from_json(dict(doc, experiment=experiment, seed=5, out=str(tmp_path / "direct")))
+        )
+        for path in (csv_path, json_path):
+            direct = open(path, "rb").read()
+            assert (tmp_path / "cli" / os.path.basename(path)).read_bytes() == direct
+        assert len(read_csv(csv_path)) == 3
+
+    def test_readme_experiment_configs_load(self):
+        text = open(README, encoding="utf-8").read()
+        section = text.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```json\n(.*?)```", section, flags=re.S)
+        configs = [ExperimentConfig.from_json(block) for block in blocks]
+        assert sorted(c.experiment for c in configs) == [
+            "eps-sweep", "order-sweep", "shape-sweep", "shape-sweep", "spectrum",
+        ]
+        (order,) = [c for c in configs if c.experiment == "order-sweep"]
+        center = switching_rho("order", low_order=order.low_order, high_order=order.high_order)
+        assert order.grid == pytest.approx(tuple(np.linspace(0.85 * center, 1.15 * center, 11)), abs=1e-12)
 
     def test_spectrum_subcommand(self, tmp_path):
         doc = {"n": 80, "q": 2, "orders": [2, 3], "d": 9.0, "grid": [0.08],

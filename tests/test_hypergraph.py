@@ -10,7 +10,6 @@ from hyperbethe import (
     Hypergraph,
     HypergraphError,
     Partition,
-    degrees,
     load_hyperedge_list,
     load_partition,
     save_hyperedge_list,
@@ -201,20 +200,20 @@ class TestConstruction:
 
 class TestDegrees:
     def test_single_3_edge(self):
-        stats = degrees(Hypergraph(3, [(0, 1, 2)]))
+        stats = Hypergraph(3, [(0, 1, 2)]).degree_stats()
         assert list(stats.node_degrees) == [1, 1, 1]
         assert stats.per_order == {3: 1.0}
         assert stats.mean == 1.0
         assert stats.mean_order == 3.0
 
     def test_two_2_edges(self):
-        stats = degrees(Hypergraph(3, [(0, 1), (1, 2)]))
+        stats = Hypergraph(3, [(0, 1), (1, 2)]).degree_stats()
         assert stats.mean == pytest.approx(4.0 / 3.0)
         assert stats.mean_order == 2.0
 
     def test_mixed_orders_mean_order(self):
         # one 2-edge and one 3-edge: mean order = (2 + 3) / 2
-        stats = degrees(Hypergraph(3, [(0, 1), (0, 1, 2)]))
+        stats = Hypergraph(3, [(0, 1), (0, 1, 2)]).degree_stats()
         assert stats.mean_order == pytest.approx(2.5)
 
     def test_degree_sum_identity(self, rng):
