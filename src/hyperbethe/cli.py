@@ -122,10 +122,13 @@ def cmd_snr(args):
 
 def _sweep_config(args, experiment):
     doc = _load_config(args)
-    doc["experiment"] = experiment
+    named = doc.setdefault("experiment", experiment)
+    if named != experiment:
+        raise SystemExit(f"--config names experiment {named!r}, not {experiment!r}")
     if args.seed is not None:
         doc["seed"] = args.seed
-    doc.setdefault("out", args.out)
+    # an explicit --out wins over the config's "out"
+    doc["out"] = args.out or doc.get("out", "results")
     return ExperimentConfig.from_json(doc)
 
 
@@ -216,7 +219,7 @@ def build_parser():
     ):
         p = sub.add_parser(name, help=f"run the {expid} experiment from --config")
         _add_common(p)
-        p.set_defaults(func=cmd_sweep(expid))
+        p.set_defaults(func=cmd_sweep(expid), out=None)
 
     p = sub.add_parser("empirical", help="cluster an empirical hyperedge-list file")
     _add_common(p)

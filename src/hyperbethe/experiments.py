@@ -62,6 +62,7 @@ class ExperimentConfig:
     labels: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "d", float(self.d))
         object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
         object.__setattr__(self, "orders", tuple(int(k) for k in self.orders))
         object.__setattr__(self, "methods", tuple(self.methods))

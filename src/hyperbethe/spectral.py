@@ -173,7 +173,7 @@ def _guarded(mat: SparseSymMatrix, w, v, tol, residuals=False):
     """The pairs with signs fixed, once their residuals pass the guard at tol."""
     bound = _residual_bound(mat, tol)
     res = np.linalg.norm(mat.to_csr() @ v - v * w, axis=0)
-    if np.any(res > bound):
+    if not np.all(res <= bound):  # a NaN residual fails too
         raise EigenConvergenceError(
             f"residuals {res.max():g} exceed {tol:g} * ||B|| = {bound:g}",
             residuals=res,
@@ -255,52 +255,80 @@ def count_negative_eigenvalues(B: BetheHessian, neg_tol=1e-8, seed=0):
 def kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
     """Plain k-means with k-means++ seeding and best-objective restarts.
 
-    Squared distances take the BLAS form ||x||^2 - 2 x.c + ||c||^2.  Centers
-    are bincount sums over the sizes, which add rows in the same order as
-    mean(axis=0) for two or more columns.
+    The points are copied once into column layout (dim, n), and all
+    restarts and Lloyd iterations reuse buffers allocated once per call.
+    Squared distances take the BLAS form ||x||^2 - 2 x.c + ||c||^2 into a
+    (k, n) buffer; a strict < scan over its rows gives each point the first
+    minimum, argmin's rule on exact ties.  Centers are bincount sums over
+    the coordinate rows, adding points in ascending order per cluster; the
+    seeding weights and the inertia sum squared differences coordinate by
+    coordinate.  Non-finite points, which no comparison picks, are rejected.
     """
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
-    if k < 1 or k > n:
-        raise ValueError(f"k must be in [1, {n}]")
+    if k < 1 or k > n or max_iter < 1:
+        raise ValueError(f"need 1 <= k <= {n} and max_iter >= 1")
     xx = np.einsum("ij,ij->i", X, X)
+    if not np.isfinite(xx).all():
+        raise ValueError("k-means points must be finite")
+    cols = np.ascontiguousarray(X.T)
+    d2 = np.empty((k, n))
+    dmin, dist, tmp = np.empty((3, n))
+    less = np.empty(n, dtype=bool)
+    labels, prev = np.empty((2, n), dtype=np.intp)
+    best_labels, best_inertia = np.empty(n, dtype=np.intp), np.inf
     rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
     for _ in range(restarts):
-        centers = _kmeanspp(X, k, rng)
-        labels = None
-        for _ in range(max_iter):
-            d2 = xx[:, None] - 2.0 * (X @ centers.T) + np.einsum("ij,ij->i", centers, centers)
-            new_labels = d2.argmin(axis=1)
-            if labels is not None and np.array_equal(new_labels, labels):
+        centers = _kmeanspp(cols, k, rng, dmin, dist, tmp)
+        for it in range(max_iter):
+            np.matmul(centers, cols, out=d2)
+            d2 *= -2.0  # exact, and xx + (-2 x.c) is xx - 2 x.c in IEEE arithmetic
+            d2 += xx
+            d2 += np.einsum("ij,ij->i", centers, centers)[:, None]
+            labels.fill(0)
+            np.copyto(dmin, d2[0])
+            for j in range(1, k):
+                np.less(d2[j], dmin, out=less)
+                np.copyto(labels, j, where=less)
+                np.minimum(dmin, d2[j], out=dmin)
+            if it and np.array_equal(labels, prev):
                 break
-            labels = new_labels
-            sizes = np.bincount(labels, minlength=k)
-            sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in X.T], axis=1)
+            labels, prev = prev, labels
+            sizes = np.bincount(prev, minlength=k)
+            sums = np.stack([np.bincount(prev, weights=row, minlength=k) for row in cols], axis=1)
             filled = sizes > 0
             centers[filled] = sums[filled] / sizes[filled, None]
             if not filled.all():
                 # re-seed an empty cluster at the farthest point
-                centers[~filled] = X[d2.min(axis=1).argmax()]
-        inertia = ((X - centers[labels]) ** 2).sum(axis=1).sum()
+                centers[~filled] = cols[:, dmin.argmax()]
+        inertia = _sq_dist(cols, centers, dist, tmp, prev).sum()
         if inertia < best_inertia:
-            best_inertia, best_labels = inertia, labels
+            best_inertia = inertia
+            np.copyto(best_labels, prev)
     return best_labels
 
 
-def _kmeanspp(X, k, rng):
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+def _sq_dist(cols, centers, out, tmp, labels=None):
+    """Into out, sum_d (x_d - c_d)^2 in order of d, for c = centers or centers[labels]."""
+    out.fill(0.0)
+    # take's default mode="raise" would write through a temporary, not into tmp
+    for d, row in enumerate(cols):
+        c = centers[d] if labels is None else np.take(centers[:, d], labels, out=tmp, mode="clip")
+        out += np.square(np.subtract(row, c, out=tmp), out=tmp)
+    return out
+
+
+def _kmeanspp(cols, k, rng, near, dist, tmp):
+    """k-means++ seeds of the (dim, n) points; near, dist and tmp are n-long buffers."""
+    n = cols.shape[1]
+    centers = np.empty((k, cols.shape[0]))
+    centers[0] = cols[:, rng.integers(n)]
+    _sq_dist(cols, centers[0], near, tmp)
     for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=d2 / total)
-        centers[c] = X[idx]
-        d2 = np.minimum(d2, ((X - centers[c]) ** 2).sum(axis=1))
+        total = near.sum()
+        idx = rng.integers(n) if total <= 0 else rng.choice(n, p=np.divide(near, total, out=tmp))
+        centers[c] = cols[:, idx]
+        np.minimum(near, _sq_dist(cols, centers[c], dist, tmp), out=near)
     return centers
 
 

@@ -25,6 +25,7 @@ from hyperbethe import (
     transition_point,
 )
 from hyperbethe import experiments
+from hyperbethe.cli import _sweep_config, build_parser
 from hyperbethe.cli import main as cli_main
 from hyperbethe.experiments import ExperimentError
 from hyperbethe.hypergraph import save_hyperedge_list
@@ -348,6 +349,34 @@ class TestCli:
         cli_main(["sweep-eps", "--config", str(cfg)])
         assert (tmp_path / "sweep" / "eps_sweep.csv").exists()
 
+    def test_sweep_out_flag_beats_config_out(self, tmp_path):
+        doc = {"n": 200, "d": 8.0, "grid": [0.05], "reps": 1, "seed": 1, "out": str(tmp_path / "cfg")}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        cli_main(["sweep-eps", "--config", str(cfg), "--out", str(tmp_path / "flag")])
+        assert (tmp_path / "flag" / "eps_sweep.csv").exists()
+        assert not (tmp_path / "cfg").exists()
+
+    def test_sweep_rejects_config_of_another_experiment(self, tmp_path):
+        doc = {"experiment": "order-sweep", "n": 200, "grid": [2.0], "reps": 1, "out": str(tmp_path / "x")}
+        cfg = tmp_path / "order.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match="order-sweep"):
+            cli_main(["sweep-shape", "--config", str(cfg)])
+        assert not (tmp_path / "x").exists()
+
+    def test_integer_d_writes_the_same_bytes(self, tmp_path):
+        outputs = []
+        for d in (10, 10.0):
+            out = tmp_path / repr(d)
+            cfg = tmp_path / f"{d!r}.json"
+            doc = {"experiment": "eps-sweep", "n": 200, "d": d, "grid": [0.05], "reps": 1, "seed": 2, "out": str(out)}
+            cfg.write_text(json.dumps(doc))
+            cli_main(["sweep-eps", "--config", str(cfg)])
+            outputs.append([(out / name).read_bytes() for name in ("eps_sweep.csv", "eps_sweep.json")])
+        assert outputs[0] == outputs[1]
+        assert b'"d": 10.0' in outputs[0][1]
+
     @pytest.mark.parametrize(
         "command, runner, doc",
         [
@@ -368,7 +397,7 @@ class TestCli:
             assert (tmp_path / "cli" / os.path.basename(path)).read_bytes() == direct
         assert len(read_csv(csv_path)) == 3
 
-    def test_readme_experiment_configs_load(self):
+    def test_readme_experiment_configs_load(self, tmp_path):
         text = open(README, encoding="utf-8").read()
         section = text.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
         blocks = re.findall(r"```json\n(.*?)```", section, flags=re.S)
@@ -376,6 +405,12 @@ class TestCli:
         assert sorted(c.experiment for c in configs) == [
             "eps-sweep", "order-sweep", "shape-sweep", "shape-sweep", "spectrum",
         ]
+        commands = {"eps-sweep": "sweep-eps", "shape-sweep": "sweep-shape", "order-sweep": "sweep-order"}
+        for i, (block, config) in enumerate(zip(blocks, configs)):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            args = build_parser().parse_args([commands.get(config.experiment, "spectrum"), "--config", str(path)])
+            assert _sweep_config(args, config.experiment) == config
         (order,) = [c for c in configs if c.experiment == "order-sweep"]
         center = switching_rho("order", low_order=order.low_order, high_order=order.high_order)
         assert order.grid == pytest.approx(tuple(np.linspace(0.85 * center, 1.15 * center, 11)), abs=1e-12)

@@ -25,7 +25,7 @@ from hyperbethe import (
     spectral_cluster,
 )
 from hyperbethe import spectral
-from hyperbethe.spectral import EigenConvergenceError, _kmeanspp
+from hyperbethe.spectral import EigenConvergenceError
 
 from conftest import labels_match_up_to_permutation, random_hypergraph
 
@@ -43,16 +43,30 @@ def dense_operator(h, eta):
 
 
 def broadcast_kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
-    """The (n, k, dim) broadcast Lloyd loop that kmeans replaced, as a reference."""
+    """The (n, k, dim) broadcast Lloyd loop with inline k-means++ seeding, as a reference.
+
+    Squared distances add the squared coordinate differences in coordinate
+    order, the sum kmeans documents for its seeding weights and inertia.
+    """
     X = np.asarray(points, dtype=float)
-    n = X.shape[0]
+    n, dim = X.shape
+
+    def sq(diff):
+        return sum(diff[..., j] ** 2 for j in range(dim))
+
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(restarts):
-        centers = _kmeanspp(X, k, rng)
+        centers = np.empty((k, dim))
+        centers[0] = X[rng.integers(n)]
+        d2 = sq(X - centers[0])
+        for c in range(1, k):
+            total = d2.sum()
+            centers[c] = X[rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, sq(X - centers[c]))
         labels = None
         for _ in range(max_iter):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = sq(X[:, None, :] - centers[None, :, :])
             new_labels = d2.argmin(axis=1)
             if labels is not None and np.array_equal(new_labels, labels):
                 break
@@ -63,8 +77,7 @@ def broadcast_kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
                     centers[c] = X[mask].mean(axis=0)
                 else:
                     centers[c] = X[d2.min(axis=1).argmax()]
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        inertia = d2[np.arange(n), labels].sum()
+        inertia = sq(X - centers[labels]).sum()
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels
     return best_labels
@@ -449,6 +462,20 @@ class TestSignResolvedCount:
             spectral_cluster(h)
         assert info.value.residuals.max() > guard_bound(B)
 
+    def test_guard_rejects_nan_pair(self, monkeypatch):
+        _, B = bench_model(800)
+        eigsh = spectral.spla.eigsh
+
+        def nan_column(*args, **kwargs):
+            w, v = eigsh(*args, **kwargs)
+            v[:, 0] = np.nan
+            return w, v
+
+        monkeypatch.setattr(spectral.spla, "eigsh", nan_column)
+        with pytest.raises(EigenConvergenceError) as info:
+            lowest_eigenpairs(B.matrix, 3)
+        assert np.isnan(info.value.residuals).any()
+
     @pytest.mark.parametrize(
         "eps", [0.1, 0.2, 0.8 * EPS_BH, 0.95 * EPS_BH, EPS_BH, 1.05 * EPS_BH, EPS_MID]
     )
@@ -539,6 +566,47 @@ class TestKmeans:
         h, _ = sample_symmetric(spec)
         emb = spectral_cluster(h, num_communities=q).embedding
         assert np.array_equal(kmeans(emb, q), broadcast_kmeans(emb, q))
+
+    def test_exact_duplicates_tie_and_reseed(self):
+        # two distinct points and k = 3: every distance ties with a duplicate
+        # center or is exactly zero, and each restart re-seeds an empty cluster
+        rng = np.random.default_rng(5)
+        X = np.array([[0.0, 0.0], [1.0, 2.0]])[rng.permutation([0] * 9 + [1] * 6)]
+        for seed in range(4):
+            labels = kmeans(X, 3, seed=seed)
+            assert np.array_equal(labels, broadcast_kmeans(X, 3, seed=seed))
+            assert set(labels) == {0, 1}
+
+    def test_empty_cluster_reseeds_at_farthest_point(self, monkeypatch):
+        # the far center gets no point; by hand, re-seeding at the farthest
+        # point (10, not 0) twice leads to [0, 0, 1, 2]
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0]])
+        start = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
+        monkeypatch.setattr(spectral, "_kmeanspp", lambda *args: start.copy())
+        assert list(kmeans(X, 3, restarts=1)) == [0, 0, 1, 2]
+
+    def test_k1_and_k_equals_n(self):
+        X = np.random.default_rng(1).standard_normal((12, 3))
+        assert np.array_equal(kmeans(X, 1), broadcast_kmeans(X, 1))
+        labels = kmeans(X, 12, restarts=3)
+        assert np.array_equal(labels, broadcast_kmeans(X, 12, restarts=3))
+        assert sorted(labels) == list(range(12))
+
+    def test_input_layouts_and_integers(self):
+        spec = SymmetricHsbmSpec(n=1200, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=4)
+        v = spectral_cluster(sample_symmetric(spec)[0], num_communities=5).embedding
+        rows = v / np.linalg.norm(v, axis=1, keepdims=True)
+        ints = np.rint(40 * v[:, :3]).astype(np.int64)
+        for X in (v[:, :3], np.asfortranarray(v[:, :3]), rows[:, :3], ints):
+            assert np.array_equal(kmeans(X, 3), broadcast_kmeans(X, 3))
+        assert np.array_equal(kmeans(v[:, :3], 3), kmeans(np.ascontiguousarray(v[:, :3]), 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_raise(self, bad):
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(X, 2)
 
 
 class TestClusterPipeline:
