@@ -4,6 +4,8 @@ Bethe Hessian spectral clustering, belief propagation under the symmetric
 hypergraph stochastic block model, detectability calculators (spectral and
 message-passing signal-to-noise ratios with their critical thresholds), and
 an experiment harness for phase-transition and order/shape trade-off sweeps.
+scipy is imported inside the functions that build or solve an operator, so
+BP, the generators and file I/O run without loading it.
 """
 
 from .bp import BpConfig, BpResult, BpState, bp_init, bp_run, bp_sweep, external_field, hyperedge_message

@@ -48,6 +48,8 @@ class BpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_sweeps < 1:
+            raise BpError("max_sweeps must be >= 1")
         if self.tol <= 0:
             raise BpError("convergence threshold must be positive")
         if not 0.0 <= self.damping < 1.0:
@@ -77,6 +79,9 @@ class BpState:
             raise BpError("hypergraph has no hyperedges")
         if config.init == "planted" and planted is None:
             raise BpError("planted init requires the planted partition")
+        rates = np.array([c_in, c_out], dtype=float)
+        if not (np.isfinite(rates).all() and rates.min() >= 0 and rates.max() > 0):
+            raise BpError(f"rates {tuple(rates.tolist())} must be finite, nonnegative and not both zero")
         self.h, self.q, self.c_in, self.c_out, self.config = h, int(q), float(c_in), float(c_out), config
         self.nodes = np.concatenate([h.edge_array(k).T.ravel() for k in h.orders])
         bounds = np.cumsum([0] + [k * h.edges_by_order[k].size for k in h.orders]).tolist()
@@ -218,6 +223,8 @@ def bp_sweep(state: BpState):
     np.exp(node_sum, out=node_sum)
     state.marginal = node_sum / node_sum.sum(axis=1, keepdims=True)
     state.e2n, state.n2e, state.spare = hat, new_b, [log_hat, b]
+    if not np.isfinite(delta):
+        raise BpError(f"sweep gave a non-finite message change ({delta})")
     return delta
 
 
@@ -239,7 +246,6 @@ def bp_run(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition 
     cfg = config or BpConfig()
     state = bp_init(h, q, rates, cfg, planted=planted)
     converged = False
-    sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
         delta = bp_sweep(state)
         if delta < cfg.tol:

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class HypergraphError(ValueError):
@@ -144,6 +143,8 @@ class Hypergraph:
         if order not in self._rows:
             raise HypergraphError(f"order {order} not present in hypergraph")
         if order not in self._proj_cache:
+            import scipy.sparse as sp
+
             arr = self.edge_array(order)
             ii, jj = np.nonzero(~np.eye(order, dtype=bool))  # every ordered pair of members
             rows, cols = arr[:, ii].ravel(), arr[:, jj].ravel()
@@ -237,21 +238,37 @@ def load_hyperedge_list(path, *, dedup=False):
     return h, "\n".join(map(tokens.__getitem__, seen.tolist())).split("\n")
 
 
+def _checked_names(names, n):
+    """names as a list, once each is a distinct token the loader reads back as itself."""
+    names = list(names)
+    if len(names) != n:
+        raise HypergraphError(f"{len(names)} names for {n} nodes")
+    for name in names:
+        if name.split() != [name] or "#" in name:
+            raise HypergraphError(f"node name {name!r} does not read back as one token")
+    if len(set(names)) != n:
+        raise HypergraphError("node names repeat")
+    return names
+
+
 def save_hyperedge_list(h: Hypergraph, path, names=None):
-    """Write the hyperedge-list text format (tokens default to node indices)."""
-    if names is None:
-        names = [str(i) for i in range(h.n)]
+    """Write the hyperedge-list text format (tokens default to node indices).
+
+    Given names must be n distinct tokens that the loader reads back as
+    themselves: non-empty, no whitespace, no '#'.  Others raise HypergraphError.
+    """
+    names = [str(i) for i in range(h.n)] if names is None else _checked_names(names, h.n)
     edge_ids, nodes = h.incidence_pairs()
-    seps = np.full(nodes.size, " ", dtype=object)
-    seps[np.cumsum(np.bincount(edge_ids, minlength=h.m)) - 1] = "\n"
+    out = np.full(2 * nodes.size, " ", dtype=object)
+    out[0::2] = np.array(names, dtype=object)[nodes]
+    out[2 * np.cumsum(np.bincount(edge_ids, minlength=h.m)) - 1] = "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(itertools.chain.from_iterable(zip(map(names.__getitem__, nodes.tolist()), seps))))
+        fh.write("".join(out.tolist()))
 
 
 def save_partition(partition: Partition, path, names=None):
-    """Write 'token label' lines, one node per line."""
-    if names is None:
-        names = [str(i) for i in range(partition.n)]
+    """Write 'token label' lines, one node per line; names as in save_hyperedge_list."""
+    names = [str(i) for i in range(partition.n)] if names is None else _checked_names(names, partition.n)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, lab in enumerate(partition.labels):
             fh.write(f"{names[i]} {int(lab)}\n")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hypergraph import Hypergraph
 from .spectral import SpectralError, bethe_hessian
@@ -36,6 +35,8 @@ def nonbacktracking_matrix(h: Hypergraph, guard=5000) -> NonBacktracking:
     Duplicate hyperedges are distinct columns/rows, consistent with
     multiplicity counts in the one-mode projections.
     """
+    import scipy.sparse as sp
+
     edge_ids, nodes = h.incidence_pairs()
     dim = edge_ids.size
     if dim > guard:
@@ -55,6 +56,8 @@ def nonbacktracking_matrix(h: Hypergraph, guard=5000) -> NonBacktracking:
 
 def pooling_matrix(nb: NonBacktracking, n) -> sp.csr_matrix:
     """n x dim matrix summing directed-hyperedge entries onto their node."""
+    import scipy.sparse as sp
+
     rows = nb.pair_nodes
     cols = np.arange(nb.dim)
     return sp.csr_matrix((np.ones(nb.dim), (rows, cols)), shape=(n, nb.dim))

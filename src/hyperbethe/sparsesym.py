@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class SparseSymMatrix:
@@ -37,6 +36,8 @@ class SparseSymMatrix:
     @classmethod
     def from_scipy(cls, mat):
         """Build from a scipy sparse matrix that is symmetric up to round-off."""
+        import scipy.sparse as sp
+
         mat = sp.csr_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
@@ -62,6 +63,8 @@ class SparseSymMatrix:
 
     def to_csr(self):
         if self._csr is None:
+            import scipy.sparse as sp
+
             low = sp.coo_matrix(
                 (self.vals, (self.rows, self.cols)), shape=(self.n, self.n)
             )

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .hypergraph import Hypergraph, Partition
 from .sparsesym import SparseSymMatrix
@@ -110,6 +108,8 @@ def _check_poles(eta, orders):
 
 def bethe_hessian(h: Hypergraph, eta) -> BetheHessian:
     """Assemble the operator at a given regularization value."""
+    import scipy.sparse as sp
+
     _check_poles(eta, h.orders)
     n = h.n
     diag = np.ones(n)
@@ -151,6 +151,8 @@ def lowest_eigenpairs(
         w, v = np.linalg.eigh(mat.to_dense())
         w, v = w[:k], v[:, :k]
     else:
+        import scipy.sparse.linalg as spla
+
         if v0 is None:
             v0 = np.random.default_rng(seed).standard_normal(n)
         csr = mat.to_csr()
@@ -259,10 +261,13 @@ def kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
     restarts and Lloyd iterations reuse buffers allocated once per call.
     Squared distances take the BLAS form ||x||^2 - 2 x.c + ||c||^2 into a
     (k, n) buffer; a strict < scan over its rows gives each point the first
-    minimum, argmin's rule on exact ties.  Centers are bincount sums over
-    the coordinate rows, adding points in ascending order per cluster; the
-    seeding weights and the inertia sum squared differences coordinate by
-    coordinate.  Non-finite points, which no comparison picks, are rejected.
+    minimum of those rounded values.  Only ties exact in floating point go
+    to the lowest index, as argmin's would; a tie exact in real arithmetic
+    is broken by how each side's BLAS form rounds.  Centers are bincount
+    sums over the coordinate rows, adding points in ascending order per
+    cluster; the seeding weights and the inertia sum squared differences
+    coordinate by coordinate.  Non-finite points, which no comparison picks,
+    are rejected.
     """
     X = np.asarray(points, dtype=float)
     n = X.shape[0]

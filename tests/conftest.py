@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from hyperbethe import Hypergraph, spectral
+from hyperbethe import Hypergraph
 
 
 def labels_match_up_to_permutation(a, b, q):
@@ -38,12 +39,11 @@ def rng():
 
 @pytest.fixture
 def matvecs(monkeypatch):
-    """Matvec count of each ARPACK call in spectral, one entry per call.
+    """Matvec count of each ARPACK call, one entry per call.
 
     The matrix is wrapped in a counting LinearOperator; eigsh wraps a sparse
     matrix in one itself, so the arithmetic is unchanged.
     """
-    spla = spectral.spla
     eigsh = spla.eigsh
     counts = []
 

@@ -150,12 +150,27 @@ class TestInit:
         with pytest.raises(BpError, match="planted partition"):
             bp_init(h, 2, spec.rates(), BpConfig(init="planted"))
 
+    @pytest.mark.parametrize(
+        "rates", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf), (-1.0, 1.0), (1.0, -0.5), (0.0, 0.0)]
+    )
+    def test_invalid_rates_rejected(self, small_instance, rates):
+        _, h, _ = small_instance
+        with pytest.raises(BpError, match="rates"):
+            bp_run(h, 2, rates)
+
+    def test_zero_c_out_allowed(self, small_instance):
+        _, h, planted = small_instance
+        res = bp_run(h, 2, (8.0, 0.0), BpConfig(seed=1))
+        assert np.isfinite(res.marginals).all()
+
     def test_q_lower_bound(self, small_instance):
         spec, h, _ = small_instance
         with pytest.raises(BpError):
             bp_init(h, 1, spec.rates(), BpConfig())
 
     def test_config_validation(self):
+        with pytest.raises(BpError, match="max_sweeps"):
+            BpConfig(max_sweeps=0)
         with pytest.raises(BpError):
             BpConfig(tol=0.0)
         with pytest.raises(BpError):
@@ -432,6 +447,13 @@ class TestRun:
         assert labels_match_up_to_permutation(
             res.partition.labels, res_flipped.partition.labels, 2
         )
+
+    def test_non_finite_change_raises(self, small_instance):
+        spec, h, _ = small_instance
+        state = bp_init(h, 2, spec.rates())
+        state.n2e[0, 0] = np.nan
+        with pytest.raises(BpError, match="non-finite"):
+            bp_sweep(state)
 
     def test_argmax_tie_breaks_low(self):
         marg = np.array([[0.5, 0.5], [0.2, 0.8]])

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -346,6 +347,42 @@ class TestFileIO:
             assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
         save_hyperedge_list(Hypergraph(2, []), tmp_path / "empty.txt")
         assert (tmp_path / "empty.txt").read_bytes() == b""
+
+    def test_non_ascii_names_match_per_edge_writer(self, tmp_path):
+        h = Hypergraph(5, [(0, 1, 2), (3, 4), (1, 4)])
+        names = ["\u00e9t\u00e9", "\u8282\u70b9", "x\x00y", "\U0001f642", "\u03a9"]
+        save_hyperedge_list(h, tmp_path / "got.txt", names)
+        reference_save(h.edges, tmp_path / "ref.txt", names)
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        back, got_names = load_hyperedge_list(tmp_path / "got.txt")
+        assert got_names == names and back.edges == h.edges
+
+    @pytest.mark.parametrize(
+        "names, match",
+        [
+            (["a", "b"], "2 names for 3 nodes"),
+            (["a", "b", "c", "d"], "4 names for 3 nodes"),
+            (["a", "", "c"], re.escape(repr(""))),
+            (["a b", "c", "d"], re.escape(repr("a b"))),
+            (["a", " b", "c"], re.escape(repr(" b"))),
+            (["a", "b\n", "c"], re.escape(repr("b\n"))),
+            (["a", "b\u00a0c", "d"], re.escape(repr("b\u00a0c"))),
+            (["a", "c#", "d"], re.escape(repr("c#"))),
+            (["a", "b", "a"], "repeat"),
+        ],
+    )
+    def test_names_that_do_not_round_trip_fail(self, tmp_path, names, match):
+        h = Hypergraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(HypergraphError, match=match):
+            save_hyperedge_list(h, tmp_path / "edges.txt", names)
+        with pytest.raises(HypergraphError, match=match):
+            save_partition(Partition.from_labels([0, 1, 0]), tmp_path / "part.txt", names)
+        assert not (tmp_path / "edges.txt").exists() and not (tmp_path / "part.txt").exists()
+
+    def test_split_and_comment_names_fail(self, tmp_path):
+        # written unchecked, these would load as one 3-node hyperedge over ['a', 'b', 'c']
+        with pytest.raises(HypergraphError):
+            save_hyperedge_list(Hypergraph(3, [(0, 1), (1, 2)]), tmp_path / "edges.txt", ["a b", "c#", "d"])
 
     def test_roundtrip_identity(self, tmp_path, rng):
         h = random_hypergraph(rng, 15, orders=(2, 3))

@@ -5,6 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,9 +283,9 @@ class TestDenseLanczosSwitch:
         B = bethe_hessian(h, bulk_radius(h))
         assert h.n == spectral.DENSE_CUTOFF + 1
         lanczos_calls = []
-        eigsh = spectral.spla.eigsh
+        eigsh = spla.eigsh
         monkeypatch.setattr(
-            spectral.spla, "eigsh", lambda *a, **kw: lanczos_calls.append(1) or eigsh(*a, **kw)
+            spla, "eigsh", lambda *a, **kw: lanczos_calls.append(1) or eigsh(*a, **kw)
         )
         lanczos_count = count_negative_eigenvalues(B)
         lanczos = spectral_cluster(h)
@@ -310,9 +311,9 @@ class TestDenseLanczosSwitch:
             return solve(*args, **kwargs)
 
         ncv = []
-        eigsh = spectral.spla.eigsh
+        eigsh = spla.eigsh
         monkeypatch.setattr(
-            spectral.spla, "eigsh", lambda *a, **kw: ncv.append(kw["ncv"]) or eigsh(*a, **kw)
+            spla, "eigsh", lambda *a, **kw: ncv.append(kw["ncv"]) or eigsh(*a, **kw)
         )
         monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
         lanczos = spectral_cluster(h)
@@ -448,7 +449,7 @@ class TestSignResolvedCount:
 
     def test_guard_rejects_perturbed_embedding_pair(self, monkeypatch):
         h, B = bench_model(800)
-        eigsh = spectral.spla.eigsh
+        eigsh = spla.eigsh
 
         def perturbed(*args, **kwargs):
             w, v = eigsh(*args, **kwargs)
@@ -457,21 +458,21 @@ class TestSignResolvedCount:
             v[:, i] = x / np.linalg.norm(x)
             return w, v
 
-        monkeypatch.setattr(spectral.spla, "eigsh", perturbed)
+        monkeypatch.setattr(spla, "eigsh", perturbed)
         with pytest.raises(EigenConvergenceError) as info:
             spectral_cluster(h)
         assert info.value.residuals.max() > guard_bound(B)
 
     def test_guard_rejects_nan_pair(self, monkeypatch):
         _, B = bench_model(800)
-        eigsh = spectral.spla.eigsh
+        eigsh = spla.eigsh
 
         def nan_column(*args, **kwargs):
             w, v = eigsh(*args, **kwargs)
             v[:, 0] = np.nan
             return w, v
 
-        monkeypatch.setattr(spectral.spla, "eigsh", nan_column)
+        monkeypatch.setattr(spla, "eigsh", nan_column)
         with pytest.raises(EigenConvergenceError) as info:
             lowest_eigenpairs(B.matrix, 3)
         assert np.isnan(info.value.residuals).any()
@@ -639,9 +640,9 @@ class TestClusterPipeline:
 
         # every dense or Lanczos solve, whether or not it goes through lowest_eigenpairs
         solves = []
-        eigh, eigsh = np.linalg.eigh, spectral.spla.eigsh
+        eigh, eigsh = np.linalg.eigh, spla.eigsh
         monkeypatch.setattr(spectral.np.linalg, "eigh", lambda *a: solves.append(1) or eigh(*a))
-        monkeypatch.setattr(spectral.spla, "eigsh", lambda *a, **kw: solves.append(1) or eigsh(*a, **kw))
+        monkeypatch.setattr(spla, "eigsh", lambda *a, **kw: solves.append(1) or eigsh(*a, **kw))
         spec = SymmetricHsbmSpec(n=n, q=2, orders=(2, 3), d=10.0, eps=0.05, seed=11)
         h, _ = sample_symmetric(spec)
         monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
