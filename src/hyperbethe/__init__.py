@@ -26,7 +26,6 @@ from .experiments import (
     ExperimentConfig,
     crossing_points,
     run,
-    run_empirical,
     run_eps_sweep,
     run_order_sweep,
     run_shape_sweep,

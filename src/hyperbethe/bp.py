@@ -31,6 +31,8 @@ import numpy as np
 from .hypergraph import Hypergraph, Partition
 
 LOG_FLOOR = -700.0
+# Half-width of the uniform noise of the "perturbed" init.
+INIT_NOISE = 1e-2
 
 
 class BpError(ValueError):
@@ -43,7 +45,6 @@ class BpConfig:
     tol: float = 1e-6  # convergence threshold on max-abs message change
     damping: float = 0.0  # blend factor toward the previous messages, in [0, 1)
     init: str = "perturbed"  # "uniform" | "perturbed" | "planted"
-    init_noise: float = 1e-2
     planted_smoothing: float = 1e-3
     seed: int = 0
 
@@ -95,7 +96,7 @@ class BpState:
         elif config.init == "perturbed":
             # drawn and row-summed in C order (numpy's Fortran-order row sums differ from q = 8 on)
             rng = np.random.default_rng(config.seed)
-            p = rng.uniform(-config.init_noise, config.init_noise, size=(D, q))
+            p = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(D, q))
             p += 1.0 / q
             np.maximum(p, 1e-12, out=p)
             p /= p.sum(axis=1, keepdims=True)

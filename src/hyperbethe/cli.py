@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
 Subcommands: generate, cluster, bp, snr, sweep-eps, sweep-shape,
-sweep-order, spectrum, empirical, eval.  Sweeps take their full
-configuration from a JSON document (--config); the simpler commands use
-flags.  All outputs are CSV/JSON plus the text formats of the library.
+sweep-order, spectrum, eval.  Sweeps take their full configuration from a
+JSON document (--config); the simpler commands use flags.  Each subcommand
+accepts only the flags it reads.  All outputs are CSV/JSON plus the text
+formats of the library.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from .bp import BpConfig, bp_run
 from .detectability import snr_report
@@ -30,14 +29,15 @@ from .hypergraph import (
     save_hyperedge_list,
     save_partition,
 )
-from .metrics import ami, confusion
+from .metrics import ami, confusion, hyperedge_composition
 from .spectral import SpectralConfig, spectral_cluster
 
 
-def _add_common(p):
+def _add_common(p, config=True):
+    if config:
+        p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--config", default=None, help="JSON config file")
 
 
 def _load_config(args):
@@ -66,19 +66,47 @@ def cmd_generate(args):
     print(f"n={h.n} m={h.m} orders={list(h.orders)} -> {args.out}")
 
 
-def cmd_cluster(args):
-    h, names = load_hyperedge_list(args.input)
-    cfg = SpectralConfig(
-        eta=args.eta,
-        seed=args.seed or 0,
-        kmeans_restarts=args.kmeans_restarts,
+def _write_confusion(path, truth, pred, row_normalize):
+    mat = confusion(truth, pred, row_normalize=row_normalize)
+    write_csv(
+        path,
+        ["class"] + [f"community_{j}" for j in range(mat.shape[1])],
+        [[i] + [f"{x:.12g}" for x in row] for i, row in enumerate(mat)],
     )
-    result = spectral_cluster(h, num_communities=args.q, config=cfg)
-    os.makedirs(args.out, exist_ok=True)
-    save_partition(result.partition, os.path.join(args.out, "partition.txt"), names)
-    write_json(os.path.join(args.out, "clustering.json"), result.to_dict())
-    print(f"eta={result.eta:.6g} q={result.partition.q} "
-          f"negative_eigenvalues={result.num_negative}")
+
+
+def _write_composition(path, max_same):
+    write_csv(path, ["order", "max_same_community", "count"], [[k, s, c] for (k, s), c in sorted(max_same.items())])
+
+
+def cmd_cluster(args):
+    """Cluster a file; with --labels also score it and compare compositions.
+
+    The community count is --q if given, else the labels' count, else the
+    number of negative eigenvalues.
+    """
+    h, names = load_hyperedge_list(args.input)
+    truth = load_partition(args.labels, names) if args.labels else None
+    q = args.q
+    if q is None and truth is not None:
+        q = truth.q
+    cfg = SpectralConfig(eta=args.eta, seed=args.seed or 0, kmeans_restarts=args.kmeans_restarts)
+    result = spectral_cluster(h, num_communities=q, config=cfg)
+    doc = result.to_dict()
+    if truth is not None:
+        doc["ami"] = ami(result.partition, truth)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
+    save_partition(result.partition, os.path.join(out, "partition.txt"), names)
+    write_json(os.path.join(out, "clustering.json"), doc)
+    max_same, order_freq = hyperedge_composition(h, result.partition)
+    _write_composition(os.path.join(out, "composition_detected.csv"), max_same)
+    write_csv(os.path.join(out, "order_frequency.csv"), ["order", "count"], sorted(order_freq.items()))
+    if truth is not None:
+        _write_confusion(os.path.join(out, "confusion.csv"), truth, result.partition, True)
+        _write_composition(os.path.join(out, "composition_labels.csv"), hyperedge_composition(h, truth)[0])
+    score = f" ami={doc['ami']:.6f}" if truth is not None else ""
+    print(f"eta={result.eta:.6g} q={result.partition.q} negative_eigenvalues={result.num_negative}{score}")
 
 
 def _rate_args(args, fallback_orders=None, q=None):
@@ -141,21 +169,6 @@ def cmd_sweep(experiment):
     return handler
 
 
-def cmd_empirical(args):
-    doc = _load_config(args)
-    cfg = ExperimentConfig(
-        experiment="empirical",
-        dataset=args.input,
-        labels=args.labels,
-        fixed_q=args.q,
-        out=args.out,
-        seed=args.seed or 0,
-        **{k: v for k, v in doc.items() if k in ("n", "reps")},
-    )
-    run(cfg)
-    print(f"empirical -> {args.out}")
-
-
 def cmd_eval(args):
     _, names = load_hyperedge_list(args.input)
     pred = load_partition(args.pred, names)
@@ -163,12 +176,7 @@ def cmd_eval(args):
     score = ami(pred, truth)
     print(f"ami={score:.6f}")
     if args.confusion:
-        mat = confusion(truth, pred, row_normalize=args.normalize)
-        write_csv(
-            args.confusion,
-            ["class"] + [f"community_{j}" for j in range(mat.shape[1])],
-            [[i] + [f"{x:.12g}" for x in np.atleast_1d(mat[i])] for i in range(mat.shape[0])],
-        )
+        _write_confusion(args.confusion, truth, pred, args.normalize)
 
 
 def build_parser():
@@ -180,8 +188,9 @@ def build_parser():
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("cluster", help="Bethe Hessian spectral clustering of a file")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--input", required=True)
+    p.add_argument("--labels", default=None, help="'token label' file to score against")
     p.add_argument("--q", type=int, default=None, help="fixed community count")
     p.add_argument("--eta", type=float, default=None, help="regularization override")
     p.add_argument("--kmeans-restarts", type=int, default=20)
@@ -201,7 +210,6 @@ def build_parser():
     p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("snr", help="detectability report for model parameters")
-    _add_common(p)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--orders", required=True, help="comma-separated, e.g. 2,3")
     p.add_argument("--c-in", type=float, default=None)
@@ -221,15 +229,7 @@ def build_parser():
         _add_common(p)
         p.set_defaults(func=cmd_sweep(expid), out=None)
 
-    p = sub.add_parser("empirical", help="cluster an empirical hyperedge-list file")
-    _add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--labels", default=None, help="optional 'token label' file")
-    p.add_argument("--q", type=int, default=None)
-    p.set_defaults(func=cmd_empirical)
-
     p = sub.add_parser("eval", help="AMI/confusion between two partition files")
-    _add_common(p)
     p.add_argument("--input", required=True, help="hyperedge file defining node names")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)

@@ -27,6 +27,12 @@ from .hsbm import (
 )
 
 
+# Bisection steps of critical_epsilon and switching_rho; critical_epsilon also
+# stops once |SNR - 1| <= ROOT_TOL.
+BISECTIONS = 200
+ROOT_TOL = 1e-10
+
+
 class DetectabilityError(ValueError):
     pass
 
@@ -146,17 +152,13 @@ def snr_report(q, orders, *, c_in=None, c_out=None, d=None, eps=None, with_roots
     if c_in is None:
         c_in, c_out = rates_from_mean_degree(q, orders, d, eps)
     per_order = degrees_from_rates(q, orders, c_in, c_out)
-    eps_bh = eps_bp = None
+    roots = {}
     if with_roots:
-        dd = mean_degree(per_order)
-        try:
-            eps_bh = critical_epsilon(q, orders, dd, which="bh")
-        except DetectabilityError:
-            pass
-        try:
-            eps_bp = critical_epsilon(q, orders, dd, which="bp")
-        except DetectabilityError:
-            pass
+        for which in ("bh", "bp"):
+            try:
+                roots[which] = critical_epsilon(q, orders, mean_degree(per_order), which=which)
+            except DetectabilityError:
+                pass
     return SnrReport(
         q=int(q),
         orders=tuple(sorted(per_order)),
@@ -170,12 +172,12 @@ def snr_report(q, orders, *, c_in=None, c_out=None, d=None, eps=None, with_roots
         snr_bh=snr_bh(per_order),
         snr_bp=snr_bp(per_order),
         zero_signal_orders=tuple(zero_signal_orders(per_order)),
-        eps_bh=eps_bh,
-        eps_bp=eps_bp,
+        eps_bh=roots.get("bh"),
+        eps_bp=roots.get("bp"),
     )
 
 
-def critical_epsilon(q, orders, d, which="bh", tol=1e-10, max_iter=200):
+def critical_epsilon(q, orders, d, which="bh"):
     """Root of SNR(eps) = 1 on [0, 1] at fixed mean degree, by bisection.
 
     SNR is strictly decreasing in eps and reaches 0 at eps = 1, so the root
@@ -196,10 +198,10 @@ def critical_epsilon(q, orders, d, which="bh", tol=1e-10, max_iter=200):
         raise DetectabilityError(
             f"undetectable at any eps: SNR_{which.upper()}(0) = {f_lo + 1.0:g} <= 1"
         )
-    for _ in range(max_iter):
+    for _ in range(BISECTIONS):
         mid = 0.5 * (lo + hi)
         f_mid = snr_at(mid) - 1.0
-        if abs(f_mid) <= tol:
+        if abs(f_mid) <= ROOT_TOL:
             return mid
         if f_mid > 0.0:
             lo = mid
@@ -271,16 +273,14 @@ def symmetric_pair_rates(q, order, c_in, c_out):
     return cin_k, cout_k
 
 
-def order_degree_from_pair_rates(matrix, order, sizes=None):
+def order_degree_from_pair_rates(matrix, order):
     """Mean degree contributed by one order, from its pairwise rate matrix.
 
-    Equals the community-weighted row sum divided by (order - 1); invariant
-    under block aggregation of the matrix.
+    Equals the mean row sum over equal-size communities divided by
+    (order - 1); invariant under block aggregation of the matrix.
     """
     mat = np.asarray(matrix, dtype=float)
-    q = mat.shape[0]
-    weights = np.full(q, 1.0 / q) if sizes is None else np.asarray(sizes) / np.sum(sizes)
-    rows = mat @ weights
+    rows = mat @ np.full(mat.shape[0], 1.0 / mat.shape[0])
     return float(np.mean(rows) / (order - 1))
 
 
@@ -326,10 +326,8 @@ MERGE_02_13 = ((0, 2), (1, 3))
 
 def competing_snrs(kind, rho, *, d=10.0, low_order=None, high_order=None):
     """SNRs of the two coarse structures of a trade-off experiment at ratio rho."""
-    if kind == "shape4":
-        spec = shape_experiment_spec(64, d, rho, order=4)
-    elif kind == "shape5":
-        spec = shape_experiment_spec(64, d, rho, order=5)
+    if kind in ("shape4", "shape5"):
+        spec = shape_experiment_spec(64, d, rho, order=int(kind[-1]))
     elif kind == "order":
         if low_order is None or high_order is None:
             raise DetectabilityError("order experiment needs low_order and high_order")
@@ -385,7 +383,7 @@ def switching_rho(kind, *, low_order=None, high_order=None, adjusted=False, d=10
             raise DetectabilityError("no adjusted switching point found")
     if g_lo <= 0.0:
         raise DetectabilityError("adjusted switching condition has no sign change")
-    for _ in range(200):
+    for _ in range(BISECTIONS):
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid

@@ -1,4 +1,4 @@
-"""Experiment orchestration: parameter sweeps, spectrum dumps, empirical runs.
+"""Experiment orchestration: parameter sweeps and spectrum dumps.
 
 Every runner is deterministic for a fixed config: per-run seeds derive from
 (master seed, grid index, repetition) and outputs are written as CSV/JSON
@@ -30,10 +30,10 @@ from .hsbm import (
     sample_symmetric,
     shape_experiment_spec,
 )
-from .hypergraph import Partition, load_hyperedge_list, load_partition, save_partition
-from .metrics import ami, confusion, hyperedge_composition
+from .hypergraph import Partition
+from .metrics import ami
 from .nonbacktracking import nonbacktracking_matrix
-from .spectral import SpectralConfig, SpectralError, bethe_hessian, bulk_radius, spectral_cluster
+from .spectral import SpectralError, bethe_hessian, bulk_radius, spectral_cluster
 
 
 class ExperimentError(RuntimeError):
@@ -42,7 +42,7 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str  # eps-sweep | shape-sweep | order-sweep | spectrum | empirical
+    experiment: str  # eps-sweep | shape-sweep | order-sweep | spectrum
     n: int = 3000
     q: int = 2
     orders: tuple = (2, 3)
@@ -58,8 +58,6 @@ class ExperimentConfig:
     high_order: int = 3
     bp: BpConfig = BpConfig()
     eta_grid: tuple = ()
-    dataset: str | None = None
-    labels: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", float(self.d))
@@ -70,6 +68,8 @@ class ExperimentConfig:
             raise ExperimentError("repetitions must be >= 1")
         if self.experiment in ("eps-sweep", "shape-sweep", "order-sweep") and not self.grid:
             raise ExperimentError("sweep experiments need a nonempty grid")
+        if self.experiment == "eps-sweep" and not (self.methods and set(self.methods) <= {"bh", "bp"}):
+            raise ExperimentError(f"eps-sweep methods {self.methods} must be a nonempty subset of ('bh', 'bp')")
 
     @classmethod
     def from_json(cls, doc):
@@ -156,7 +156,7 @@ def crossing_points(grid, a, b):
 def _bh_scores(h, q, *truths):
     """AMI of the Bethe Hessian partition against each truth; no structure scores 0."""
     try:
-        part = spectral_cluster(h, num_communities=q, config=SpectralConfig(seed=0)).partition
+        part = spectral_cluster(h, num_communities=q).partition
     except SpectralError:
         return [0.0] * len(truths)
     return [ami(part, t) for t in truths]
@@ -209,7 +209,7 @@ def run_eps_sweep(cfg: ExperimentConfig):
         return out
 
     csv_path, means = _sweep(cfg, "eps", "eps", ("bh", "bp"), score)
-    curves = {m: means.get(m, []) for m in cfg.methods}
+    curves = {m: means[m] for m in cfg.methods}
     report = snr_report(cfg.q, cfg.orders, d=cfg.d, eps=0.0, with_roots=True)
     doc = {
         "experiment": "eps-sweep",
@@ -305,60 +305,12 @@ def run_spectrum(cfg: ExperimentConfig):
     return write_json(os.path.join(cfg.out, "spectrum.json"), doc)
 
 
-def run_empirical(cfg: ExperimentConfig):
-    """Cluster a hyperedge-list file; score against labels when provided."""
-    if not cfg.dataset:
-        raise ExperimentError("empirical runs need a dataset path")
-    h, names = load_hyperedge_list(cfg.dataset)
-    truth = load_partition(cfg.labels, names) if cfg.labels else None
-    detect_q = cfg.fixed_q if cfg.fixed_q else (truth.q if truth else None)
-    result = spectral_cluster(h, num_communities=detect_q, config=SpectralConfig(seed=cfg.seed))
-    os.makedirs(cfg.out, exist_ok=True)
-    save_partition(result.partition, os.path.join(cfg.out, "partition.txt"), names)
-    write_json(
-        os.path.join(cfg.out, "clustering.json"),
-        {
-            "eta": result.eta,
-            "num_negative": result.num_negative,
-            "q": result.partition.q,
-            "eigenvalues": [float(x) for x in result.eigenvalues],
-            "ami": ami(result.partition, truth) if truth else None,
-        },
-    )
-    max_same, order_freq = hyperedge_composition(h, result.partition)
-    write_csv(
-        os.path.join(cfg.out, "composition_detected.csv"),
-        ["order", "max_same_community", "count"],
-        [[k, s, c] for (k, s), c in sorted(max_same.items())],
-    )
-    write_csv(
-        os.path.join(cfg.out, "order_frequency.csv"),
-        ["order", "count"],
-        [[k, c] for k, c in sorted(order_freq.items())],
-    )
-    if truth is not None:
-        mat = confusion(truth, result.partition, row_normalize=True)
-        write_csv(
-            os.path.join(cfg.out, "confusion.csv"),
-            ["class"] + [f"community_{j}" for j in range(mat.shape[1])],
-            [[i] + [_fmt(x) for x in mat[i]] for i in range(mat.shape[0])],
-        )
-        max_same_t, _ = hyperedge_composition(h, truth)
-        write_csv(
-            os.path.join(cfg.out, "composition_labels.csv"),
-            ["order", "max_same_community", "count"],
-            [[k, s, c] for (k, s), c in sorted(max_same_t.items())],
-        )
-    return cfg.out
-
-
 def run(cfg: ExperimentConfig):
     runner = {
         "eps-sweep": run_eps_sweep,
         "shape-sweep": run_shape_sweep,
         "order-sweep": run_order_sweep,
         "spectrum": run_spectrum,
-        "empirical": run_empirical,
     }.get(cfg.experiment)
     if runner is None:
         raise ExperimentError(f"unknown experiment {cfg.experiment!r}")

@@ -18,6 +18,7 @@ C(n, order) tuples and avoids their O(n^max_order) cost.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -107,6 +108,8 @@ class SymmetricHsbmSpec:
         if rate_mode:
             if self.c_in is None or self.c_out is None:
                 raise HsbmError("both c_in and c_out are required")
+            if not (math.isfinite(self.c_in) and math.isfinite(self.c_out)):
+                raise HsbmError(f"rates ({self.c_in}, {self.c_out}) must be finite")
             if self.c_in < 0 or self.c_out < 0 or (self.c_in == 0 and self.c_out == 0):
                 raise HsbmError("rates must be nonnegative and not both zero")
         else:
@@ -114,8 +117,8 @@ class SymmetricHsbmSpec:
                 raise HsbmError("both d and eps are required")
             if not 0.0 <= self.eps <= 1.0:
                 raise HsbmError("eps must lie in [0, 1] (assortative mode)")
-            if self.d <= 0:
-                raise HsbmError("mean degree must be positive")
+            if not (math.isfinite(self.d) and self.d > 0):
+                raise HsbmError(f"mean degree {self.d} must be positive and finite")
 
     def rates(self):
         if self.c_in is not None:
@@ -137,8 +140,8 @@ class PlantedPattern:
         total = sum(k for _, k in counts)
         if total != self.order:
             raise HsbmError(f"composition counts sum to {total}, expected order {self.order}")
-        if self.rate < 0:
-            raise HsbmError("rates must be nonnegative")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise HsbmError(f"rate {self.rate} must be nonnegative and finite")
         if any(k <= 0 for _, k in counts):
             raise HsbmError("composition counts must be positive")
 
@@ -229,8 +232,10 @@ def _cell_mean(n, sizes, order, counts, rate):
     return float(tuples) * rate / float(n) ** (order - 1)
 
 
-def _symmetric_cells(spec: SymmetricHsbmSpec):
-    """(order, composition, rate) of every cell of the symmetric HSBM."""
+def _cells(spec):
+    """(order, composition, rate) of every cell of a symmetric or pattern spec."""
+    if isinstance(spec, PlantedPatternSpec):
+        return [(p.order, p.counts, p.rate) for p in spec.patterns]
     c_in, c_out = spec.rates()
     cells = []
     for order in spec.orders:
@@ -242,24 +247,19 @@ def _symmetric_cells(spec: SymmetricHsbmSpec):
 
 def sample_symmetric(spec: SymmetricHsbmSpec):
     """Draw (hypergraph, planted partition) from the symmetric HSBM."""
-    return _sample_cells(spec.n, spec.q, _symmetric_cells(spec), spec.seed), planted_partition(spec.n, spec.q)
+    return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), planted_partition(spec.n, spec.q)
 
 
 def sample_planted(spec: PlantedPatternSpec):
     """Draw (hypergraph, planted partition) from a pattern-planted model."""
-    cells = [(p.order, p.counts, p.rate) for p in spec.patterns]
-    return _sample_cells(spec.n, spec.q, cells, spec.seed), planted_partition(spec.n, spec.q)
+    return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), planted_partition(spec.n, spec.q)
 
 
 def expected_order_counts(spec):
     """Expected number of hyperedges per order under a spec (exact Poisson means)."""
-    if isinstance(spec, SymmetricHsbmSpec):
-        cells = _symmetric_cells(spec)
-    else:
-        cells = [(p.order, p.counts, p.rate) for p in spec.patterns]
     sizes = block_sizes(spec.n, spec.q)
     out = {}
-    for order, counts, rate in cells:
+    for order, counts, rate in _cells(spec):
         out[order] = out.get(order, 0.0) + _cell_mean(spec.n, sizes, order, counts, rate)
     return out
 

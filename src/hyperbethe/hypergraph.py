@@ -38,11 +38,9 @@ class Partition:
             raise HypergraphError("labels must lie in [0, q)")
 
     @classmethod
-    def from_labels(cls, labels, q=None):
+    def from_labels(cls, labels):
         labels = np.asarray(labels, dtype=np.int64)
-        if q is None:
-            q = int(labels.max()) + 1 if labels.size else 1
-        return cls(labels, q)
+        return cls(labels, int(labels.max()) + 1 if labels.size else 1)
 
     @property
     def n(self):
@@ -277,21 +275,30 @@ def save_partition(partition: Partition, path, names=None):
 def load_partition(path, names) -> Partition:
     """Read a 'token label' file against a known node-name list.
 
-    Every node must be labeled exactly once; unknown tokens are errors.
+    Every node must be labeled exactly once with a nonnegative integer;
+    unknown tokens are errors.
     """
     index = {tok: i for i, tok in enumerate(names)}
     labels = np.full(len(names), -1, dtype=np.int64)
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             tokens = line.split("#", 1)[0].split()
             if not tokens:
                 continue
             if len(tokens) != 2:
                 raise HypergraphError(f"malformed partition line: {line.rstrip()}")
             tok, lab = tokens
-            if tok not in index:
+            i = index.get(tok)
+            if i is None:
                 raise HypergraphError(f"unknown node token {tok!r}")
-            labels[index[tok]] = int(lab)
+            if labels[i] >= 0:
+                raise HypergraphError(f"node token {tok!r} labeled again on line {lineno}")
+            try:
+                labels[i] = int(lab)
+            except ValueError:
+                raise HypergraphError(f"label {lab!r} of node {tok!r} on line {lineno} is not an integer") from None
+            if labels[i] < 0:
+                raise HypergraphError(f"negative label {lab!r} of node {tok!r} on line {lineno}")
     if labels.size == 0 or labels.min() < 0:
         missing = [names[i] for i in np.nonzero(labels < 0)[0][:5]]
         raise HypergraphError(f"partition file incomplete (missing {missing} ...)"

@@ -17,6 +17,9 @@ import numpy as np
 from .hypergraph import Hypergraph
 from .spectral import SpectralError, bethe_hessian
 
+# An eigenvalue is real when |imag| <= IMAG_TOL * max(1, spectral radius).
+IMAG_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class NonBacktracking:
@@ -63,11 +66,11 @@ def pooling_matrix(nb: NonBacktracking, n) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(nb.dim), (rows, cols)), shape=(n, nb.dim))
 
 
-def real_eigenvalues_outside_bulk(nb: NonBacktracking, radius, imag_tol=1e-8):
+def real_eigenvalues_outside_bulk(nb: NonBacktracking, radius):
     """Real eigenvalues of the operator with modulus beyond the bulk radius."""
     w = np.linalg.eigvals(nb.matrix.toarray())
     scale = max(1.0, float(np.abs(w).max()))
-    real = w[np.abs(w.imag) <= imag_tol * scale].real
+    real = w[np.abs(w.imag) <= IMAG_TOL * scale].real
     return np.sort(real[np.abs(real) > radius])
 
 

@@ -30,6 +30,10 @@ MIN_NCV = 32
 # ARPACK's stopping tolerance for the count's batches, whose Ritz values only
 # have to be sign-resolved against the threshold by their own residuals.
 COUNT_TOL = 1e-2
+# Eigenvalues below -NEG_TOL * max|B_ii| count as negative.
+NEG_TOL = 1e-8
+# Lloyd iterations per k-means restart.
+KMEANS_ITERS = 300
 
 
 class SpectralError(RuntimeError):
@@ -55,11 +59,8 @@ class BetheHessian:
 @dataclass(frozen=True)
 class SpectralConfig:
     eta: float | None = None  # override for the degree-based default
-    neg_tol: float = 1e-8  # negative-eigenvalue tolerance, relative to max |diag|
     eig_tol: float = 1e-8  # ARPACK's stopping tolerance and the residual guard's
     kmeans_restarts: int = 20
-    kmeans_iters: int = 300
-    row_normalize: bool = False  # normalize embedding rows before k-means
     seed: int = 0
 
 
@@ -81,7 +82,7 @@ class SpectralResult:
         }
 
 
-def bulk_radius(h: Hypergraph, tol=1e-9):
+def bulk_radius(h: Hypergraph):
     """Degree-based regularization: sum_k sqrt(d_k (k-1)).
 
     This is the bulk radius of the non-backtracking spectrum; the operator
@@ -91,7 +92,7 @@ def bulk_radius(h: Hypergraph, tol=1e-9):
         raise SpectralError("hypergraph has no hyperedges")
     stats = h.degree_stats()
     eta = sum(math.sqrt(dk * (k - 1)) for k, dk in stats.per_order.items())
-    if eta <= 1.0 + tol:
+    if eta <= 1.0 + 1e-9:
         raise SpectralError(
             f"bulk radius {eta:.6g} <= 1: too sparse for the Bethe Hessian "
             "(mean degrees leave no spectral gap)"
@@ -126,9 +127,7 @@ def bethe_hessian(h: Hypergraph, eta) -> BetheHessian:
     return BetheHessian(float(eta), SparseSymMatrix.from_scipy(full))
 
 
-def lowest_eigenpairs(
-    mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, maxiter=None, v0=None, residuals=False
-):
+def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, v0=None, residuals=False):
     """k algebraically smallest eigenpairs of a symmetric sparse matrix.
 
     Dense solve up to DENSE_CUTOFF rows, Lanczos (ARPACK) above it, started
@@ -158,8 +157,7 @@ def lowest_eigenpairs(
         csr = mat.to_csr()
         try:
             w, v = spla.eigsh(
-                csr, k=k, which="SA", v0=v0, ncv=min(n, max(2 * k + 1, MIN_NCV)),
-                maxiter=maxiter, tol=tol,
+                csr, k=k, which="SA", v0=v0, ncv=min(n, max(2 * k + 1, MIN_NCV)), tol=tol,
             )
         except spla.ArpackNoConvergence as exc:
             raise EigenConvergenceError(
@@ -199,12 +197,12 @@ def _fix_signs(v):
     return v
 
 
-def negative_tolerance(B: BetheHessian, neg_tol=1e-8):
-    return neg_tol * float(np.abs(B.matrix.diag).max() or 1.0)
+def negative_tolerance(B: BetheHessian):
+    return NEG_TOL * float(np.abs(B.matrix.diag).max() or 1.0)
 
 
-def _negative_eigenpairs(B: BetheHessian, neg_tol=1e-8, *, tol=1e-8, seed=0):
-    """Eigenpairs of B below thr = -neg_tol * max|B_ii|, ascending.
+def _negative_eigenpairs(B: BetheHessian, *, tol=1e-8, seed=0):
+    """Eigenpairs of B below thr = -NEG_TOL * max|B_ii|, ascending.
 
     Up to DENSE_CUTOFF rows one dense solve yields every eigenvalue; only
     the negative columns go through the guard and the sign fix, and leave
@@ -228,7 +226,7 @@ def _negative_eigenpairs(B: BetheHessian, neg_tol=1e-8, *, tol=1e-8, seed=0):
     and usually pass already; if one does not, the pairs are refined by one
     k = count solve at tol, started from the sum of the loose vectors.
     """
-    thr = -negative_tolerance(B, neg_tol)
+    thr = -negative_tolerance(B)
     if B.n <= DENSE_CUTOFF:
         w, v = np.linalg.eigh(B.matrix.to_dense())
         count = int(np.sum(w < thr))
@@ -249,13 +247,15 @@ def _negative_eigenpairs(B: BetheHessian, neg_tol=1e-8, *, tol=1e-8, seed=0):
     return w, v
 
 
-def count_negative_eigenvalues(B: BetheHessian, neg_tol=1e-8, seed=0):
-    """Number of eigenvalues below -neg_tol * max|B_ii|."""
-    return len(_negative_eigenpairs(B, neg_tol, seed=seed)[0])
+def count_negative_eigenvalues(B: BetheHessian):
+    """Number of eigenvalues below -NEG_TOL * max|B_ii|."""
+    return len(_negative_eigenpairs(B)[0])
 
 
-def kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
+def kmeans(points, k, *, restarts=20, seed=0):
     """Plain k-means with k-means++ seeding and best-objective restarts.
+
+    Each restart runs at most KMEANS_ITERS Lloyd iterations.
 
     The points are copied once into column layout (dim, n), and all
     restarts and Lloyd iterations reuse buffers allocated once per call.
@@ -271,8 +271,8 @@ def kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
     """
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
-    if k < 1 or k > n or max_iter < 1:
-        raise ValueError(f"need 1 <= k <= {n} and max_iter >= 1")
+    if k < 1 or k > n or restarts < 1:
+        raise ValueError(f"need 1 <= k <= {n} and restarts >= 1")
     xx = np.einsum("ij,ij->i", X, X)
     if not np.isfinite(xx).all():
         raise ValueError("k-means points must be finite")
@@ -285,7 +285,7 @@ def kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         centers = _kmeanspp(cols, k, rng, dmin, dist, tmp)
-        for it in range(max_iter):
+        for it in range(KMEANS_ITERS):
             np.matmul(centers, cols, out=d2)
             d2 *= -2.0  # exact, and xx + (-2 x.c) is xx - 2 x.c in IEEE arithmetic
             d2 += xx
@@ -349,22 +349,18 @@ def spectral_cluster(h: Hypergraph, num_communities=None, config: SpectralConfig
     eta = cfg.eta if cfg.eta is not None else bulk_radius(h)
     B = bethe_hessian(h, eta)
     if num_communities is None:
-        w, v = _negative_eigenpairs(B, cfg.neg_tol, tol=cfg.eig_tol, seed=cfg.seed)
+        w, v = _negative_eigenpairs(B, tol=cfg.eig_tol, seed=cfg.seed)
         q = len(w)
         if q == 0:
             raise SpectralError("no detectable structure: no negative eigenvalues")
     else:
         q = int(num_communities)
         w, v = lowest_eigenpairs(B.matrix, q, tol=cfg.eig_tol, seed=cfg.seed)
-    thr = -negative_tolerance(B, cfg.neg_tol)
-    emb = v / np.linalg.norm(v, axis=1, keepdims=True).clip(1e-300) if cfg.row_normalize else v
-    labels = kmeans(
-        emb, q, restarts=cfg.kmeans_restarts, max_iter=cfg.kmeans_iters, seed=cfg.seed
-    )
+    labels = kmeans(v, q, restarts=cfg.kmeans_restarts, seed=cfg.seed)
     return SpectralResult(
         eta=float(eta),
         eigenvalues=w,
-        num_negative=int(np.sum(w < thr)),
+        num_negative=int(np.sum(w < -negative_tolerance(B))),
         embedding=v,
         partition=Partition(labels, q),
     )

@@ -22,7 +22,7 @@ from hyperbethe import (
     sample_symmetric,
 )
 from hyperbethe import bp
-from hyperbethe.bp import BpError
+from hyperbethe.bp import INIT_NOISE, BpError
 
 from conftest import labels_match_up_to_permutation
 
@@ -127,7 +127,7 @@ class TestInit:
         if init == "uniform":
             expected = np.full((nodes.size, q), 1.0 / q)
         elif init == "perturbed":
-            noise = np.random.default_rng(11).uniform(-cfg.init_noise, cfg.init_noise, size=(nodes.size, q))
+            noise = np.random.default_rng(11).uniform(-INIT_NOISE, INIT_NOISE, size=(nodes.size, q))
             p = np.clip(1.0 / q + noise, 1e-12, None)
             expected = p / p.sum(axis=1, keepdims=True)
         else:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -14,7 +15,6 @@ from hyperbethe import (
     SymmetricHsbmSpec,
     crossing_points,
     run,
-    run_empirical,
     run_eps_sweep,
     run_order_sweep,
     run_shape_sweep,
@@ -64,6 +64,11 @@ class TestHelpers:
             ExperimentConfig(experiment="eps-sweep", grid=(0.1,), reps=0)
         with pytest.raises(ExperimentError):
             run(ExperimentConfig(experiment="nope", grid=(1,)))
+
+    @pytest.mark.parametrize("methods", [(), ("bx",), ("bh", "bx")])
+    def test_eps_sweep_rejects_unknown_or_no_methods(self, methods):
+        with pytest.raises(ExperimentError, match="methods"):
+            ExperimentConfig("eps-sweep", grid=(0.1,), methods=methods)
 
     def test_config_from_json_with_bp_block(self):
         cfg = ExperimentConfig.from_json(
@@ -247,14 +252,12 @@ def synthetic_dataset(tmp_path):
 
 
 class TestEmpirical:
+    """`cluster` on a labeled file, the paper's empirical-data workflow."""
+
     def test_with_labels(self, tmp_path, synthetic_dataset):
         edges, labels, planted = synthetic_dataset
         out = tmp_path / "out"
-        cfg = ExperimentConfig(
-            experiment="empirical", dataset=str(edges), labels=str(labels),
-            fixed_q=3, out=str(out), grid=(),
-        )
-        run_empirical(cfg)
+        cli_main(["cluster", "--input", str(edges), "--labels", str(labels), "--q", "3", "--out", str(out)])
         doc = json.loads(open(out / "clustering.json").read())
         assert doc["q"] == 3
         assert doc["ami"] > 0.8
@@ -269,12 +272,9 @@ class TestEmpirical:
     def test_without_labels_auto_q(self, tmp_path, synthetic_dataset):
         edges, _, _ = synthetic_dataset
         out = tmp_path / "noq"
-        cfg = ExperimentConfig(
-            experiment="empirical", dataset=str(edges), out=str(out), grid=(),
-        )
-        run_empirical(cfg)
+        cli_main(["cluster", "--input", str(edges), "--out", str(out)])
         doc = json.loads(open(out / "clustering.json").read())
-        assert doc["ami"] is None
+        assert doc.get("ami") is None
         assert doc["q"] >= 1
         assert not os.path.exists(out / "confusion.csv")
 
@@ -423,12 +423,48 @@ class TestCli:
         cli_main(["spectrum", "--config", str(cfg)])
         assert (tmp_path / "spec" / "spectrum.json").exists()
 
-    def test_empirical_subcommand(self, tmp_path, synthetic_dataset):
+    def test_cluster_takes_q_from_labels(self, tmp_path, synthetic_dataset):
         edges, labels, _ = synthetic_dataset
         out = tmp_path / "emp"
-        cli_main([
-            "empirical", "--input", str(edges), "--labels", str(labels),
-            "--q", "3", "--out", str(out),
-        ])
+        cli_main(["cluster", "--input", str(edges), "--labels", str(labels), "--out", str(out)])
         assert (out / "partition.txt").exists()
         assert (out / "confusion.csv").exists()
+        assert json.loads((out / "clustering.json").read_text())["q"] == 3
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("generate", {"--config", "--seed", "--out"}),
+            ("cluster", {"--seed", "--out", "--input", "--labels", "--q", "--eta", "--kmeans-restarts"}),
+            ("bp", {"--config", "--seed", "--out", "--input", "--q", "--c-in", "--c-out", "--d", "--eps",
+                    "--max-sweeps", "--damping", "--init"}),
+            ("snr", {"--q", "--orders", "--c-in", "--c-out", "--d", "--eps", "--roots"}),
+            ("sweep-eps", {"--config", "--seed", "--out"}),
+            ("sweep-shape", {"--config", "--seed", "--out"}),
+            ("sweep-order", {"--config", "--seed", "--out"}),
+            ("spectrum", {"--config", "--seed", "--out"}),
+            ("eval", {"--input", "--pred", "--truth", "--confusion", "--normalize"}),
+        ],
+    )
+    def test_each_subcommand_has_only_the_flags_it_reads(self, command, options):
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == {
+            "generate", "cluster", "bp", "snr", "sweep-eps", "sweep-shape", "sweep-order", "spectrum", "eval",
+        }
+        flags = {f for a in commands.choices[command]._actions for f in a.option_strings} - {"-h", "--help"}
+        assert flags == options
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snr", "--q", "2", "--orders", "2", "--d", "8", "--eps", "0.1", "--out", "x"],
+            ["eval", "--input", "e", "--pred", "p", "--truth", "t", "--seed", "1"],
+            ["cluster", "--input", "e", "--config", "f"],
+            ["empirical", "--input", "e"],
+        ],
+    )
+    def test_dead_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -67,6 +67,14 @@ class TestSpecValidation:
         with pytest.raises(HsbmError):
             SymmetricHsbmSpec(n=100, q=2, orders=(2,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters(self, bad):
+        for params in ({"c_in": bad, "c_out": 1.0}, {"c_in": 5.0, "c_out": bad}, {"d": bad, "eps": 0.1}):
+            with pytest.raises(HsbmError, match="finite"):
+                SymmetricHsbmSpec(n=100, q=2, orders=(2,), **params)
+        with pytest.raises(HsbmError, match="finite"):
+            PlantedPattern(2, ((0, 1), (1, 1)), bad)
+
     def test_order_vs_block_size(self):
         with pytest.raises(HsbmError):
             SymmetricHsbmSpec(n=10, q=2, orders=(6,), d=3.0, eps=0.1)

@@ -412,6 +412,20 @@ class TestPartitionIO:
         with pytest.raises(HypergraphError, match="unknown"):
             load_partition(path, ["x", "y"])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a 0\nb 1\na 1\n", "'a' labeled again on line 3"),
+            ("a 0\nb x1\n", "'x1' of node 'b' on line 2 is not an integer"),
+            ("a 0\nb -1\n", "negative label '-1' of node 'b' on line 2"),
+        ],
+    )
+    def test_each_node_labeled_once_with_a_nonnegative_integer(self, tmp_path, text, message):
+        path = tmp_path / "part.txt"
+        path.write_text(text)
+        with pytest.raises(HypergraphError, match=re.escape(message)):
+            load_partition(path, ["a", "b"])
+
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "part.txt"
         path.write_text("")

@@ -1,11 +1,13 @@
-"""scipy is loaded only where an operator is built.
+"""scipy is loaded only where an operator is built, and the names the
+benchmark reaches exist.
 
-Each case runs this file as a script in a fresh process.  The BP,
+Each scipy case runs this file as a script in a fresh process.  The BP,
 generator, file, metrics, detectability and CLI-parse path must finish with
 no scipy module loaded; each operator, built first in its process, must
 equal the one built in the test process.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -35,6 +37,7 @@ from hyperbethe import (
 from hyperbethe.cli import build_parser
 
 OPERATORS = ("spectral_cluster", "bethe_hessian", "nonbacktracking_matrix")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def scipy_modules():
@@ -102,6 +105,29 @@ def test_operator_built_first_matches(tmp_path, case):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_import_surface_resolves(monkeypatch):
+    """perfbench's library imports, traced attributes and counted detectors all exist."""
+    tracing = load_by_path("tracing", os.path.join(PERFBENCH, "tracing.py"))
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # worker.py imports it by this name
+    worker = load_by_path("perfbench_worker", os.path.join(PERFBENCH, "worker.py"))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # import_library prepends src
+    modules = worker.import_library()
+    for mod, cls, attr, _ in tracing.TRACED:
+        if cls:
+            assert attr in vars(getattr(modules[mod], cls)), (mod, cls, attr)
+        else:
+            assert hasattr(modules[mod], attr), (mod, attr)
+    for name in tracing.DETECTORS:
+        assert hasattr(modules["experiments"], name), name
 
 
 if __name__ == "__main__":

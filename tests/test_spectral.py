@@ -609,6 +609,11 @@ class TestKmeans:
         with pytest.raises(ValueError, match="finite"):
             kmeans(X, 2)
 
+    @pytest.mark.parametrize("k, restarts", [(0, 20), (21, 20), (2, 0)])
+    def test_k_and_restarts_out_of_range_raise(self, k, restarts):
+        with pytest.raises(ValueError, match="need 1 <= k <= 20 and restarts >= 1"):
+            kmeans(np.random.default_rng(0).standard_normal((20, 2)), k, restarts=restarts)
+
 
 class TestClusterPipeline:
     def test_deep_detectable_regime(self):
