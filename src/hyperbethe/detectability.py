@@ -198,10 +198,18 @@ def critical_epsilon(q, orders, d, which="bh"):
         raise DetectabilityError(
             f"undetectable at any eps: SNR_{which.upper()}(0) = {f_lo + 1.0:g} <= 1"
         )
+    return _bisect(lambda eps: snr_at(eps) - 1.0, lo, hi, ROOT_TOL)
+
+
+def _bisect(f, lo, hi, tol=None):
+    """BISECTIONS halvings of [lo, hi] that keep f > 0 at lo; the last midpoint.
+
+    With tol given, returns the first midpoint with |f| <= tol instead.
+    """
     for _ in range(BISECTIONS):
         mid = 0.5 * (lo + hi)
-        f_mid = snr_at(mid) - 1.0
-        if abs(f_mid) <= ROOT_TOL:
+        f_mid = f(mid)
+        if tol is not None and abs(f_mid) <= tol:
             return mid
         if f_mid > 0.0:
             lo = mid
@@ -383,10 +391,4 @@ def switching_rho(kind, *, low_order=None, high_order=None, adjusted=False, d=10
             raise DetectabilityError("no adjusted switching point found")
     if g_lo <= 0.0:
         raise DetectabilityError("adjusted switching condition has no sign change")
-    for _ in range(BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(gap, lo, hi)

@@ -102,7 +102,7 @@ class Hypergraph:
         self._rows = {k: nodes[starts[e, None] + np.arange(k)] for k, e in self.edges_by_order.items()}
         for arr in [*self.edges_by_order.values(), *self._rows.values()]:
             arr.flags.writeable = False
-        self._proj_cache, self._pairs_cache, self._edges = {}, None, None
+        self._edges = None
 
     @property
     def edges(self):
@@ -137,40 +137,33 @@ class Hypergraph:
         return DegreeStats(self.node_degrees(), per_order, float(sum(per_order.values())), float(mean_order))
 
     def projection(self, order) -> OrderProjection:
-        """Per-order co-membership matrix and degree vector (cached)."""
-        if order not in self._rows:
-            raise HypergraphError(f"order {order} not present in hypergraph")
-        if order not in self._proj_cache:
-            import scipy.sparse as sp
+        """Per-order co-membership matrix and degree vector, built on every call."""
+        import scipy.sparse as sp
 
-            arr = self.edge_array(order)
-            ii, jj = np.nonzero(~np.eye(order, dtype=bool))  # every ordered pair of members
-            rows, cols = arr[:, ii].ravel(), arr[:, jj].ravel()
-            data = np.ones(rows.size, dtype=np.int64)
-            comat = sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
-            self._proj_cache[order] = OrderProjection(
-                order, self.degrees_by_order(order), comat
-            )
-        return self._proj_cache[order]
+        arr = self.edge_array(order)
+        ii, jj = np.nonzero(~np.eye(order, dtype=bool))  # every ordered pair of members
+        rows, cols = arr[:, ii].ravel(), arr[:, jj].ravel()
+        data = np.ones(rows.size, dtype=np.int64)
+        comat = sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        return OrderProjection(order, self.degrees_by_order(order), comat)
 
     def incidence_pairs(self):
         """Directed incidences (edge_id, node) sorted by edge then node.
 
         Returns read-only (edge_ids, nodes), each of length sum of all
-        orders, with edges in input order.  This is the shared indexing
-        backbone for message passing and the non-backtracking operator.
+        orders, with edges in input order, built on every call.  This is the
+        shared indexing backbone of the non-backtracking operator and the
+        file writer.
         """
-        if self._pairs_cache is None:
-            sizes = np.zeros(self.m, dtype=np.int64)
-            for k, e in self.edges_by_order.items():
-                sizes[e] = k
-            starts, nodes = np.cumsum(sizes) - sizes, np.empty(sizes.sum(), dtype=np.int64)
-            for k, e in self.edges_by_order.items():
-                nodes[starts[e, None] + np.arange(k)] = self._rows[k]
-            edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), sizes)
-            edge_ids.flags.writeable = nodes.flags.writeable = False
-            self._pairs_cache = (edge_ids, nodes)
-        return self._pairs_cache
+        sizes = np.zeros(self.m, dtype=np.int64)
+        for k, e in self.edges_by_order.items():
+            sizes[e] = k
+        starts, nodes = np.cumsum(sizes) - sizes, np.empty(sizes.sum(), dtype=np.int64)
+        for k, e in self.edges_by_order.items():
+            nodes[starts[e, None] + np.arange(k)] = self._rows[k]
+        edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), sizes)
+        edge_ids.flags.writeable = nodes.flags.writeable = False
+        return edge_ids, nodes
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m}, orders={list(self.orders)})"
@@ -276,7 +269,8 @@ def load_partition(path, names) -> Partition:
     """Read a 'token label' file against a known node-name list.
 
     Every node must be labeled exactly once with a nonnegative integer;
-    unknown tokens are errors.
+    unknown tokens are errors.  The distinct label values are renumbered
+    0..q-1 in ascending order, so q counts the communities that occur.
     """
     index = {tok: i for i, tok in enumerate(names)}
     labels = np.full(len(names), -1, dtype=np.int64)
@@ -303,4 +297,5 @@ def load_partition(path, names) -> Partition:
         missing = [names[i] for i in np.nonzero(labels < 0)[0][:5]]
         raise HypergraphError(f"partition file incomplete (missing {missing} ...)"
                               if missing else "empty partition file")
-    return Partition.from_labels(labels)
+    values, labels = np.unique(labels, return_inverse=True)
+    return Partition(labels, int(values.size))

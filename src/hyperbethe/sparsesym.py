@@ -1,4 +1,4 @@
-"""Compressed sparse symmetric matrix with a cached matvec backend."""
+"""A symmetric sparse matrix held as one scipy CSR."""
 
 from __future__ import annotations
 
@@ -6,36 +6,16 @@ import numpy as np
 
 
 class SparseSymMatrix:
-    """Symmetric real matrix stored as diagonal + strictly lower triangle.
+    """Real symmetric matrix: the CSR that from_scipy checked, with n and diag read from it."""
 
-    Symmetry is guaranteed by construction: only one triangle is kept and
-    the full matrix is materialized (and cached) on demand for matvecs and
-    eigensolves.
-    """
-
-    def __init__(self, n, diag, rows, cols, vals):
-        diag = np.asarray(diag, dtype=float)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if diag.shape != (n,):
-            raise ValueError(f"diagonal must have length {n}")
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("triangle arrays must have equal length")
-        if rows.size and not np.all(rows > cols):
-            raise ValueError("off-diagonal entries must be strictly lower triangular")
-        if rows.size and (rows.max() >= n or cols.min() < 0):
-            raise ValueError("index out of range")
-        self.n = int(n)
-        self.diag = diag
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._csr = None
+    def __init__(self, csr):
+        self._csr = csr
+        self.n = int(csr.shape[0])
+        self.diag = np.asarray(csr.diagonal(), dtype=float)
 
     @classmethod
     def from_scipy(cls, mat):
-        """Build from a scipy sparse matrix that is symmetric up to round-off."""
+        """Wrap a square scipy sparse matrix that is symmetric up to round-off, as CSR."""
         import scipy.sparse as sp
 
         mat = sp.csr_matrix(mat)
@@ -45,39 +25,15 @@ class SparseSymMatrix:
         scale = max(1.0, abs(mat).max() if mat.nnz else 0.0)
         if asym > 1e-10 * scale:
             raise ValueError(f"matrix is not symmetric (asymmetry {asym:g})")
-        n = mat.shape[0]
-        diag = np.asarray(mat.diagonal(), dtype=float)
-        low = sp.tril(mat, k=-1).tocoo()
-        out = cls(n, diag, low.row, low.col, low.data)
-        out._csr = mat
-        return out
-
-    @property
-    def shape(self):
-        return (self.n, self.n)
+        return cls(mat)
 
     @property
     def nnz(self):
-        """Structural nonzeros of the full symmetric matrix."""
-        return int(np.count_nonzero(self.diag)) + 2 * int(self.vals.size)
+        """Stored entries that are nonzero, over both triangles and the diagonal."""
+        return int(np.count_nonzero(self._csr.data))
 
     def to_csr(self):
-        if self._csr is None:
-            import scipy.sparse as sp
-
-            low = sp.coo_matrix(
-                (self.vals, (self.rows, self.cols)), shape=(self.n, self.n)
-            )
-            full = low + low.T + sp.diags(self.diag, format="coo")
-            self._csr = full.tocsr()
         return self._csr
 
     def to_dense(self):
-        return self.to_csr().toarray()
-
-    def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.to_csr() @ x
-
-    def __matmul__(self, x):
-        return self.matvec(x)
+        return self._csr.toarray()

@@ -150,6 +150,12 @@ class TestCriticalEpsilon:
         with pytest.raises(DetectabilityError):
             critical_epsilon(2, (2,), 0.5, which="bh")
 
+    def test_roots_are_pinned(self):
+        # eps_mid = (eps_BH* + eps_BP*) / 2 is a grid point of the eps sweep; its outputs depend on these bits
+        assert critical_epsilon(3, (2, 3), 10.0, "bh") == 0.3634268496243749
+        assert critical_epsilon(3, (2, 3), 10.0, "bp") == 0.3905897895456292
+        assert switching_rho("order", low_order=2, high_order=3, adjusted=True) == 1.9282032302755092
+
 
 class TestPairRates:
     def test_symmetric_reduction(self):

@@ -12,6 +12,7 @@ import pytest
 
 from hyperbethe import (
     ExperimentConfig,
+    Partition,
     SymmetricHsbmSpec,
     crossing_points,
     run,
@@ -268,6 +269,19 @@ class TestEmpirical:
         assert sum(values) == pytest.approx(1.0, abs=1e-9)
         comp_rows = read_csv(out / "composition_detected.csv")
         assert comp_rows[0] == ["order", "max_same_community", "count"]
+
+    def test_one_based_labels(self, tmp_path, synthetic_dataset):
+        edges, _, planted = synthetic_dataset
+        labels = tmp_path / "labels1.txt"
+        save_partition(Partition(planted.labels + 1, planted.q + 1), labels)
+        out = tmp_path / "one"
+        cli_main(["cluster", "--input", str(edges), "--labels", str(labels), "--out", str(out)])
+        doc = json.loads(open(out / "clustering.json").read())
+        assert doc["q"] == 3
+        assert doc["ami"] == 1.0
+        confusion_rows = read_csv(out / "confusion.csv")
+        assert len(confusion_rows) == 1 + 3
+        assert all(any(float(x) != 0.0 for x in row[1:]) for row in confusion_rows[1:])
 
     def test_without_labels_auto_q(self, tmp_path, synthetic_dataset):
         edges, _, _ = synthetic_dataset

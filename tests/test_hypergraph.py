@@ -406,6 +406,20 @@ class TestPartitionIO:
         assert np.array_equal(back.labels, part.labels)
         assert back.q == part.q
 
+    @pytest.mark.parametrize(
+        "text, labels, q",
+        [
+            ("x 1\ny 2\nz 1\n", [0, 1, 0], 2),
+            ("x 0\ny 0\nz 1000000\n", [0, 0, 1], 2),
+            ("x 7\ny 3\nz 5\n", [2, 0, 1], 3),
+        ],
+    )
+    def test_labels_renumbered_in_ascending_order(self, tmp_path, text, labels, q):
+        path = tmp_path / "part.txt"
+        path.write_text(text)
+        part = load_partition(path, ["x", "y", "z"])
+        assert part.labels.tolist() == labels and part.q == q
+
     def test_unknown_token_errors(self, tmp_path):
         path = tmp_path / "part.txt"
         path.write_text("x 0\nw 1\n")

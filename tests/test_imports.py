@@ -22,6 +22,7 @@ from hyperbethe import (
     SymmetricHsbmSpec,
     ami,
     bethe_hessian,
+    bp_init,
     bp_run,
     bulk_radius,
     load_hyperedge_list,
@@ -128,6 +129,32 @@ def test_bench_import_surface_resolves(monkeypatch):
             assert hasattr(modules[mod], attr), (mod, attr)
     for name in tracing.DETECTORS:
         assert hasattr(modules["experiments"], name), name
+
+
+def test_bench_span_readers_read_results():
+    """Each of perfbench's span readers gives the right count on a real result."""
+    tracing = load_by_path("tracing", os.path.join(PERFBENCH, "tracing.py"))
+    spec = SymmetricHsbmSpec(n=300, q=2, orders=(2, 3), d=8.0, eps=0.1, seed=0)
+    h, _ = sample_symmetric(spec)
+    incidences = sum(k * c for k, c in h.order_counts().items())
+    assert incidences == h.incidence_pairs()[1].size
+    B = bethe_hessian(h, bulk_radius(h))
+    run = bp_run(h, spec.q, spec.rates())
+    results = {
+        "hypergraph.build": ((h, h.n, None), None),
+        "spectral.cluster": ((h,), spectral_cluster(h)),
+        "spectral.operator": ((h, B.eta), B),
+        "bp.init": ((h, spec.q, spec.rates()), bp_init(h, spec.q, spec.rates())),
+        "bp.run": ((h, spec.q, spec.rates()), run),
+    }
+    assert set(tracing.INFO) == set(results)
+    info = {name: tracing.INFO[name](*results[name]) for name in results}
+    assert info["hypergraph.build"] == {"m": h.m, "incidences": incidences}
+    assert info["spectral.cluster"] == {"q": 2}
+    assert info["spectral.operator"] == {"nnz": int(np.count_nonzero(B.matrix.to_dense()))}
+    assert info["bp.init"] == {"incidences": incidences}
+    assert info["bp.run"] == {"sweeps": run.sweeps, "converged": run.converged}
+    assert run.sweeps >= 1 and isinstance(run.converged, bool)
 
 
 if __name__ == "__main__":

@@ -171,7 +171,7 @@ class TestBetheHessian:
         dense = dense_operator(h, eta)
         assert np.allclose(B.matrix.to_dense(), dense, atol=1e-12)
         x = rng.standard_normal(n)
-        assert np.allclose(B.matrix.matvec(x), dense @ x, atol=1e-12)
+        assert np.allclose(B.matrix.to_csr() @ x, dense @ x, atol=1e-12)
 
     def test_isolated_nodes_are_identity_rows(self):
         spec = SymmetricHsbmSpec(n=200, q=2, orders=(2, 3), d=10.0, eps=0.1, seed=5)
