@@ -47,7 +47,6 @@ from .hypergraph import (
     DegreeStats,
     Hypergraph,
     HypergraphError,
-    OrderProjection,
     Partition,
     load_hyperedge_list,
     load_partition,
@@ -61,7 +60,6 @@ from .nonbacktracking import (
     bethe_singularity,
     nonbacktracking_matrix,
     operator_cost,
-    pooling_matrix,
     real_eigenvalues_outside_bulk,
 )
 from .sparsesym import SparseSymMatrix

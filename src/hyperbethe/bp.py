@@ -24,7 +24,7 @@ Fortran-order buffers, so row sums run column-wise, rotate across sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma
+from math import inf, lgamma
 
 import numpy as np
 
@@ -51,12 +51,14 @@ class BpConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise BpError("max_sweeps must be >= 1")
-        if self.tol <= 0:
-            raise BpError("convergence threshold must be positive")
+        if not 0.0 < self.tol < inf:  # NaN fails too
+            raise BpError("convergence threshold must be positive and finite")
         if not 0.0 <= self.damping < 1.0:
             raise BpError("damping must lie in [0, 1)")
         if self.init not in ("uniform", "perturbed", "planted"):
             raise BpError(f"unknown init mode {self.init!r}")
+        if not 0.0 <= self.planted_smoothing <= 1.0:
+            raise BpError("planted_smoothing must lie in [0, 1]")
 
 
 class BpState:

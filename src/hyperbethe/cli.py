@@ -234,14 +234,17 @@ def build_parser():
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--confusion", default=None, help="write confusion CSV here")
-    p.add_argument("--normalize", action="store_true")
+    p.add_argument("--normalize", action="store_true", help="row-normalize the --confusion CSV")
     p.set_defaults(func=cmd_eval)
 
     return top
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eval" and args.normalize and not args.confusion:
+        parser.error("eval: --normalize needs --confusion")
     args.func(args)
     return 0
 

@@ -293,7 +293,7 @@ def run_spectrum(cfg: ExperimentConfig):
     bh_spectra = []
     for eta in etas:
         B = bethe_hessian(h, float(eta))
-        bh_spectra.append(sorted(float(x) for x in np.linalg.eigvalsh(B.matrix.to_dense())))
+        bh_spectra.append(sorted(float(x) for x in np.linalg.eigvalsh(B.matrix.toarray())))
     doc = {
         "experiment": "spectrum",
         "n": cfg.n,

@@ -48,20 +48,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class OrderProjection:
-    """One-mode projection of the hyperedges of a single order.
-
-    comat[i, j] counts the hyperedges of this order containing both i and j
-    (zero diagonal); degree_diag[i] counts the hyperedges of this order
-    containing i.  Multi-edges accumulate.
-    """
-
-    order: int
-    degree_diag: np.ndarray
-    comat: sp.csr_matrix
-
-
-@dataclass(frozen=True)
 class DegreeStats:
     node_degrees: np.ndarray
     per_order: dict  # order -> mean degree contributed by that order
@@ -136,24 +122,26 @@ class Hypergraph:
         mean_order = sum(k * c for k, c in counts.items()) / self.m if self.m else float("nan")
         return DegreeStats(self.node_degrees(), per_order, float(sum(per_order.values())), float(mean_order))
 
-    def projection(self, order) -> OrderProjection:
-        """Per-order co-membership matrix and degree vector, built on every call."""
+    def projection(self, order):
+        """Order-k co-membership CSR, built on every call.
+
+        Entry (i, j) counts, as a float64, the hyperedges of this order that
+        contain both i and j; the diagonal is empty and multi-edges
+        accumulate.  The matching degrees are degrees_by_order(order).
+        """
         import scipy.sparse as sp
 
         arr = self.edge_array(order)
         ii, jj = np.nonzero(~np.eye(order, dtype=bool))  # every ordered pair of members
         rows, cols = arr[:, ii].ravel(), arr[:, jj].ravel()
-        data = np.ones(rows.size, dtype=np.int64)
-        comat = sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
-        return OrderProjection(order, self.degrees_by_order(order), comat)
+        return sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def incidence_pairs(self):
         """Directed incidences (edge_id, node) sorted by edge then node.
 
         Returns read-only (edge_ids, nodes), each of length sum of all
-        orders, with edges in input order, built on every call.  This is the
-        shared indexing backbone of the non-backtracking operator and the
-        file writer.
+        orders, with edges in input order, built on every call.  The file
+        writer and the edges view read it.
         """
         sizes = np.zeros(self.m, dtype=np.int64)
         for k, e in self.edges_by_order.items():

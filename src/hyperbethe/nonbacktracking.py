@@ -40,13 +40,13 @@ def nonbacktracking_matrix(h: Hypergraph, guard=5000) -> NonBacktracking:
     """
     import scipy.sparse as sp
 
-    edge_ids, nodes = h.incidence_pairs()
-    dim = edge_ids.size
+    dim = sum(k * c for k, c in h.order_counts().items())
     if dim > guard:
         raise SpectralError(f"non-backtracking dimension {dim} exceeds guard {guard}")
-    # sort directed hyperedges by (order of e, e, node); pairs already run by (e, node)
-    perm = np.argsort(np.bincount(edge_ids, minlength=h.m)[edge_ids], kind="stable")
-    pe, pn = edge_ids[perm], nodes[perm]
+    # directed hyperedges by (order of e, e, node): each order's rows are sorted
+    empty = np.zeros(0, dtype=np.int64)
+    pe = np.concatenate([empty, *(np.repeat(h.edges_by_order[k], k) for k in h.orders)])
+    pn = np.concatenate([empty, *(h.edge_array(k).ravel() for k in h.orders)])
     # (r, s) is 1 when r's hyperedge holds s's node elsewhere and s lies in another
     # hyperedge: (E'E - I)(N'N - I), E and N the 0/1 edge and node incidence matrices
     ones, cols = np.ones(dim, dtype=np.int64), np.arange(dim)
@@ -55,15 +55,6 @@ def nonbacktracking_matrix(h: Hypergraph, guard=5000) -> NonBacktracking:
     eye = sp.identity(dim, dtype=np.int64, format="csr")
     mat = (edge_inc.T @ edge_inc - eye) @ (node_inc.T @ node_inc - eye)
     return NonBacktracking(pe, pn, mat.tocsr().astype(np.int8))
-
-
-def pooling_matrix(nb: NonBacktracking, n) -> sp.csr_matrix:
-    """n x dim matrix summing directed-hyperedge entries onto their node."""
-    import scipy.sparse as sp
-
-    rows = nb.pair_nodes
-    cols = np.arange(nb.dim)
-    return sp.csr_matrix((np.ones(nb.dim), (rows, cols)), shape=(n, nb.dim))
 
 
 def real_eigenvalues_outside_bulk(nb: NonBacktracking, radius):
@@ -77,7 +68,7 @@ def real_eigenvalues_outside_bulk(nb: NonBacktracking, radius):
 def bethe_singularity(h: Hypergraph, eigenvalue):
     """(sigma_min, spectral norm) of the Bethe Hessian evaluated at a
     non-backtracking eigenvalue; sigma_min ~ 0 certifies the correspondence."""
-    B = bethe_hessian(h, float(eigenvalue)).matrix.to_dense()
+    B = bethe_hessian(h, float(eigenvalue)).matrix.toarray()
     svals = np.linalg.svd(B, compute_uv=False)
     return float(svals[-1]), float(svals[0])
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import Hypergraph, Partition
-from .sparsesym import SparseSymMatrix
 
 # Matrices with at most this many rows are solved densely.
 DENSE_CUTOFF = 600
@@ -30,6 +29,9 @@ MIN_NCV = 32
 # ARPACK's stopping tolerance for the count's batches, whose Ritz values only
 # have to be sign-resolved against the threshold by their own residuals.
 COUNT_TOL = 1e-2
+# ARPACK's stopping tolerance for the pairs that feed the embedding, and the
+# residual guard's.
+EIG_TOL = 1e-8
 # Eigenvalues below -NEG_TOL * max|B_ii| count as negative.
 NEG_TOL = 1e-8
 # Lloyd iterations per k-means restart.
@@ -48,18 +50,26 @@ class EigenConvergenceError(SpectralError):
 
 @dataclass(frozen=True)
 class BetheHessian:
+    """The operator at eta as a symmetric CSR, with what the eigensolves read off it.
+
+    norm is ||B||_inf (1 for the zero matrix), which scales the residual
+    guard; threshold is -NEG_TOL * max|B_ii| (max|B_ii| taken as 1 when the
+    diagonal is zero), below which an eigenvalue counts as negative.
+    """
+
     eta: float
-    matrix: SparseSymMatrix
+    matrix: sp.csr_matrix
+    norm: float
+    threshold: float
 
     @property
     def n(self):
-        return self.matrix.n
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
 class SpectralConfig:
     eta: float | None = None  # override for the degree-based default
-    eig_tol: float = 1e-8  # ARPACK's stopping tolerance and the residual guard's
     kmeans_restarts: int = 20
     seed: int = 0
 
@@ -108,27 +118,33 @@ def _check_poles(eta, orders):
 
 
 def bethe_hessian(h: Hypergraph, eta) -> BetheHessian:
-    """Assemble the operator at a given regularization value."""
+    """Assemble the operator at a given regularization value.
+
+    Each order's co-membership counts are scaled in place, the orders are
+    summed, and the sum is added to the diagonal.  Every term is symmetric,
+    so B equals its transpose entry for entry.
+    """
     import scipy.sparse as sp
 
     _check_poles(eta, h.orders)
-    n = h.n
-    diag = np.ones(n)
+    diag = np.ones(h.n)
     off = None
     for k in h.orders:
         denom = (1.0 - eta) * (eta + k - 1.0)
-        proj = h.projection(k)
-        diag -= (k - 1.0) / denom * proj.degree_diag
-        term = (eta / denom) * proj.comat
+        diag -= (k - 1.0) / denom * h.degrees_by_order(k)
+        term = h.projection(k)
+        term.data *= eta / denom
         off = term if off is None else off + term
     full = sp.diags(diag, format="csr")
     if off is not None:
-        full = full + off.tocsr()
-    return BetheHessian(float(eta), SparseSymMatrix.from_scipy(full))
+        full = full + off
+    norm = float(np.asarray(abs(full).sum(axis=1)).max(initial=0.0)) or 1.0
+    threshold = -NEG_TOL * (float(np.abs(full.diagonal()).max(initial=0.0)) or 1.0)
+    return BetheHessian(float(eta), full, norm, threshold)
 
 
-def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, v0=None, residuals=False):
-    """k algebraically smallest eigenpairs of a symmetric sparse matrix.
+def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, residuals=False):
+    """k algebraically smallest eigenpairs of the operator.
 
     Dense solve up to DENSE_CUTOFF rows, Lanczos (ARPACK) above it, started
     from v0 or, by default, from a seeded random vector for determinism.
@@ -143,21 +159,20 @@ def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, v0=None, res
     EigenConvergenceError carrying them.  With residuals=True they are
     returned as a third array, for callers that test each pair on its own.
     """
-    n = mat.n
+    n = B.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
     if n <= DENSE_CUTOFF or k >= n - 1:
-        w, v = np.linalg.eigh(mat.to_dense())
+        w, v = np.linalg.eigh(B.matrix.toarray())
         w, v = w[:k], v[:, :k]
     else:
         import scipy.sparse.linalg as spla
 
         if v0 is None:
             v0 = np.random.default_rng(seed).standard_normal(n)
-        csr = mat.to_csr()
         try:
             w, v = spla.eigsh(
-                csr, k=k, which="SA", v0=v0, ncv=min(n, max(2 * k + 1, MIN_NCV)), tol=tol,
+                B.matrix, k=k, which="SA", v0=v0, ncv=min(n, max(2 * k + 1, MIN_NCV)), tol=tol,
             )
         except spla.ArpackNoConvergence as exc:
             raise EigenConvergenceError(
@@ -166,13 +181,13 @@ def lowest_eigenpairs(mat: SparseSymMatrix, k, *, tol=1e-8, seed=0, v0=None, res
             ) from exc
         order = np.argsort(w)
         w, v = w[order], v[:, order]
-    return _guarded(mat, w, v, tol, residuals)
+    return _guarded(B, w, v, tol, residuals)
 
 
-def _guarded(mat: SparseSymMatrix, w, v, tol, residuals=False):
+def _guarded(B: BetheHessian, w, v, tol, residuals=False):
     """The pairs with signs fixed, once their residuals pass the guard at tol."""
-    bound = _residual_bound(mat, tol)
-    res = np.linalg.norm(mat.to_csr() @ v - v * w, axis=0)
+    bound = _residual_bound(B, tol)
+    res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
     if not np.all(res <= bound):  # a NaN residual fails too
         raise EigenConvergenceError(
             f"residuals {res.max():g} exceed {tol:g} * ||B|| = {bound:g}",
@@ -182,10 +197,9 @@ def _guarded(mat: SparseSymMatrix, w, v, tol, residuals=False):
     return (w, v, res) if residuals else (w, v)
 
 
-def _residual_bound(mat: SparseSymMatrix, tol):
+def _residual_bound(B: BetheHessian, tol):
     """The residual guard's bound: max(tol, 1e-12) * ||B||_inf."""
-    norm = float(abs(mat.to_csr()).sum(axis=1).max()) or 1.0
-    return max(tol, 1e-12) * norm
+    return max(tol, 1e-12) * B.norm
 
 
 def _fix_signs(v):
@@ -197,12 +211,8 @@ def _fix_signs(v):
     return v
 
 
-def negative_tolerance(B: BetheHessian):
-    return NEG_TOL * float(np.abs(B.matrix.diag).max() or 1.0)
-
-
-def _negative_eigenpairs(B: BetheHessian, *, tol=1e-8, seed=0):
-    """Eigenpairs of B below thr = -NEG_TOL * max|B_ii|, ascending.
+def _negative_eigenpairs(B: BetheHessian, *, seed=0):
+    """Eigenpairs of B below thr = B.threshold, ascending.
 
     Up to DENSE_CUTOFF rows one dense solve yields every eigenvalue; only
     the negative columns go through the guard and the sign fix, and leave
@@ -217,38 +227,38 @@ def _negative_eigenpairs(B: BetheHessian, *, tol=1e-8, seed=0):
     within ||r|| of a Ritz value theta with unit Ritz vector and residual r
     (Parlett, The Symmetric Eigenvalue Problem), so a batch is accepted only
     when every |theta_i - thr| > 2 ||r_i||; otherwise that batch is solved
-    again at tol, as a tight-only count would.  A thin margin thus costs
+    again at EIG_TOL, as a tight-only count would.  A thin margin thus costs
     time, never a sign.  The count is Krylov evidence either way, not a
     certificate: an eigenvalue the Krylov space never saw is not counted.
 
     The negative pairs feed the embedding, so they must also pass the
-    residual guard at tol.  Well-separated pairs converge far past COUNT_TOL
-    and usually pass already; if one does not, the pairs are refined by one
-    k = count solve at tol, started from the sum of the loose vectors.
+    residual guard at EIG_TOL.  Well-separated pairs converge far past
+    COUNT_TOL and usually pass already; if one does not, the pairs are refined
+    by one k = count solve at EIG_TOL, started from the sum of the loose vectors.
     """
-    thr = -negative_tolerance(B)
+    thr = B.threshold
     if B.n <= DENSE_CUTOFF:
-        w, v = np.linalg.eigh(B.matrix.to_dense())
+        w, v = np.linalg.eigh(B.matrix.toarray())
         count = int(np.sum(w < thr))
-        return _guarded(B.matrix, w[:count], v[:, :count], tol)
+        return _guarded(B, w[:count], v[:, :count], EIG_TOL)
     k = FIRST_BATCH
     while True:
         k = min(k, B.n)
-        w, v, res = lowest_eigenpairs(B.matrix, k, tol=COUNT_TOL, seed=seed, residuals=True)
+        w, v, res = lowest_eigenpairs(B, k, tol=COUNT_TOL, seed=seed, residuals=True)
         if np.any(np.abs(w - thr) <= 2.0 * res):
-            w, v, res = lowest_eigenpairs(B.matrix, k, tol=tol, seed=seed, residuals=True)
+            w, v, res = lowest_eigenpairs(B, k, tol=EIG_TOL, seed=seed, residuals=True)
         count = int(np.sum(w < thr))
         if count < k or k == B.n:
             break
         k *= 2
     w, v = w[:count], v[:, :count]
-    if np.any(res[:count] > _residual_bound(B.matrix, tol)):
-        w, v = lowest_eigenpairs(B.matrix, count, tol=tol, seed=seed, v0=v.sum(axis=1))
+    if np.any(res[:count] > _residual_bound(B, EIG_TOL)):
+        w, v = lowest_eigenpairs(B, count, tol=EIG_TOL, seed=seed, v0=v.sum(axis=1))
     return w, v
 
 
 def count_negative_eigenvalues(B: BetheHessian):
-    """Number of eigenvalues below -NEG_TOL * max|B_ii|."""
+    """Number of eigenvalues below B.threshold."""
     return len(_negative_eigenpairs(B)[0])
 
 
@@ -349,18 +359,18 @@ def spectral_cluster(h: Hypergraph, num_communities=None, config: SpectralConfig
     eta = cfg.eta if cfg.eta is not None else bulk_radius(h)
     B = bethe_hessian(h, eta)
     if num_communities is None:
-        w, v = _negative_eigenpairs(B, tol=cfg.eig_tol, seed=cfg.seed)
+        w, v = _negative_eigenpairs(B, seed=cfg.seed)
         q = len(w)
         if q == 0:
             raise SpectralError("no detectable structure: no negative eigenvalues")
     else:
         q = int(num_communities)
-        w, v = lowest_eigenpairs(B.matrix, q, tol=cfg.eig_tol, seed=cfg.seed)
+        w, v = lowest_eigenpairs(B, q, seed=cfg.seed)
     labels = kmeans(v, q, restarts=cfg.kmeans_restarts, seed=cfg.seed)
     return SpectralResult(
         eta=float(eta),
         eigenvalues=w,
-        num_negative=int(np.sum(w < -negative_tolerance(B))),
+        num_negative=int(np.sum(w < B.threshold)),
         embedding=v,
         partition=Partition(labels, q),
     )

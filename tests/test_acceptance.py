@@ -203,8 +203,8 @@ def test_c07_graph_reduction():
         spec = SymmetricHsbmSpec(n=400, q=2, orders=(2,), d=10.0, eps=0.1, seed=seed)
         h, _ = sample_symmetric(spec)
         # classical pipeline on the dyadic operator
-        A = h.projection(2).comat.toarray().astype(float)
-        D = np.diag(h.projection(2).degree_diag.astype(float))
+        A = h.projection(2).toarray()
+        D = np.diag(h.degrees_by_order(2).astype(float))
         eta = math.sqrt(h.degree_stats().mean)
         B_graph = (eta**2 - 1.0) * np.eye(h.n) - eta * A + D
         w_graph, v_graph = np.linalg.eigh(B_graph)
@@ -216,7 +216,7 @@ def test_c07_graph_reduction():
         labels_graph = kmeans(v_graph[:, :q_graph], q_graph, seed=0)
 
         B = bethe_hessian(h, bulk_radius(h))
-        w_hyper = np.linalg.eigvalsh(B.matrix.to_dense())
+        w_hyper = np.linalg.eigvalsh(B.matrix.toarray())
         sign_graph = np.sign(np.where(np.abs(w_graph) < 1e-10, 0.0, w_graph))
         sign_hyper = np.sign(np.where(np.abs(w_hyper) < 1e-10, 0.0, w_hyper))
         assert np.array_equal(sign_graph, sign_hyper), f"seed {seed}: sign pattern differs"

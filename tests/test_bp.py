@@ -171,8 +171,12 @@ class TestInit:
     def test_config_validation(self):
         with pytest.raises(BpError, match="max_sweeps"):
             BpConfig(max_sweeps=0)
-        with pytest.raises(BpError):
-            BpConfig(tol=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(BpError, match="convergence threshold"):
+                BpConfig(tol=tol)
+        for smoothing in (-0.1, 2.0, np.nan):
+            with pytest.raises(BpError, match="planted_smoothing"):
+                BpConfig(planted_smoothing=smoothing)
         with pytest.raises(BpError):
             BpConfig(damping=1.0)
         with pytest.raises(BpError):

@@ -482,3 +482,11 @@ class TestCli:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_normalize_without_confusion_is_a_usage_error(self, capsys):
+        # rejected before any input file is read: these paths do not exist
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["eval", "--input", "e", "--pred", "p", "--truth", "t", "--normalize"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--normalize needs --confusion" in err

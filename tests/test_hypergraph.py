@@ -99,9 +99,8 @@ class TestConstruction:
     def test_multiplicity_kept(self):
         h = Hypergraph(3, [(0, 1, 2), (0, 1, 2)])
         assert h.m == 2
-        proj = h.projection(3)
-        assert proj.comat[0, 1] == 2
-        assert list(proj.degree_diag) == [2, 2, 2]
+        assert h.projection(3)[0, 1] == 2
+        assert list(h.degrees_by_order(3)) == [2, 2, 2]
 
     def test_duplicate_hyperedges_are_multiplicity(self):
         h = Hypergraph(4, [(2, 1, 0), (0, 1), (0, 1, 2), (1, 0)])
@@ -192,7 +191,8 @@ class TestConstruction:
             for i in ids:
                 for a, b in itertools.permutations(edges[i], 2):
                     dense[a, b] += 1
-            assert np.array_equal(h.projection(k).comat.toarray(), dense)
+            proj = h.projection(k)
+            assert proj.dtype == np.float64 and np.array_equal(proj.toarray(), dense)
         edge_ids, nodes = h.incidence_pairs()
         assert edge_ids.tolist() == [i for i, e in enumerate(edges) for _ in e]
         assert nodes.tolist() == list(itertools.chain.from_iterable(edges))
@@ -227,14 +227,14 @@ class TestDegrees:
 
 class TestProjections:
     def test_single_2_edge(self):
-        proj = Hypergraph(2, [(0, 1)]).projection(2)
-        assert proj.comat.toarray().tolist() == [[0, 1], [1, 0]]
-        assert list(proj.degree_diag) == [1, 1]
+        h = Hypergraph(2, [(0, 1)])
+        assert h.projection(2).toarray().tolist() == [[0, 1], [1, 0]]
+        assert list(h.degrees_by_order(2)) == [1, 1]
 
     def test_single_3_edge(self):
         proj = Hypergraph(3, [(0, 1, 2)]).projection(3)
         expected = np.ones((3, 3)) - np.eye(3)
-        assert np.array_equal(proj.comat.toarray(), expected)
+        assert np.array_equal(proj.toarray(), expected)
 
     def test_missing_order_errors(self):
         with pytest.raises(HypergraphError):
@@ -247,9 +247,8 @@ class TestProjections:
         rng = np.random.default_rng(seed)
         h = random_hypergraph(rng, 12, orders=(2, 3, 4))
         for k in h.orders:
-            proj = h.projection(k)
-            rows = np.asarray(proj.comat.sum(axis=1)).ravel()
-            assert np.array_equal(rows, (k - 1) * proj.degree_diag)
+            rows = np.asarray(h.projection(k).sum(axis=1)).ravel()
+            assert np.array_equal(rows, (k - 1) * h.degrees_by_order(k))
 
 
 class TestFileIO:

@@ -72,7 +72,7 @@ def operator_arrays(case, h):
         r = spectral_cluster(h)
         return [r.eigenvalues, r.embedding, r.partition.labels]
     if case == "bethe_hessian":
-        csr = bethe_hessian(h, bulk_radius(h)).matrix.to_csr()
+        csr = bethe_hessian(h, bulk_radius(h)).matrix
         return [csr.data, csr.indices, csr.indptr]
     nb = nonbacktracking_matrix(h)
     return [nb.pair_edges, nb.pair_nodes, nb.matrix.data, nb.matrix.indices, nb.matrix.indptr]
@@ -151,7 +151,7 @@ def test_bench_span_readers_read_results():
     info = {name: tracing.INFO[name](*results[name]) for name in results}
     assert info["hypergraph.build"] == {"m": h.m, "incidences": incidences}
     assert info["spectral.cluster"] == {"q": 2}
-    assert info["spectral.operator"] == {"nnz": int(np.count_nonzero(B.matrix.to_dense()))}
+    assert info["spectral.operator"] == {"nnz": int(np.count_nonzero(B.matrix.toarray()))}
     assert info["bp.init"] == {"incidences": incidences}
     assert info["bp.run"] == {"sweeps": run.sweeps, "converged": run.converged}
     assert run.sweeps >= 1 and isinstance(run.converged, bool)

@@ -11,7 +11,6 @@ from hyperbethe import (
     count_negative_eigenvalues,
     nonbacktracking_matrix,
     operator_cost,
-    pooling_matrix,
     real_eigenvalues_outside_bulk,
     sample_symmetric,
 )
@@ -167,13 +166,12 @@ class TestCorrespondence:
         A = nb.matrix.toarray().astype(float)
         w, v = np.linalg.eig(A)
         scale = np.abs(w).max()
-        P = pooling_matrix(nb, h.n).toarray()
         checked = 0
         for idx in range(len(w)):
             if abs(w[idx].imag) > 1e-8 * scale or abs(w[idx].real) <= radius:
                 continue
-            mu = P @ v[:, idx].real
-            B = bethe_hessian(h, float(w[idx].real)).matrix.to_dense()
+            mu = np.bincount(nb.pair_nodes, weights=v[:, idx].real, minlength=h.n)
+            B = bethe_hessian(h, float(w[idx].real)).matrix.toarray()
             null = np.linalg.svd(B)[2][-1]
             cosine = abs(mu @ null) / (np.linalg.norm(mu) * np.linalg.norm(null))
             assert cosine >= 1.0 - 1e-6

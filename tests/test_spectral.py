@@ -37,9 +37,8 @@ def dense_operator(h, eta):
     B = np.eye(n)
     for k in h.orders:
         denom = (1.0 - eta) * (eta + k - 1.0)
-        proj = h.projection(k)
-        B -= np.diag((k - 1.0) / denom * proj.degree_diag)
-        B += eta / denom * proj.comat.toarray()
+        B -= np.diag((k - 1.0) / denom * h.degrees_by_order(k))
+        B += eta / denom * h.projection(k).toarray()
     return B
 
 
@@ -92,7 +91,7 @@ def bench_model(n, *, q=3, eps=0.1, seed=0):
 
 
 def guard_bound(B, tol=1e-8):
-    return tol * np.abs(B.matrix.to_dense()).sum(axis=1).max()
+    return tol * np.abs(B.matrix.toarray()).sum(axis=1).max()
 
 
 def with_isolated(h, extra):
@@ -135,23 +134,25 @@ class TestBetheHessian:
     def test_hand_value_single_2_edge(self):
         B = bethe_hessian(Hypergraph(2, [(0, 1)]), 2.0)
         expected = np.array([[4.0 / 3.0, -2.0 / 3.0], [-2.0 / 3.0, 4.0 / 3.0]])
-        assert np.allclose(B.matrix.to_dense(), expected, atol=1e-15)
+        assert np.allclose(B.matrix.toarray(), expected, atol=1e-15)
         # equals the classical graph operator (eta^2-1) I - eta A + D up to 1/(eta^2-1)
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         graph = 3.0 * np.eye(2) - 2.0 * A + np.eye(2)
-        assert np.allclose(B.matrix.to_dense(), graph / 3.0, atol=1e-15)
+        assert np.allclose(B.matrix.toarray(), graph / 3.0, atol=1e-15)
 
     def test_hand_value_single_3_edge(self):
         B = bethe_hessian(Hypergraph(3, [(0, 1, 2)]), 2.0)
         A3 = np.ones((3, 3)) - np.eye(3)
-        assert np.allclose(B.matrix.to_dense(), 1.5 * np.eye(3) - 0.5 * A3, atol=1e-15)
+        assert np.allclose(B.matrix.toarray(), 1.5 * np.eye(3) - 0.5 * A3, atol=1e-15)
         assert np.allclose(
-            np.linalg.eigvalsh(B.matrix.to_dense()), [0.5, 2.0, 2.0], atol=1e-12
+            np.linalg.eigvalsh(B.matrix.toarray()), [0.5, 2.0, 2.0], atol=1e-12
         )
 
     def test_empty_hypergraph_is_identity(self):
         B = bethe_hessian(Hypergraph(4, []), 3.7)
-        assert np.allclose(B.matrix.to_dense(), np.eye(4))
+        assert np.allclose(B.matrix.toarray(), np.eye(4))
+        B = bethe_hessian(Hypergraph(0, []), 3.7)
+        assert B.n == 0 and (B.norm, B.threshold) == (1.0, -1e-8)
 
     def test_pole_rejection(self):
         h = Hypergraph(3, [(0, 1, 2)])
@@ -169,52 +170,71 @@ class TestBetheHessian:
         eta = float(rng.uniform(1.5, 6.0))
         B = bethe_hessian(h, eta)
         dense = dense_operator(h, eta)
-        assert np.allclose(B.matrix.to_dense(), dense, atol=1e-12)
+        assert np.allclose(B.matrix.toarray(), dense, atol=1e-12)
         x = rng.standard_normal(n)
-        assert np.allclose(B.matrix.to_csr() @ x, dense @ x, atol=1e-12)
+        assert np.allclose(B.matrix @ x, dense @ x, atol=1e-12)
 
     def test_isolated_nodes_are_identity_rows(self):
         spec = SymmetricHsbmSpec(n=200, q=2, orders=(2, 3), d=10.0, eps=0.1, seed=5)
         h, _ = sample_symmetric(spec)
         eta = bulk_radius(h)
         big = with_isolated(h, 5)
-        dense = bethe_hessian(big, eta).matrix.to_dense()
+        dense = bethe_hessian(big, eta).matrix.toarray()
         assert np.array_equal(dense[200:, :], np.eye(205)[200:, :])
-        assert np.array_equal(dense[:200, :200], bethe_hessian(h, eta).matrix.to_dense())
+        assert np.array_equal(dense[:200, :200], bethe_hessian(h, eta).matrix.toarray())
 
     def test_single_order_ten_matches_dense_definition(self):
         rng = np.random.default_rng(22)
         h = Hypergraph(40, [tuple(rng.choice(40, size=10, replace=False)) for _ in range(15)])
         assert h.orders == (10,)
         B = bethe_hessian(h, 4.0)
-        assert np.allclose(B.matrix.to_dense(), dense_operator(h, 4.0), atol=1e-12)
+        assert np.allclose(B.matrix.toarray(), dense_operator(h, 4.0), atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["mixed_orders", "isolated_nodes", "single_order_ten"])
+    def test_exactly_symmetric(self, case):
+        # nothing symmetrizes B at run time, so B == B^T must hold bit for bit
+        rng = np.random.default_rng(7)
+        if case == "mixed_orders":
+            h = random_hypergraph(rng, 60, orders=(2, 3, 4))
+        elif case == "isolated_nodes":
+            h = with_isolated(random_hypergraph(rng, 60), 5)
+        else:
+            h = Hypergraph(40, [tuple(rng.choice(40, size=10, replace=False)) for _ in range(15)])
+        op = bethe_hessian(h, 3.3)
+        B, dense = op.matrix, op.matrix.toarray()
+        assert B.format == "csr" and B.dtype == np.float64
+        assert (B != B.T).nnz == 0
+        assert np.array_equal(dense, dense.T)
+        # the values stored next to it, once
+        assert op.norm == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-14)
+        assert op.threshold == -1e-8 * np.abs(np.diag(dense)).max()
 
     def test_nnz_bound(self):
         spec = SymmetricHsbmSpec(n=500, q=2, orders=(2, 3), d=6.0, eps=0.2, seed=4)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        bound = h.n + sum(h.projection(k).comat.nnz for k in h.orders)
+        bound = h.n + sum(h.projection(k).nnz for k in h.orders)
         assert B.matrix.nnz <= bound
 
 
 class TestEigensolver:
     def test_identity_matrix(self):
         B = bethe_hessian(Hypergraph(4, []), 2.0)
-        w, v = lowest_eigenpairs(B.matrix, 1)
+        w, v = lowest_eigenpairs(B, 1)
         assert w[0] == pytest.approx(1.0)
         assert np.linalg.norm(v[:, 0]) == pytest.approx(1.0)
 
     def test_3_edge_lowest(self):
         B = bethe_hessian(Hypergraph(3, [(0, 1, 2)]), 2.0)
-        w, _ = lowest_eigenpairs(B.matrix, 1)
+        w, _ = lowest_eigenpairs(B, 1)
         assert w[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_against_dense_oracle_small(self, rng):
         spec = SymmetricHsbmSpec(n=180, q=2, orders=(2, 3), d=8.0, eps=0.1, seed=3)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        w, v = lowest_eigenpairs(B.matrix, 4)
-        dense_w = np.linalg.eigvalsh(B.matrix.to_dense())
+        w, v = lowest_eigenpairs(B, 4)
+        dense_w = np.linalg.eigvalsh(B.matrix.toarray())
         assert np.allclose(w, dense_w[:4], atol=1e-8)
 
     def test_iterative_path_matches_dense(self):
@@ -222,27 +242,27 @@ class TestEigensolver:
         spec = SymmetricHsbmSpec(n=900, q=2, orders=(2,), d=8.0, eps=0.1, seed=6)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        w, v = lowest_eigenpairs(B.matrix, 3, seed=1)
-        dense_w = np.linalg.eigvalsh(B.matrix.to_dense())
+        w, v = lowest_eigenpairs(B, 3, seed=1)
+        dense_w = np.linalg.eigvalsh(B.matrix.toarray())
         assert np.allclose(w, dense_w[:3], atol=1e-7)
-        norm = np.abs(B.matrix.to_dense()).sum(axis=1).max()
-        res = np.linalg.norm(B.matrix.to_csr() @ v - v * w, axis=0)
+        norm = np.abs(B.matrix.toarray()).sum(axis=1).max()
+        res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
         assert res.max() <= 1e-8 * norm
 
     def test_determinism(self):
         spec = SymmetricHsbmSpec(n=900, q=2, orders=(2,), d=8.0, eps=0.1, seed=6)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        w1, v1 = lowest_eigenpairs(B.matrix, 2, seed=5)
-        w2, v2 = lowest_eigenpairs(B.matrix, 2, seed=5)
+        w1, v1 = lowest_eigenpairs(B, 2, seed=5)
+        w2, v2 = lowest_eigenpairs(B, 2, seed=5)
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
     def test_k_bounds(self):
         B = bethe_hessian(Hypergraph(3, [(0, 1, 2)]), 2.0)
         with pytest.raises(ValueError):
-            lowest_eigenpairs(B.matrix, 0)
+            lowest_eigenpairs(B, 0)
         with pytest.raises(ValueError):
-            lowest_eigenpairs(B.matrix, 4)
+            lowest_eigenpairs(B, 4)
 
 
 class TestCountNegative:
@@ -271,8 +291,8 @@ class TestCountNegative:
         spec = SymmetricHsbmSpec(n=300, q=2, orders=(2, 3), d=9.0, eps=0.15, seed=2)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        w = np.linalg.eigvalsh(B.matrix.to_dense())
-        thr = -1e-8 * np.abs(B.matrix.diag).max()
+        w = np.linalg.eigvalsh(B.matrix.toarray())
+        thr = -1e-8 * np.abs(B.matrix.diagonal()).max()
         assert count_negative_eigenvalues(B) == int((w < thr).sum())
 
 
@@ -335,7 +355,7 @@ class TestDenseLanczosSwitch:
         spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        full_w, full_v = lowest_eigenpairs(B.matrix, h.n)
+        full_w, full_v = lowest_eigenpairs(B, h.n)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(spectral.np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
@@ -343,7 +363,7 @@ class TestDenseLanczosSwitch:
         assert len(calls) == 1
         assert len(w) == 4
         # the pairs of one full solve, sliced: bitwise what a k = 8 solve returns
-        w8, v8 = lowest_eigenpairs(B.matrix, 8)
+        w8, v8 = lowest_eigenpairs(B, 8)
         for pairs in ((full_w[:4], full_v[:, :4]), (w8[:4], v8[:, :4])):
             assert np.array_equal(w, pairs[0]) and np.array_equal(v, pairs[1])
 
@@ -351,7 +371,7 @@ class TestDenseLanczosSwitch:
         spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        full_w, full_v = lowest_eigenpairs(B.matrix, h.n)
+        full_w, full_v = lowest_eigenpairs(B, h.n)
         eigh = np.linalg.eigh
 
         def perturbed(column):
@@ -375,7 +395,7 @@ class TestDenseLanczosSwitch:
         spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
         h, _ = sample_symmetric(spec)
         B = bethe_hessian(h, bulk_radius(h))
-        _, full_v = lowest_eigenpairs(B.matrix, h.n)
+        _, full_v = lowest_eigenpairs(B, h.n)
         result = spectral_cluster(h)
         assert result.partition.q == 4
         # a copy of the negative columns, not a view that keeps all n alive
@@ -404,7 +424,7 @@ class TestSignResolvedCount:
 
     @staticmethod
     def tight_only(B):
-        """The count with every batch at eig_tol, as before the loose pass."""
+        """The count with every batch at EIG_TOL, as before the loose pass."""
         with pytest.MonkeyPatch.context() as m:
             m.setattr(spectral, "COUNT_TOL", 1e-8)
             return spectral._negative_eigenpairs(B)
@@ -429,11 +449,11 @@ class TestSignResolvedCount:
         def unconverged_first_pair(mat, kwargs, out):
             if not kwargs.get("residuals"):
                 return out
-            # still sign-resolved, but outside the guard at eig_tol
+            # still sign-resolved, but outside the guard at EIG_TOL
             w, v, res = out
             x = v[:, 0] + 1e-5 * np.random.default_rng(0).standard_normal(mat.n)
             v[:, 0] = x / np.linalg.norm(x)
-            res[0] = np.linalg.norm(mat.to_csr() @ v[:, 0] - w[0] * v[:, 0])
+            res[0] = np.linalg.norm(mat.matrix @ v[:, 0] - w[0] * v[:, 0])
             loose.append(v.copy())
             return w, v, res
 
@@ -442,7 +462,7 @@ class TestSignResolvedCount:
         assert [(k, tol) for k, tol, _ in calls] == [(4, spectral.COUNT_TOL), (3, 1e-8)]
         assert calls[0][2] is None
         assert np.array_equal(calls[1][2], loose[0][:, :3].sum(axis=1))
-        res = np.linalg.norm(B.matrix.to_csr() @ v - v * w, axis=0)
+        res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
         assert res.max() <= guard_bound(B)
         assert np.allclose(w, tight_w, atol=1e-8)
         assert np.allclose(v, tight_v, atol=1e-6)
@@ -474,7 +494,7 @@ class TestSignResolvedCount:
 
         monkeypatch.setattr(spla, "eigsh", nan_column)
         with pytest.raises(EigenConvergenceError) as info:
-            lowest_eigenpairs(B.matrix, 3)
+            lowest_eigenpairs(B, 3)
         assert np.isnan(info.value.residuals).any()
 
     @pytest.mark.parametrize(
@@ -716,8 +736,8 @@ class TestClusterPipeline:
 class TestGraphReduction:
     def graph_pipeline(self, h, seed=0):
         """Classical dyadic pipeline: (eta^2-1) I - eta A + D at eta = sqrt(d)."""
-        A = h.projection(2).comat.toarray().astype(float)
-        D = np.diag(h.projection(2).degree_diag.astype(float))
+        A = h.projection(2).toarray()
+        D = np.diag(h.degrees_by_order(2).astype(float))
         eta = np.sqrt(h.degree_stats().mean)
         B = (eta**2 - 1.0) * np.eye(h.n) - eta * A + D
         w, v = np.linalg.eigh(B)
@@ -735,7 +755,7 @@ class TestGraphReduction:
             h, _ = sample_symmetric(spec)
             w_graph, qhat_graph, labels_graph = self.graph_pipeline(h)
             B = bethe_hessian(h, bulk_radius(h))
-            w_hyper = np.linalg.eigvalsh(B.matrix.to_dense())
+            w_hyper = np.linalg.eigvalsh(B.matrix.toarray())
             assert np.array_equal(np.sign(np.round(w_hyper, 12)), np.sign(np.round(w_graph, 12)))
             result = spectral_cluster(h)
             assert result.partition.q == qhat_graph
