@@ -17,12 +17,7 @@ import sys
 from .bp import BpConfig, bp_run
 from .detectability import snr_report
 from .experiments import ExperimentConfig, run, write_csv, write_json
-from .hsbm import (
-    rates_from_mean_degree,
-    sample_planted,
-    sample_symmetric,
-    spec_from_json,
-)
+from .hsbm import rates_from_mean_degree, sample_symmetric, spec_from_json
 from .hypergraph import (
     load_hyperedge_list,
     load_partition,
@@ -55,11 +50,7 @@ def cmd_generate(args):
     doc = _load_config(args)
     if args.seed is not None:
         doc["seed"] = args.seed
-    spec = spec_from_json(doc)
-    if hasattr(spec, "patterns"):
-        h, planted = sample_planted(spec)
-    else:
-        h, planted = sample_symmetric(spec)
+    h, planted = sample_symmetric(spec_from_json(doc))
     os.makedirs(args.out, exist_ok=True)
     save_hyperedge_list(h, os.path.join(args.out, "hypergraph.txt"))
     save_partition(planted, os.path.join(args.out, "planted.txt"))

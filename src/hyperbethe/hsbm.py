@@ -12,7 +12,8 @@ community composition, the number of hyperedges is Poisson with mean
 (#node tuples with that composition) * rate / n^(order-1), and the node
 tuples are drawn uniformly without replacement inside each block.  This is
 the sparse-regime equivalent of independent Bernoulli draws over all
-C(n, order) tuples and avoids their O(n^max_order) cost.
+C(n, order) tuples and avoids their O(n^max_order) cost.  One sampler,
+sample_symmetric (also bound as sample_planted), takes either spec kind.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _sample_cells(n, q, cells, seed):
     """
     ranges = block_ranges(n, q)
     sizes = [hi - lo for lo, hi in ranges]
-    blocks, lengths = [np.zeros(0, dtype=np.int64)], []
+    blocks, drawn = [np.zeros(0, dtype=np.int64)], []  # drawn: (order, m_cell) of each nonempty cell
     for cell_id, (order, counts, rate) in enumerate(cells):
         for community, c in counts:
             if c > sizes[community]:
@@ -220,8 +221,9 @@ def _sample_cells(n, q, cells, seed):
             for community, c in counts
         ]
         blocks.append(np.concatenate(cols, axis=1).ravel())
-        lengths += [order] * m_cell
-    return Hypergraph(n, np.concatenate(blocks), lengths)
+        drawn.append((order, m_cell))
+    drawn = np.array(drawn, dtype=np.int64).reshape(-1, 2)
+    return Hypergraph(n, np.concatenate(blocks), np.repeat(drawn[:, 0], drawn[:, 1]))
 
 
 def _cell_mean(n, sizes, order, counts, rate):
@@ -245,14 +247,12 @@ def _cells(spec):
     return cells
 
 
-def sample_symmetric(spec: SymmetricHsbmSpec):
-    """Draw (hypergraph, planted partition) from the symmetric HSBM."""
+def sample_symmetric(spec: SymmetricHsbmSpec | PlantedPatternSpec):
+    """Draw (hypergraph, planted partition) from a symmetric HSBM or a pattern-planted model."""
     return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), planted_partition(spec.n, spec.q)
 
 
-def sample_planted(spec: PlantedPatternSpec):
-    """Draw (hypergraph, planted partition) from a pattern-planted model."""
-    return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), planted_partition(spec.n, spec.q)
+sample_planted = sample_symmetric
 
 
 def expected_order_counts(spec):

@@ -37,11 +37,6 @@ class Partition:
         if labels.size and (labels.min() < 0 or labels.max() >= self.q):
             raise HypergraphError("labels must lie in [0, q)")
 
-    @classmethod
-    def from_labels(cls, labels):
-        labels = np.asarray(labels, dtype=np.int64)
-        return cls(labels, int(labels.max()) + 1 if labels.size else 1)
-
     @property
     def n(self):
         return int(self.labels.size)
@@ -88,16 +83,6 @@ class Hypergraph:
         self._rows = {k: nodes[starts[e, None] + np.arange(k)] for k, e in self.edges_by_order.items()}
         for arr in [*self.edges_by_order.values(), *self._rows.values()]:
             arr.flags.writeable = False
-        self._edges = None
-
-    @property
-    def edges(self):
-        """Hyperedges as sorted node tuples in input order: a compatibility view, built on first use."""
-        if self._edges is None:
-            edge_ids, nodes = self.incidence_pairs()
-            it, sizes = iter(nodes.tolist()), np.bincount(edge_ids, minlength=self.m).tolist()
-            self._edges = tuple(tuple(itertools.islice(it, k)) for k in sizes)
-        return self._edges
 
     def order_counts(self):
         """Number of hyperedges of each order present."""
@@ -141,7 +126,7 @@ class Hypergraph:
 
         Returns read-only (edge_ids, nodes), each of length sum of all
         orders, with edges in input order, built on every call.  The file
-        writer and the edges view read it.
+        writer reads it.
         """
         sizes = np.zeros(self.m, dtype=np.int64)
         for k, e in self.edges_by_order.items():
@@ -169,15 +154,14 @@ def _sorted_distinct(nodes, lengths):
     return out[keep], np.bincount(edge[keep], minlength=lengths.size)
 
 
-def load_hyperedge_list(path, *, dedup=False):
+def load_hyperedge_list(path):
     """Read a hyperedge-list text file.
 
     One hyperedge per line, whitespace-separated node tokens, '#' starts a
     comment.  Tokens are mapped to dense indices in first-appearance order;
     duplicate tokens within a line are dropped; lines with fewer than 2
     distinct nodes are skipped (a warning reports how many) and number no
-    node.  With dedup=True repeated identical hyperedges collapse to one,
-    in tuple-lexicographic order; the default keeps them as multiplicity.
+    node.  Repeated identical hyperedges are kept as multiplicity.
 
     Returns (hypergraph, node_names) where node_names[i] is the token of node i.
     """
@@ -207,12 +191,6 @@ def load_hyperedge_list(path, *, dedup=False):
     node = np.empty(len(tokens), dtype=np.int64)
     node[seen] = np.arange(seen.size)
     h = Hypergraph(seen.size, node[ids], lengths[kept])
-    if dedup:
-        padded = np.full((h.m, max(h.orders)), -1)
-        for k, e in h.edges_by_order.items():
-            padded[e, :k] = h.edge_array(k)
-        padded = np.unique(padded, axis=0)
-        h = Hypergraph(h.n, padded[padded >= 0], (padded >= 0).sum(axis=1))
     # Fresh copies: the split's own strings would keep its memory from being freed.
     return h, "\n".join(map(tokens.__getitem__, seen.tolist())).split("\n")
 
@@ -248,9 +226,9 @@ def save_hyperedge_list(h: Hypergraph, path, names=None):
 def save_partition(partition: Partition, path, names=None):
     """Write 'token label' lines, one node per line; names as in save_hyperedge_list."""
     names = [str(i) for i in range(partition.n)] if names is None else _checked_names(names, partition.n)
+    lines = map("{} {}\n".format, names, partition.labels.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, lab in enumerate(partition.labels):
-            fh.write(f"{names[i]} {int(lab)}\n")
+        fh.write("".join(lines))
 
 
 def load_partition(path, names) -> Partition:

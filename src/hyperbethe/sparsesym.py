@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class SparseSymMatrix:
-    """Real symmetric matrix: the CSR that from_scipy checked, with n and diag read from it."""
+    """Real symmetric matrix: the CSR that from_scipy checked."""
 
     def __init__(self, csr):
         self._csr = csr
-        self.n = int(csr.shape[0])
-        self.diag = np.asarray(csr.diagonal(), dtype=float)
 
     @classmethod
     def from_scipy(cls, mat):
@@ -27,13 +23,5 @@ class SparseSymMatrix:
             raise ValueError(f"matrix is not symmetric (asymmetry {asym:g})")
         return cls(mat)
 
-    @property
-    def nnz(self):
-        """Stored entries that are nonzero, over both triangles and the diagonal."""
-        return int(np.count_nonzero(self._csr.data))
-
     def to_csr(self):
         return self._csr
-
-    def to_dense(self):
-        return self._csr.toarray()

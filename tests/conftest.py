@@ -18,6 +18,13 @@ def labels_match_up_to_permutation(a, b, q):
     return False
 
 
+def edge_tuples(h):
+    """Hyperedges as sorted node tuples in input order, read off incidence_pairs()."""
+    edge_ids, nodes = h.incidence_pairs()
+    it, sizes = iter(nodes.tolist()), np.bincount(edge_ids, minlength=h.m).tolist()
+    return tuple(tuple(itertools.islice(it, k)) for k in sizes)
+
+
 def random_hypergraph(rng, n, orders=(2, 3), mean_edges_per_order=8):
     """Small random hypergraph for property tests; always has >= 1 edge."""
     edges = []

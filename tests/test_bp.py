@@ -24,7 +24,7 @@ from hyperbethe import (
 from hyperbethe import bp
 from hyperbethe.bp import INIT_NOISE, BpError
 
-from conftest import labels_match_up_to_permutation
+from conftest import edge_tuples, labels_match_up_to_permutation
 
 
 def brute_force_message(c_in, c_out, incoming):
@@ -118,7 +118,8 @@ class TestInit:
         # from q = 8 on, C- and Fortran-order row sums differ in the last bits
         spec = SymmetricHsbmSpec(n=300, q=q, orders=(2, 3, 4), d=8.0, eps=0.2, seed=q)
         h, planted = sample_symmetric(spec)
-        h = Hypergraph(h.n, [h.edges[e] for e in np.random.default_rng(q).permutation(h.m)])  # orders interleaved
+        edges = edge_tuples(h)
+        h = Hypergraph(h.n, [edges[e] for e in np.random.default_rng(q).permutation(h.m)])  # orders interleaved
         cfg = BpConfig(init=init, seed=11)
         edge_ids, nodes = h.incidence_pairs()
         rows = [np.flatnonzero(edge_ids == e) for e in range(h.m)]
@@ -283,7 +284,7 @@ class TestSweep:
         # marginals are one-hot within 3 sweeps for every node that has edges
         top = res.marginals[np.arange(h.n), planted.labels]
         used = np.zeros(h.n, dtype=bool)
-        for e in h.edges:
+        for e in edge_tuples(h):
             used[list(e)] = True
         assert np.all(top[used] > 0.999)
         assert bp_run(h, 2, spec.rates(), BpConfig(init="planted"), planted=planted).converged
@@ -409,7 +410,8 @@ class TestEdgeOrder:
     def test_shuffled_edges_same_result(self):
         spec = SymmetricHsbmSpec(n=1500, q=3, orders=(2, 3, 4), d=10.0, eps=0.15, seed=4)
         h, planted = sample_symmetric(spec)
-        shuffled = Hypergraph(h.n, [h.edges[e] for e in np.random.default_rng(5).permutation(h.m)])
+        edges = edge_tuples(h)
+        shuffled = Hypergraph(h.n, [edges[e] for e in np.random.default_rng(5).permutation(h.m)])
         cfg = BpConfig(init="planted")
         a = bp_run(h, 3, spec.rates(), cfg, planted=planted)
         b = bp_run(shuffled, 3, spec.rates(), cfg, planted=planted)

@@ -27,6 +27,8 @@ from hyperbethe.detectability import (
 )
 from hyperbethe.hsbm import order_experiment_spec, shape_experiment_spec
 
+from conftest import edge_tuples
+
 
 class TestDegreesFromRates:
     def test_pairwise_substitution(self):
@@ -75,10 +77,11 @@ class TestSnrBh:
         spec = SymmetricHsbmSpec(n=10_000, q=q, orders=orders, d=d, eps=eps, seed=17)
         h, planted = sample_symmetric(spec)
         per = degrees_from_rates(q, orders, *spec.rates())
+        edges = edge_tuples(h)
         for k in orders:
             n_in = 0
             for idx in h.edges_by_order[k]:
-                e = h.edges[idx]
+                e = edges[idx]
                 if len(set(planted.labels[list(e)])) == 1:
                     n_in += k
             din_hat = n_in / h.n

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from scipy import stats as scistats
@@ -15,6 +17,8 @@ from hyperbethe import (
     spec_from_json,
 )
 from hyperbethe.hsbm import HsbmError, expected_order_counts
+
+from conftest import edge_tuples
 
 
 class TestRateResolution:
@@ -99,13 +103,13 @@ class TestSymmetricSampler:
         spec = SymmetricHsbmSpec(n=400, q=2, orders=(2, 3), d=8.0, eps=0.3, seed=9)
         h1, p1 = sample_symmetric(spec)
         h2, p2 = sample_symmetric(spec)
-        assert sorted(h1.edges) == sorted(h2.edges)
+        assert sorted(edge_tuples(h1)) == sorted(edge_tuples(h2))
         assert np.array_equal(p1.labels, p2.labels)
 
     def test_eps_zero_purity(self):
         spec = SymmetricHsbmSpec(n=300, q=3, orders=(2, 3), d=6.0, eps=0.0, seed=1)
         h, planted = sample_symmetric(spec)
-        for e in h.edges:
+        for e in edge_tuples(h):
             assert len(set(planted.labels[list(e)])) == 1
 
     def test_order_counts_within_3_sigma(self):
@@ -163,6 +167,25 @@ class TestSymmetricSampler:
             sample_planted(spec)
 
 
+class TestOneSampler:
+    def test_either_name_takes_either_spec(self):
+        sym = SymmetricHsbmSpec(n=300, q=3, orders=(2, 3), d=6.0, eps=0.2, seed=4)
+        c_in, c_out = sym.rates()
+        # the symmetric spec's cells written out as patterns, in its cell order
+        cells = []
+        for k in (2, 3):
+            for comp in combinations_with_replacement(range(3), k):
+                counts = tuple((b, comp.count(b)) for b in sorted(set(comp)))
+                cells.append(PlantedPattern(k, counts, c_in if len(counts) == 1 else c_out))
+        pat = PlantedPatternSpec(300, 3, tuple(cells), seed=4)
+        draws = [sample_planted(sym), sample_symmetric(sym), sample_symmetric(pat), sample_planted(pat)]
+        for h, planted in draws:
+            assert edge_tuples(h) == edge_tuples(draws[0][0]) and h.m > 0
+            assert {k: v.tolist() for k, v in h.edges_by_order.items()} == {
+                k: v.tolist() for k, v in draws[0][0].edges_by_order.items()}
+            assert np.array_equal(planted.labels, draws[0][1].labels) and planted.q == 3
+
+
 class TestPlantedSampler:
     def test_balanced_pattern_composition(self):
         spec = PlantedPatternSpec(
@@ -170,7 +193,7 @@ class TestPlantedSampler:
         )
         h, planted = sample_planted(spec)
         assert h.m > 0
-        for e in h.edges:
+        for e in edge_tuples(h):
             counts = np.bincount(planted.labels[list(e)], minlength=2)
             assert list(counts) == [2, 2]
 
@@ -179,7 +202,7 @@ class TestPlantedSampler:
         spec = shape_experiment_spec(4000, 10.0, rho, order=4, seed=7)
         h, planted = sample_planted(spec)
         balanced = imbalanced = 0
-        for e in h.edges:
+        for e in edge_tuples(h):
             counts = np.bincount(planted.labels[list(e)], minlength=4)
             if max(counts) == 2:
                 balanced += 1

@@ -17,7 +17,7 @@ from hyperbethe import (
     save_partition,
 )
 
-from conftest import random_hypergraph
+from conftest import edge_tuples, random_hypergraph
 
 
 def reference_edges(n, hyperedges):
@@ -33,7 +33,7 @@ def reference_edges(n, hyperedges):
     return edges
 
 
-def reference_load(path, dedup=False):
+def reference_load(path):
     """Per-line hyperedge-list reader: (edges, names, dropped line count)."""
     index, names, edges, dropped = {}, [], [], 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -52,8 +52,6 @@ def reference_load(path, dedup=False):
                     names.append(tok)
                 edge.append(index[tok])
             edges.append(tuple(sorted(edge)))
-    if dedup:
-        edges = sorted(set(edges))
     return edges, names, dropped
 
 
@@ -63,19 +61,19 @@ def reference_save(edges, path, names):
             fh.write(" ".join(names[i] for i in e) + "\n")
 
 
-def check_against_reference_load(path, dedup=False):
+def check_against_reference_load(path):
     """The loader gives the per-line reader's hyperedges, names and warning, or both find none."""
-    edges, names, dropped = reference_load(path, dedup)
+    edges, names, dropped = reference_load(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if not edges:
             with pytest.raises(HypergraphError, match="no hyperedges"):
-                load_hyperedge_list(path, dedup=dedup)
+                load_hyperedge_list(path)
         else:
-            h, got_names = load_hyperedge_list(path, dedup=dedup)
+            h, got_names = load_hyperedge_list(path)
             assert got_names == names
             assert h.n == len(names)
-            assert h.edges == tuple(edges)
+            assert edge_tuples(h) == tuple(edges)
     expected = [f"dropped {dropped} line(s) with fewer than 2 distinct nodes"] if dropped else []
     assert [str(w.message) for w in caught] == expected
 
@@ -83,7 +81,7 @@ def check_against_reference_load(path, dedup=False):
 class TestConstruction:
     def test_canonical_form(self):
         h = Hypergraph(4, [(2, 0, 1), (3, 1)])
-        assert h.edges == ((0, 1, 2), (1, 3))
+        assert edge_tuples(h) == ((0, 1, 2), (1, 3))
         assert h.orders == (2, 3)
 
     def test_rejects_singletons(self):
@@ -116,7 +114,7 @@ class TestConstruction:
         h = Hypergraph(3, [(1, 1, 2)])
         assert h.orders == (2,)
         assert h.edge_array(2).tolist() == [[1, 2]]
-        assert h.edges == ((1, 2),)
+        assert edge_tuples(h) == ((1, 2),)
 
     def test_error_messages(self):
         with pytest.raises(HypergraphError, match=r"^hyperedge \(1, 1\) has fewer than 2 distinct nodes$"):
@@ -141,7 +139,7 @@ class TestConstruction:
         edge_ids, nodes = h.incidence_pairs()
         assert edge_ids.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5]
         assert nodes.tolist() == list(itertools.chain.from_iterable(sorted(e) for e in edges))
-        assert h.edges == tuple(tuple(sorted(e)) for e in edges)
+        assert edge_tuples(h) == tuple(tuple(sorted(e)) for e in edges)
 
     def test_edge_array_is_stored_read_only(self):
         h = Hypergraph(4, [(0, 1), (1, 2, 3), (2, 3)])
@@ -156,13 +154,13 @@ class TestConstruction:
     def test_concatenated_input(self):
         edges = [(2, 1, 0), (4, 3), (3, 3, 1)]
         h = Hypergraph(5, [2, 1, 0, 4, 3, 3, 3, 1], lengths=[3, 2, 3])
-        assert h.edges == Hypergraph(5, edges).edges
+        assert edge_tuples(h) == edge_tuples(Hypergraph(5, edges))
         with pytest.raises(HypergraphError, match="lengths"):
             Hypergraph(5, [0, 1, 2], lengths=[2, 2])
 
     def test_empty(self):
         h = Hypergraph(3, [])
-        assert (h.m, h.orders, h.edges) == (0, (), ())
+        assert (h.m, h.orders, edge_tuples(h)) == (0, (), ())
         assert [a.size for a in h.incidence_pairs()] == [0, 0]
         assert h.node_degrees().tolist() == [0, 0, 0]
 
@@ -181,7 +179,7 @@ class TestConstruction:
             return
         h = Hypergraph(n, hyperedges)
         assert h.m == len(edges)
-        assert h.edges == tuple(edges)
+        assert edge_tuples(h) == tuple(edges)
         assert h.orders == tuple(sorted({len(e) for e in edges}))
         for k in h.orders:
             ids = [i for i, e in enumerate(edges) if len(e) == k]
@@ -221,7 +219,7 @@ class TestDegrees:
         # sum_i d_i = sum_e |e| = sum_k k * m^(k)
         h = random_hypergraph(rng, 20, orders=(2, 3, 4))
         total = int(h.node_degrees().sum())
-        assert total == sum(len(e) for e in h.edges)
+        assert total == sum(len(e) for e in edge_tuples(h))
         assert total == sum(k * m for k, m in h.order_counts().items())
 
 
@@ -264,7 +262,7 @@ class TestFileIO:
         path = tmp_path / "edges.txt"
         path.write_text("a a b\n")
         h, names = load_hyperedge_list(path)
-        assert h.edges == ((0, 1),)
+        assert edge_tuples(h) == ((0, 1),)
 
     def test_short_lines_dropped_with_warning(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -289,12 +287,6 @@ class TestFileIO:
         with pytest.raises(OSError):
             load_hyperedge_list(tmp_path / "nope.txt")
 
-    def test_dedup_flag(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        path.write_text("a b\nb a\n")
-        h, _ = load_hyperedge_list(path, dedup=True)
-        assert h.m == 1
-
     @pytest.mark.parametrize(
         "content",
         [
@@ -309,6 +301,7 @@ class TestFileIO:
             b"a b\nb c",
             b"a\x00 b\nb a\x00 c\n",
             b"\n\n  \na b\n\n",
+            b"c a b\na b\nb a c\nd a\na b\nb d\nd c b a\na d\nb c a d\n",  # mixed orders, repeats kept
         ],
     )
     def test_matches_per_line_reader(self, tmp_path, content):
@@ -316,33 +309,24 @@ class TestFileIO:
         path.write_bytes(content)
         check_against_reference_load(path)
 
-    def test_dedup_mixed_orders_matches_per_line_reader(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        path.write_text("c a b\na b\nb a c\nd a\na b\nb d\nd c b a\na d\nb c a d\n")
-        check_against_reference_load(path, dedup=True)
-        h, names = load_hyperedge_list(path, dedup=True)
-        assert names == ["c", "a", "b", "d"]
-        assert h.edges == ((0, 1, 2), (0, 1, 2, 3), (1, 2), (1, 3), (2, 3))
-
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
             st.sampled_from(["a", "b", "c", "\u00e9", "x\x00", " ", "\t", "\n", "\r", "\r\n", "#", "\u00a0", "\u2028"]),
             max_size=40,
         ),
-        st.booleans(),
     )
-    def test_random_text_matches_per_line_reader(self, tmp_path_factory, pieces, dedup):
+    def test_random_text_matches_per_line_reader(self, tmp_path_factory, pieces):
         path = tmp_path_factory.mktemp("load") / "edges.txt"
         path.write_bytes("".join(pieces).encode("utf-8"))
-        check_against_reference_load(path, dedup)
+        check_against_reference_load(path)
 
     def test_save_matches_per_edge_writer(self, tmp_path, rng):
         h = random_hypergraph(rng, 15, orders=(3, 2, 4))
         names = [f"n{i}\u00e9" for i in range(h.n)]
         for args in ((), (names,)):
             save_hyperedge_list(h, tmp_path / "got.txt", *args)
-            reference_save(h.edges, tmp_path / "ref.txt", *args or ([str(i) for i in range(h.n)],))
+            reference_save(edge_tuples(h), tmp_path / "ref.txt", *args or ([str(i) for i in range(h.n)],))
             assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
         save_hyperedge_list(Hypergraph(2, []), tmp_path / "empty.txt")
         assert (tmp_path / "empty.txt").read_bytes() == b""
@@ -351,10 +335,15 @@ class TestFileIO:
         h = Hypergraph(5, [(0, 1, 2), (3, 4), (1, 4)])
         names = ["\u00e9t\u00e9", "\u8282\u70b9", "x\x00y", "\U0001f642", "\u03a9"]
         save_hyperedge_list(h, tmp_path / "got.txt", names)
-        reference_save(h.edges, tmp_path / "ref.txt", names)
+        reference_save(edge_tuples(h), tmp_path / "ref.txt", names)
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
         back, got_names = load_hyperedge_list(tmp_path / "got.txt")
-        assert got_names == names and back.edges == h.edges
+        assert got_names == names and edge_tuples(back) == edge_tuples(h)
+        labels = [0, 1, 0, 1, 2]
+        save_partition(Partition(labels, 3), tmp_path / "part.txt", names)
+        expected = "".join(f"{name} {lab}\n" for name, lab in zip(names, labels))
+        assert (tmp_path / "part.txt").read_bytes() == expected.encode("utf-8")
+        assert load_partition(tmp_path / "part.txt", names).labels.tolist() == labels
 
     @pytest.mark.parametrize(
         "names, match",
@@ -375,7 +364,7 @@ class TestFileIO:
         with pytest.raises(HypergraphError, match=match):
             save_hyperedge_list(h, tmp_path / "edges.txt", names)
         with pytest.raises(HypergraphError, match=match):
-            save_partition(Partition.from_labels([0, 1, 0]), tmp_path / "part.txt", names)
+            save_partition(Partition([0, 1, 0], 2), tmp_path / "part.txt", names)
         assert not (tmp_path / "edges.txt").exists() and not (tmp_path / "part.txt").exists()
 
     def test_split_and_comment_names_fail(self, tmp_path):
@@ -391,13 +380,13 @@ class TestFileIO:
         h2, names = load_hyperedge_list(p1)
         save_hyperedge_list(h2, p2, names)
         h3, _ = load_hyperedge_list(p2)
-        assert sorted(h2.edges) == sorted(h3.edges)
+        assert sorted(edge_tuples(h2)) == sorted(edge_tuples(h3))
         assert h2.n == h3.n
 
 
 class TestPartitionIO:
     def test_roundtrip(self, tmp_path):
-        part = Partition.from_labels([0, 1, 0])
+        part = Partition([0, 1, 0], 2)
         names = ["x", "y", "z"]
         path = tmp_path / "part.txt"
         save_partition(part, path, names)

@@ -19,7 +19,7 @@ from hyperbethe import (
 )
 from hyperbethe.metrics import entropy_from_marginals
 
-from conftest import random_hypergraph
+from conftest import edge_tuples, random_hypergraph
 
 
 def ami_oracle(a, b):
@@ -207,7 +207,7 @@ class TestComposition:
         h = random_hypergraph(rng, 40, orders=(3, 2, 5, 4), mean_edges_per_order=30)
         labels = rng.integers(0, 4, size=h.n)
         max_same, order_freq = {}, {}
-        for e in h.edges:
+        for e in edge_tuples(h):
             key = (len(e), int(np.bincount(labels[list(e)]).max()))
             max_same[key] = max_same.get(key, 0) + 1
             order_freq[len(e)] = order_freq.get(len(e), 0) + 1

@@ -15,11 +15,13 @@ from hyperbethe import (
     sample_symmetric,
 )
 
+from conftest import edge_tuples
+
 
 def classical_graph_nb(h):
     """Directed-edge non-backtracking matrix of a 2-uniform hypergraph."""
     arcs = []
-    for e in h.edges:
+    for e in edge_tuples(h):
         i, j = e
         arcs.append((i, j))
         arcs.append((j, i))
@@ -58,12 +60,12 @@ class TestConstruction:
     def test_rows_follow_membership_rule(self):
         h = Hypergraph(4, [(0, 1, 2), (2, 3), (1, 3)])
         nb = nonbacktracking_matrix(h)
-        dense = nb.matrix.toarray()
+        dense, edges = nb.matrix.toarray(), edge_tuples(h)
         for r in range(nb.dim):
             e1, i = nb.pair_edges[r], nb.pair_nodes[r]
             for c in range(nb.dim):
                 e2, j = nb.pair_edges[c], nb.pair_nodes[c]
-                expected = int(j in h.edges[e1] and j != i and e2 != e1)
+                expected = int(j in edges[e1] and j != i and e2 != e1)
                 assert dense[r, c] == expected
 
     def test_matches_per_incidence_build(self):
@@ -73,15 +75,16 @@ class TestConstruction:
         edges = [tuple(rng.choice(25, size=k, replace=False)) for k in rng.integers(2, 6, size=40)]
         h = Hypergraph(30, edges + edges[:3])
         nb = nonbacktracking_matrix(h)
-        sizes = [len(e) for e in h.edges]
-        pairs = sorted(((sizes[e], e, i) for e, edge in enumerate(h.edges) for i in edge))
+        edges = edge_tuples(h)
+        sizes = [len(e) for e in edges]
+        pairs = sorted(((sizes[e], e, i) for e, edge in enumerate(edges) for i in edge))
         assert nb.pair_edges.tolist() == [e for _, e, _ in pairs]
         assert nb.pair_nodes.tolist() == [i for _, _, i in pairs]
         pos = {(e, i): r for r, (_, e, i) in enumerate(pairs)}
         dense = np.zeros((nb.dim, nb.dim), dtype=np.int8)
         for (_, e1, i), r in zip(pairs, range(nb.dim)):
-            for j in h.edges[e1]:
-                for e2, edge in enumerate(h.edges):
+            for j in edges[e1]:
+                for e2, edge in enumerate(edges):
                     if j != i and e2 != e1 and j in edge:
                         dense[r, pos[(e2, j)]] = 1
         assert nb.matrix.dtype == np.int8

@@ -28,7 +28,7 @@ from hyperbethe import (
 from hyperbethe import spectral
 from hyperbethe.spectral import EigenConvergenceError
 
-from conftest import labels_match_up_to_permutation, random_hypergraph
+from conftest import edge_tuples, labels_match_up_to_permutation, random_hypergraph
 
 
 def dense_operator(h, eta):
@@ -96,7 +96,7 @@ def guard_bound(B, tol=1e-8):
 
 def with_isolated(h, extra):
     """The same hyperedges on extra trailing nodes that no hyperedge touches."""
-    return Hypergraph(h.n + extra, list(h.edges))
+    return Hypergraph(h.n + extra, list(edge_tuples(h)))
 
 
 class TestBulkRadius:
@@ -723,7 +723,7 @@ class TestClusterPipeline:
         h, planted = sample_symmetric(spec)
         rng = np.random.default_rng(0)
         perm = rng.permutation(h.n)
-        hp = Hypergraph(h.n, [tuple(perm[list(e)]) for e in h.edges])
+        hp = Hypergraph(h.n, [tuple(perm[list(e)]) for e in edge_tuples(h)])
         r1 = spectral_cluster(h)
         r2 = spectral_cluster(hp)
         assert np.allclose(np.sort(r1.eigenvalues), np.sort(r2.eigenvalues), atol=1e-10)
