@@ -19,8 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .hsbm import (
-    PlantedPatternSpec,
-    SymmetricHsbmSpec,
+    _cells,
     order_experiment_spec,
     rates_from_mean_degree,
     shape_experiment_spec,
@@ -52,6 +51,10 @@ def degrees_from_rates(q, orders, c_in, c_out):
     d_out(k) = c_out / (q^(k-1) (k-1)!)   -- per mixed community combination
     d(k)     = d_in(k) + (q^(k-1) - 1) d_out(k)
     """
+    if q < 2:
+        raise DetectabilityError(f"q = {q} must be >= 2")
+    if not (math.isfinite(c_in) and math.isfinite(c_out)) or min(c_in, c_out) < 0.0 or c_in == c_out == 0.0:
+        raise DetectabilityError(f"rates ({c_in}, {c_out}) must be finite, nonnegative and not both zero")
     out = {}
     for k in sorted(set(int(k) for k in orders)):
         scale = q ** (k - 1) * math.factorial(k - 1)
@@ -194,7 +197,7 @@ def critical_epsilon(q, orders, d, which="bh"):
 
     lo, hi = 0.0, 1.0
     f_lo = snr_at(lo) - 1.0
-    if f_lo <= 0.0:
+    if not f_lo > 0.0:
         raise DetectabilityError(
             f"undetectable at any eps: SNR_{which.upper()}(0) = {f_lo + 1.0:g} <= 1"
         )
@@ -236,24 +239,12 @@ def uniform_critical_epsilon(q, order, d):
 
 
 def pair_rate_matrix(spec):
-    """q x q pairwise rate matrix per order for a generator spec."""
-    if isinstance(spec, SymmetricHsbmSpec):
-        c_in, c_out = spec.rates()
-        out = {}
-        for k in spec.orders:
-            cin_k, cout_k = symmetric_pair_rates(spec.q, k, c_in, c_out)
-            mat = np.full((spec.q, spec.q), cout_k)
-            np.fill_diagonal(mat, cin_k)
-            out[k] = mat
-        return out
-    if not isinstance(spec, PlantedPatternSpec):
-        raise DetectabilityError("unsupported spec type")
+    """q x q pairwise rate matrix per order for a symmetric or pattern spec."""
     q = spec.q
     out = {}
-    for pat in spec.patterns:
-        k = pat.order
+    for k, counts, rate in _cells(spec):
         mat = out.setdefault(k, np.zeros((q, q)))
-        counts = dict(pat.counts)
+        counts = dict(counts)
         scale = q ** (k - 2)
         for a in range(q):
             for b in range(q):
@@ -265,20 +256,8 @@ def pair_rate_matrix(spec):
                 denom = scale
                 for v in rem.values():
                     denom *= math.factorial(v)
-                mat[a, b] += pat.rate / denom
+                mat[a, b] += rate / denom
     return out
-
-
-def symmetric_pair_rates(q, order, c_in, c_out):
-    """Diagonal/off-diagonal pairwise rates of the symmetric model.
-
-    in:  (c_in + (q^(k-2) - 1) c_out) / (q^(k-2) (k-2)!)
-    out: c_out / (k-2)!
-    """
-    scale = q ** (order - 2) * math.factorial(order - 2)
-    cin_k = (c_in + (q ** (order - 2) - 1) * c_out) / scale
-    cout_k = q ** (order - 2) * c_out / scale
-    return cin_k, cout_k
 
 
 def order_degree_from_pair_rates(matrix, order):

@@ -52,12 +52,10 @@ class ExperimentConfig:
     methods: tuple = ("bh",)
     seed: int = 0
     out: str = "results"
-    fixed_q: int | None = None
     shape_order: int = 4
     low_order: int = 2
     high_order: int = 3
     bp: BpConfig = BpConfig()
-    eta_grid: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "d", float(self.d))
@@ -78,7 +76,7 @@ class ExperimentConfig:
         doc = dict(doc)
         if "bp" in doc:
             doc["bp"] = BpConfig(**doc["bp"])
-        for key in ("grid", "orders", "methods", "eta_grid"):
+        for key in ("grid", "orders", "methods"):
             if key in doc:
                 doc[key] = tuple(doc[key])
         return cls(**doc)
@@ -191,10 +189,9 @@ def run_eps_sweep(cfg: ExperimentConfig):
 
     Per grid point and repetition: sample, detect with the requested
     methods, score AMI against the planted partition.  Spectral detection
-    estimates the community count from the negative eigenvalues unless
-    fixed_q is set.  Finding no structure (a SpectralError) scores 0; BP
-    that stops at its sweep cap still scores; any other error fails the
-    sweep.
+    estimates the community count from the negative eigenvalues.  Finding
+    no structure (a SpectralError) scores 0; BP that stops at its sweep cap
+    still scores; any other error fails the sweep.
     """
 
     def score(eps, seed):
@@ -202,7 +199,7 @@ def run_eps_sweep(cfg: ExperimentConfig):
         h, planted = sample_symmetric(spec)
         out = {}
         if "bh" in cfg.methods:
-            out["bh"] = _bh_scores(h, cfg.fixed_q, planted)[0]
+            out["bh"] = _bh_scores(h, None, planted)[0]
         if "bp" in cfg.methods:
             res = bp_run(h, cfg.q, spec.rates(), replace(cfg.bp, seed=seed), planted=planted)
             out["bp"] = ami(res.partition, planted)
@@ -289,7 +286,7 @@ def run_spectrum(cfg: ExperimentConfig):
     radius = bulk_radius(h)
     nb = nonbacktracking_matrix(h, guard=50000)
     w = np.linalg.eigvals(nb.matrix.toarray())
-    etas = cfg.eta_grid or tuple(np.linspace(1.05, 1.5 * radius, 10))
+    etas = np.linspace(1.05, 1.5 * radius, 10)
     bh_spectra = []
     for eta in etas:
         B = bethe_hessian(h, float(eta))

@@ -41,16 +41,12 @@ def block_sizes(n, q):
 
 def block_ranges(n, q):
     """Contiguous [lo, hi) node-index ranges of the q blocks."""
-    sizes = block_sizes(n, q)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return [(int(bounds[b]), int(bounds[b + 1])) for b in range(q)]
+    bounds = np.cumsum([0] + block_sizes(n, q)).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def planted_partition(n, q) -> Partition:
-    labels = np.concatenate(
-        [np.full(hi - lo, b, dtype=np.int64) for b, (lo, hi) in enumerate(block_ranges(n, q))]
-    )
-    return Partition(labels, q)
+    return Partition(np.repeat(np.arange(q), block_sizes(n, q)), q)
 
 
 def rates_from_mean_degree(q, orders, d, eps):
@@ -63,14 +59,14 @@ def rates_from_mean_degree(q, orders, d, eps):
     orders = sorted(set(int(k) for k in orders))
     if not orders:
         raise HsbmError("order set must be nonempty")
-    if not 0.0 <= eps:
-        raise HsbmError("eps must be nonnegative")
+    if not (math.isfinite(d) and d > 0.0):
+        raise HsbmError(f"mean degree {d} must be positive and finite")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise HsbmError(f"eps {eps} must be nonnegative and finite")
     denom = 0.0
     for k in orders:
         w = q ** (k - 1)
         denom += (1.0 + eps * (w - 1)) / (w * factorial(k - 1))
-    if denom <= 0.0:
-        raise HsbmError("degenerate order set: zero mean-degree coefficient")
     c_in = d / denom
     return c_in, eps * c_in
 
@@ -168,12 +164,8 @@ class PlantedPatternSpec:
 
 
 def _distinct_rows(rng, lo, hi, c, m):
-    """m rows of c distinct uniform draws from [lo, hi); deterministic in rng."""
+    """m >= 1 rows of c <= hi - lo distinct uniform draws from [lo, hi); deterministic in rng."""
     size = hi - lo
-    if c > size:
-        raise HsbmError(f"cannot draw {c} distinct nodes from a block of {size}")
-    if m == 0:
-        return np.zeros((0, c), dtype=np.int64)
     if c == 1:
         return rng.integers(lo, hi, size=(m, 1))
     if 2 * c > size:
@@ -200,7 +192,7 @@ def _sample_cells(n, q, cells, seed):
     hyperedges in cell order.
     """
     ranges = block_ranges(n, q)
-    sizes = [hi - lo for lo, hi in ranges]
+    sizes = block_sizes(n, q)
     blocks, drawn = [np.zeros(0, dtype=np.int64)], []  # drawn: (order, m_cell) of each nonempty cell
     for cell_id, (order, counts, rate) in enumerate(cells):
         for community, c in counts:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,11 +24,23 @@ from hyperbethe.detectability import (
     MERGE_01_23,
     MERGE_02_13,
     order_degree_from_pair_rates,
-    symmetric_pair_rates,
 )
-from hyperbethe.hsbm import order_experiment_spec, shape_experiment_spec
+from hyperbethe.hsbm import HsbmError, order_experiment_spec, shape_experiment_spec
+from hyperbethe.cli import main as cli_main
 
 from conftest import edge_tuples
+
+
+def symmetric_pair_rates(q, order, c_in, c_out):
+    """Closed-form diagonal/off-diagonal pairwise rates of the symmetric model.
+
+    in:  (c_in + (q^(k-2) - 1) c_out) / (q^(k-2) (k-2)!)
+    out: c_out / (k-2)!
+    """
+    scale = q ** (order - 2) * math.factorial(order - 2)
+    cin_k = (c_in + (q ** (order - 2) - 1) * c_out) / scale
+    cout_k = q ** (order - 2) * c_out / scale
+    return cin_k, cout_k
 
 
 class TestDegreesFromRates:
@@ -153,31 +166,46 @@ class TestCriticalEpsilon:
         with pytest.raises(DetectabilityError):
             critical_epsilon(2, (2,), 0.5, which="bh")
 
+    @pytest.mark.parametrize("which", ["bh", "bp"])
+    def test_nan_degree_has_no_root(self, which):
+        with pytest.raises(HsbmError, match="mean degree"):
+            critical_epsilon(3, (2, 3), float("nan"), which=which)
+
     def test_roots_are_pinned(self):
         # eps_mid = (eps_BH* + eps_BP*) / 2 is a grid point of the eps sweep; its outputs depend on these bits
         assert critical_epsilon(3, (2, 3), 10.0, "bh") == 0.3634268496243749
         assert critical_epsilon(3, (2, 3), 10.0, "bp") == 0.3905897895456292
         assert switching_rho("order", low_order=2, high_order=3, adjusted=True) == 1.9282032302755092
 
+    def test_shape_roots_are_pinned(self):
+        # the shape sweeps' rho_star_adjusted outputs, through pair_rate_matrix's cell sums
+        assert switching_rho("shape4", adjusted=True) == 1.333333333333333
+        assert switching_rho("shape5", adjusted=True) == 1.4999999999999996
+
 
 class TestPairRates:
     def test_symmetric_reduction(self):
-        q, c_in, c_out = 3, 12.0, 3.0
-        spec = SymmetricHsbmSpec(n=300, q=q, orders=(3, 4), c_in=c_in, c_out=c_out)
-        mats = pair_rate_matrix(spec)
-        per = degrees_from_rates(q, (3, 4), c_in, c_out)
-        for k in (3, 4):
-            cin_k, cout_k = symmetric_pair_rates(q, k, c_in, c_out)
-            assert mats[k][0, 0] == pytest.approx(cin_k, rel=1e-12)
-            assert mats[k][0, 1] == pytest.approx(cout_k, rel=1e-12)
-            # diagonal value identity in terms of per-order degrees
-            od = per[k]
-            assert cin_k == pytest.approx(
-                q * (k - 1) * (od.d_in + (q ** (k - 2) - 1) * od.d_out), rel=1e-12
-            )
-            assert cout_k == pytest.approx(q * (k - 1) * q ** (k - 2) * od.d_out, rel=1e-12)
-            # row average recovers the per-order mean degree
-            assert order_degree_from_pair_rates(mats[k], k) == pytest.approx(od.d, rel=1e-12)
+        # summing the symmetric model's cells gives the closed-form matrices
+        for q, orders, (c_in, c_out) in itertools.product(
+            (2, 3, 4), ((2,), (2, 3), (3, 4), (2, 3, 4)), ((12.0, 3.0), (12.0, 0.0))
+        ):
+            spec = SymmetricHsbmSpec(n=300, q=q, orders=orders, c_in=c_in, c_out=c_out)
+            mats = pair_rate_matrix(spec)
+            assert list(mats) == list(orders)
+            per = degrees_from_rates(q, orders, c_in, c_out)
+            for k in orders:
+                cin_k, cout_k = symmetric_pair_rates(q, k, c_in, c_out)
+                expected = np.full((q, q), cout_k)
+                np.fill_diagonal(expected, cin_k)
+                np.testing.assert_allclose(mats[k], expected, rtol=1e-12, atol=0.0)
+                # diagonal value identity in terms of per-order degrees
+                od = per[k]
+                assert cin_k == pytest.approx(
+                    q * (k - 1) * (od.d_in + (q ** (k - 2) - 1) * od.d_out), rel=1e-12
+                )
+                assert cout_k == pytest.approx(q * (k - 1) * q ** (k - 2) * od.d_out, rel=1e-12)
+                # row average recovers the per-order mean degree
+                assert order_degree_from_pair_rates(mats[k], k) == pytest.approx(od.d, rel=1e-12)
 
     def test_order_23_worked_matrices(self):
         # low order 2 at rate a between {0,2}/{1,3}; high order 3 at rate
@@ -316,3 +344,25 @@ class TestSnrReport:
         report = snr_report(2, (2, 3), d=8.0, eps=1.0)
         assert report.zero_signal_orders == (2, 3)
         assert report.snr_bp == 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--q", "3", "--orders", "2,3", "--d", "nan", "--eps", "0.1"],
+            ["--q", "3", "--orders", "2,3", "--d", "10", "--eps", "inf"],
+            ["--q", "3", "--orders", "2,3", "--d", "-10", "--eps", "0.1"],
+            ["--q", "3", "--orders", "2,3", "--c-in", "nan", "--c-out", "1"],
+            ["--q", "3", "--orders", "2,3", "--c-in", "5", "--c-out", "inf"],
+            ["--q", "1", "--orders", "2,3", "--d", "10", "--eps", "0.1"],
+            ["--q", "1", "--orders", "2,3", "--c-in", "5", "--c-out", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_input_rejected(self, args, capsys):
+        opts = dict(zip(args[::2], args[1::2]))
+        kwargs = {key[2:].replace("-", "_"): float(v) for key, v in opts.items() if key not in ("--q", "--orders")}
+        with pytest.raises((HsbmError, DetectabilityError)):
+            snr_report(int(opts["--q"]), (2, 3), with_roots=True, **kwargs)
+        with pytest.raises((HsbmError, DetectabilityError)):
+            cli_main(["snr", *args, "--roots"])
+        assert capsys.readouterr().out == ""

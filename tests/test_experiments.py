@@ -80,6 +80,11 @@ class TestHelpers:
         assert cfg.bp.damping == 0.2
         assert cfg.methods == ("bh", "bp")
 
+    @pytest.mark.parametrize("key, value", [("fixed_q", 2), ("eta_grid", [1.1, 1.2])])
+    def test_config_from_json_rejects_deleted_fields(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            ExperimentConfig.from_json({"experiment": "eps-sweep", "grid": [0.1], key: value})
+
 
 class TestEpsSweep:
     def _config(self, out, reps=2):

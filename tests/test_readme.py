@@ -20,6 +20,6 @@ def test_library_sketch_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
-@pytest.mark.parametrize("pattern", [r"dedup=", r"\.edges\b", r"from_labels"])
+@pytest.mark.parametrize("pattern", [r"dedup=", r"\.edges\b", r"from_labels", r"symmetric_pair_rates", r"fixed_q", r"eta_grid"])
 def test_no_deleted_api(pattern):
     assert re.search(pattern, readme()) is None
