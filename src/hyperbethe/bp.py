@@ -28,6 +28,7 @@ from math import inf, lgamma
 
 import numpy as np
 
+from .hsbm import check_rates
 from .hypergraph import Hypergraph, Partition
 
 LOG_FLOOR = -700.0
@@ -82,10 +83,8 @@ class BpState:
             raise BpError("hypergraph has no hyperedges")
         if config.init == "planted" and planted is None:
             raise BpError("planted init requires the planted partition")
-        rates = np.array([c_in, c_out], dtype=float)
-        if not (np.isfinite(rates).all() and rates.min() >= 0 and rates.max() > 0):
-            raise BpError(f"rates {tuple(rates.tolist())} must be finite, nonnegative and not both zero")
-        self.h, self.q, self.c_in, self.c_out, self.config = h, int(q), float(c_in), float(c_out), config
+        self.c_in, self.c_out = check_rates(c_in, c_out)
+        self.h, self.q, self.config = h, int(q), config
         self.nodes = np.concatenate([h.edge_array(k).T.ravel() for k in h.orders])
         bounds = np.cumsum([0] + [k * h.edges_by_order[k].size for k in h.orders]).tolist()
         self.planes = tuple(zip(h.orders, bounds[:-1], bounds[1:]))

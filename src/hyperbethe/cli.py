@@ -14,11 +14,12 @@ import json
 import os
 import sys
 
-from .bp import BpConfig, bp_run
-from .detectability import snr_report
-from .experiments import ExperimentConfig, run, write_csv, write_json
-from .hsbm import rates_from_mean_degree, sample_symmetric, spec_from_json
+from .bp import BpConfig, BpError, bp_run
+from .detectability import DetectabilityError, snr_report
+from .experiments import ExperimentConfig, ExperimentError, run, write_csv, write_json
+from .hsbm import HsbmError, model_rates, sample_symmetric, spec_from_json
 from .hypergraph import (
+    HypergraphError,
     load_hyperedge_list,
     load_partition,
     save_hyperedge_list,
@@ -43,7 +44,10 @@ def _load_config(args):
 
 
 def _orders(text):
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_generate(args):
@@ -100,19 +104,9 @@ def cmd_cluster(args):
     print(f"eta={result.eta:.6g} q={result.partition.q} negative_eigenvalues={result.num_negative}{score}")
 
 
-def _rate_args(args, fallback_orders=None, q=None):
-    if args.c_in is not None or args.c_out is not None:
-        if args.c_in is None or args.c_out is None:
-            raise SystemExit("both --c-in and --c-out are required")
-        return float(args.c_in), float(args.c_out)
-    if args.d is None or args.eps is None:
-        raise SystemExit("give either --c-in/--c-out or --d/--eps")
-    return rates_from_mean_degree(q, fallback_orders, args.d, args.eps)
-
-
 def cmd_bp(args):
     h, names = load_hyperedge_list(args.input)
-    rates = _rate_args(args, fallback_orders=h.orders, q=args.q)
+    rates = model_rates(args.q, h.orders, c_in=args.c_in, c_out=args.c_out, d=args.d, eps=args.eps)
     # BpConfig fields from the JSON config, overridden by explicit flags
     doc = _load_config(args)
     overrides = {"max_sweeps": args.max_sweeps, "damping": args.damping, "init": args.init}
@@ -132,9 +126,9 @@ def cmd_bp(args):
 
 
 def cmd_snr(args):
-    orders = _orders(args.orders)
-    c_in, c_out = _rate_args(args, orders, args.q)
-    report = snr_report(args.q, orders, c_in=c_in, c_out=c_out, with_roots=args.roots)
+    report = snr_report(
+        args.q, args.orders, c_in=args.c_in, c_out=args.c_out, d=args.d, eps=args.eps, with_roots=args.roots
+    )
     json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
     print()
 
@@ -202,7 +196,7 @@ def build_parser():
 
     p = sub.add_parser("snr", help="detectability report for model parameters")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--orders", required=True, help="comma-separated, e.g. 2,3")
+    p.add_argument("--orders", type=_orders, required=True, help="comma-separated, e.g. 2,3")
     p.add_argument("--c-in", type=float, default=None)
     p.add_argument("--c-out", type=float, default=None)
     p.add_argument("--d", type=float, default=None)
@@ -236,7 +230,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "eval" and args.normalize and not args.confusion:
         parser.error("eval: --normalize needs --confusion")
-    args.func(args)
+    try:
+        args.func(args)
+    except (HsbmError, DetectabilityError, HypergraphError, BpError, ExperimentError) as exc:
+        parser.exit(2, f"hyperbethe {args.command}: error: {exc}\n")
     return 0
 
 

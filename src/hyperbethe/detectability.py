@@ -20,6 +20,9 @@ import numpy as np
 
 from .hsbm import (
     _cells,
+    check_rates,
+    model_orders,
+    model_rates,
     order_experiment_spec,
     rates_from_mean_degree,
     shape_experiment_spec,
@@ -51,12 +54,10 @@ def degrees_from_rates(q, orders, c_in, c_out):
     d_out(k) = c_out / (q^(k-1) (k-1)!)   -- per mixed community combination
     d(k)     = d_in(k) + (q^(k-1) - 1) d_out(k)
     """
-    if q < 2:
-        raise DetectabilityError(f"q = {q} must be >= 2")
-    if not (math.isfinite(c_in) and math.isfinite(c_out)) or min(c_in, c_out) < 0.0 or c_in == c_out == 0.0:
-        raise DetectabilityError(f"rates ({c_in}, {c_out}) must be finite, nonnegative and not both zero")
+    orders = model_orders(q, orders)
+    check_rates(c_in, c_out)
     out = {}
-    for k in sorted(set(int(k) for k in orders)):
+    for k in orders:
         scale = q ** (k - 1) * math.factorial(k - 1)
         d_in = c_in / scale
         d_out = c_out / scale
@@ -150,10 +151,7 @@ class SnrReport:
 
 def snr_report(q, orders, *, c_in=None, c_out=None, d=None, eps=None, with_roots=False):
     """Assemble the full detectability report for one parameter point."""
-    if (c_in is None) == (d is None):
-        raise DetectabilityError("give either (c_in, c_out) or (d, eps)")
-    if c_in is None:
-        c_in, c_out = rates_from_mean_degree(q, orders, d, eps)
+    c_in, c_out = model_rates(q, orders, c_in=c_in, c_out=c_out, d=d, eps=eps)
     per_order = degrees_from_rates(q, orders, c_in, c_out)
     roots = {}
     if with_roots:
@@ -311,17 +309,25 @@ MERGE_01_23 = ((0, 1), (2, 3))
 MERGE_02_13 = ((0, 2), (1, 3))
 
 
+def _tradeoff(kind, low_order, high_order):
+    """(low order, high order), raw switching rho and the (d, rho) -> spec builder of an experiment kind."""
+    if kind in ("shape4", "shape5"):
+        k = int(kind[-1])
+        raw = 4.0 / 3.0 if k == 4 else 3.0 / 2.0
+        return (k, k), raw, lambda d, rho: shape_experiment_spec(64, d, rho, order=k)
+    if kind != "order":
+        raise DetectabilityError(f"unknown experiment kind {kind!r}")
+    if low_order is None or high_order is None:
+        raise DetectabilityError("order experiment needs low_order and high_order")
+    k, ks = int(low_order), int(high_order)
+    raw = 2 ** (ks - k) * (2 ** (k - 1) - 1) * math.comb(ks, 2) / float((2 ** (ks - 1) - 1) * math.comb(k, 2))
+    return (k, ks), raw, lambda d, rho: order_experiment_spec(max(64, 4 * high_order), d, rho, low_order, high_order)
+
+
 def competing_snrs(kind, rho, *, d=10.0, low_order=None, high_order=None):
     """SNRs of the two coarse structures of a trade-off experiment at ratio rho."""
-    if kind in ("shape4", "shape5"):
-        spec = shape_experiment_spec(64, d, rho, order=int(kind[-1]))
-    elif kind == "order":
-        if low_order is None or high_order is None:
-            raise DetectabilityError("order experiment needs low_order and high_order")
-        spec = order_experiment_spec(max(64, 4 * high_order), d, rho, low_order, high_order)
-    else:
-        raise DetectabilityError(f"unknown experiment kind {kind!r}")
-    rates = pair_rate_matrix(spec)
+    _, _, spec_at = _tradeoff(kind, low_order, high_order)
+    rates = pair_rate_matrix(spec_at(d, rho))
     return coarse_snr(rates, MERGE_01_23), coarse_snr(rates, MERGE_02_13)
 
 
@@ -332,34 +338,12 @@ def switching_rho(kind, *, low_order=None, high_order=None, adjusted=False, d=10
     1/(order+1), solved numerically; both are reported by the sweep runners
     and neither is privileged.
     """
-    if kind == "shape4":
-        korders = (4, 4)
-        raw = 4.0 / 3.0
-    elif kind == "shape5":
-        korders = (5, 5)
-        raw = 3.0 / 2.0
-    elif kind == "order":
-        if low_order is None or high_order is None:
-            raise DetectabilityError("order experiment needs low_order and high_order")
-        k, ks = int(low_order), int(high_order)
-        korders = (k, ks)
-        raw = (
-            2 ** (ks - k)
-            * (2 ** (k - 1) - 1)
-            * math.comb(ks, 2)
-            / float((2 ** (ks - 1) - 1) * math.comb(k, 2))
-        )
-    else:
-        raise DetectabilityError(f"unknown experiment kind {kind!r}")
+    (k, ks), raw, _ = _tradeoff(kind, low_order, high_order)
     if not adjusted:
         return raw
 
-    k, ks = korders
-
     def gap(rho):
-        s_high, s_low = competing_snrs(
-            kind, rho, d=d, low_order=low_order, high_order=high_order
-        )
+        s_high, s_low = competing_snrs(kind, rho, d=d, low_order=low_order, high_order=high_order)
         return s_high / (ks + 1.0) - s_low / (k + 1.0)
 
     lo, hi = 1e-9, max(4.0 * raw, 1.0)

@@ -14,6 +14,11 @@ tuples are drawn uniformly without replacement inside each block.  This is
 the sparse-regime equivalent of independent Bernoulli draws over all
 C(n, order) tuples and avoids their O(n^max_order) cost.  One sampler,
 sample_symmetric (also bound as sample_planted), takes either spec kind.
+
+The parameter rules (q, the order set, the rate pair, the (d, eps) pair)
+are written here once: check_q, model_orders, check_rates,
+rates_from_mean_degree and model_rates.  The detectability calculators, BP
+and the CLI call them instead of checking on their own.
 """
 
 from __future__ import annotations
@@ -49,6 +54,29 @@ def planted_partition(n, q) -> Partition:
     return Partition(np.repeat(np.arange(q), block_sizes(n, q)), q)
 
 
+def check_q(q):
+    if q < 2:
+        raise HsbmError(f"q = {q} must be >= 2")
+
+
+def model_orders(q, orders):
+    """The sorted distinct orders of a model: q >= 2 and a nonempty set of orders >= 2."""
+    check_q(q)
+    orders = tuple(sorted(set(int(k) for k in orders)))
+    if not orders:
+        raise HsbmError("order set must be nonempty")
+    if orders[0] < 2:
+        raise HsbmError("orders must be >= 2")
+    return orders
+
+
+def check_rates(c_in, c_out):
+    """The rate pair as floats; both finite and nonnegative, not both zero."""
+    if not (math.isfinite(c_in) and math.isfinite(c_out)) or min(c_in, c_out) < 0.0 or c_in == c_out == 0.0:
+        raise HsbmError(f"rates ({c_in}, {c_out}) must be finite, nonnegative and not both zero")
+    return float(c_in), float(c_out)
+
+
 def rates_from_mean_degree(q, orders, d, eps):
     """Solve (d, eps) -> (c_in, c_out) for the symmetric model.
 
@@ -56,9 +84,7 @@ def rates_from_mean_degree(q, orders, d, eps):
     (c_in + (q^(k-1)-1) c_out) / (q^(k-1) (k-1)!), summed over orders.
     Plugging the result back into the same expression reproduces d exactly.
     """
-    orders = sorted(set(int(k) for k in orders))
-    if not orders:
-        raise HsbmError("order set must be nonempty")
+    orders = model_orders(q, orders)
     if not (math.isfinite(d) and d > 0.0):
         raise HsbmError(f"mean degree {d} must be positive and finite")
     if not (math.isfinite(eps) and eps >= 0.0):
@@ -69,6 +95,17 @@ def rates_from_mean_degree(q, orders, d, eps):
         denom += (1.0 + eps * (w - 1)) / (w * factorial(k - 1))
     c_in = d / denom
     return c_in, eps * c_in
+
+
+def model_rates(q, orders, *, c_in=None, c_out=None, d=None, eps=None):
+    """(c_in, c_out) of a symmetric model given by exactly one whole pair, (c_in, c_out) or (d, eps)."""
+    given = tuple(v is not None for v in (c_in, c_out, d, eps))
+    if given not in ((True, True, False, False), (False, False, True, True)):
+        raise HsbmError("give exactly one of (c_in, c_out) or (d, eps), with both halves of that pair")
+    if given[2]:
+        return rates_from_mean_degree(q, orders, d, eps)
+    model_orders(q, orders)
+    return check_rates(c_in, c_out)
 
 
 @dataclass(frozen=True)
@@ -88,39 +125,15 @@ class SymmetricHsbmSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(sorted(set(int(k) for k in self.orders))))
-        if self.q < 2:
-            raise HsbmError("q must be >= 2")
-        if not self.orders:
-            raise HsbmError("order set must be nonempty")
-        for k in self.orders:
-            if k < 2:
-                raise HsbmError("orders must be >= 2")
-            if k > self.n // self.q:
-                raise HsbmError(f"order {k} exceeds block size {self.n // self.q}")
-        rate_mode = self.c_in is not None or self.c_out is not None
-        degree_mode = self.d is not None or self.eps is not None
-        if rate_mode == degree_mode:
-            raise HsbmError("give either (c_in, c_out) or (d, eps)")
-        if rate_mode:
-            if self.c_in is None or self.c_out is None:
-                raise HsbmError("both c_in and c_out are required")
-            if not (math.isfinite(self.c_in) and math.isfinite(self.c_out)):
-                raise HsbmError(f"rates ({self.c_in}, {self.c_out}) must be finite")
-            if self.c_in < 0 or self.c_out < 0 or (self.c_in == 0 and self.c_out == 0):
-                raise HsbmError("rates must be nonnegative and not both zero")
-        else:
-            if self.d is None or self.eps is None:
-                raise HsbmError("both d and eps are required")
-            if not 0.0 <= self.eps <= 1.0:
-                raise HsbmError("eps must lie in [0, 1] (assortative mode)")
-            if not (math.isfinite(self.d) and self.d > 0):
-                raise HsbmError(f"mean degree {self.d} must be positive and finite")
+        object.__setattr__(self, "orders", model_orders(self.q, self.orders))
+        if self.orders[-1] > self.n // self.q:
+            raise HsbmError(f"order {self.orders[-1]} exceeds block size {self.n // self.q}")
+        self.rates()  # checks the parameter pair
+        if self.eps is not None and self.eps > 1.0:
+            raise HsbmError("eps must lie in [0, 1] (assortative mode)")
 
     def rates(self):
-        if self.c_in is not None:
-            return float(self.c_in), float(self.c_out)
-        return rates_from_mean_degree(self.q, self.orders, self.d, self.eps)
+        return model_rates(self.q, self.orders, c_in=self.c_in, c_out=self.c_out, d=self.d, eps=self.eps)
 
 
 @dataclass(frozen=True)
@@ -156,8 +169,7 @@ class PlantedPatternSpec:
             for p in self.patterns
         )
         object.__setattr__(self, "patterns", pats)
-        if self.q < 2:
-            raise HsbmError("q must be >= 2")
+        check_q(self.q)
         for p in pats:
             if any(c < 0 or c >= self.q for c, _ in p.counts):
                 raise HsbmError("pattern community outside [0, q)")
@@ -297,8 +309,7 @@ def order_experiment_spec(n, d, rho, low_order, high_order, seed=0) -> PlantedPa
     m(low) / m(high).
     """
     k, ks = int(low_order), int(high_order)
-    if k < 2 or ks < 2:
-        raise HsbmError("orders must be >= 2")
+    model_orders(4, (k, ks))  # four planted communities
     a = 4**k * factorial(k) * d * rho / (2.0 * (2**k - 2) * (k * rho + ks))
     a_star = 4**ks * factorial(ks) * d / (2.0 * (2**ks - 2) * (k * rho + ks))
     patterns = []

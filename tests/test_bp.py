@@ -23,6 +23,7 @@ from hyperbethe import (
 )
 from hyperbethe import bp
 from hyperbethe.bp import INIT_NOISE, BpError
+from hyperbethe.hsbm import HsbmError
 
 from conftest import edge_tuples, labels_match_up_to_permutation
 
@@ -156,7 +157,7 @@ class TestInit:
     )
     def test_invalid_rates_rejected(self, small_instance, rates):
         _, h, _ = small_instance
-        with pytest.raises(BpError, match="rates"):
+        with pytest.raises(HsbmError, match="rates"):
             bp_run(h, 2, rates)
 
     def test_zero_c_out_allowed(self, small_instance):

@@ -361,8 +361,10 @@ class TestSnrReport:
     def test_invalid_input_rejected(self, args, capsys):
         opts = dict(zip(args[::2], args[1::2]))
         kwargs = {key[2:].replace("-", "_"): float(v) for key, v in opts.items() if key not in ("--q", "--orders")}
-        with pytest.raises((HsbmError, DetectabilityError)):
+        with pytest.raises(HsbmError) as lib:
             snr_report(int(opts["--q"]), (2, 3), with_roots=True, **kwargs)
-        with pytest.raises((HsbmError, DetectabilityError)):
+        with pytest.raises(SystemExit) as exc:
             cli_main(["snr", *args, "--roots"])
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == f"hyperbethe snr: error: {lib.value}\n"

@@ -1,9 +1,14 @@
-"""The README's library sketch runs, and the README names no deleted API."""
+"""The README's library sketch and its `hyperbethe snr` example run, and the
+README names no deleted API."""
 
+import json
 import os
 import re
+import shlex
 
 import pytest
+
+from hyperbethe.cli import main as cli_main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -18,6 +23,14 @@ def test_library_sketch_runs(capsys):
     assert block is not None
     exec(compile(block.group(1), README, "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_snr_example_runs(capsys):
+    line = re.search(r"^hyperbethe snr .*$", readme(), re.M)
+    assert line is not None
+    assert cli_main(shlex.split(line.group(0))[1:]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["snr_bh"] > 1.0 and doc["eps_bh"] is not None
 
 
 @pytest.mark.parametrize("pattern", [r"dedup=", r"\.edges\b", r"from_labels", r"symmetric_pair_rates", r"fixed_q", r"eta_grid"])
