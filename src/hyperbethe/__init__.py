@@ -38,7 +38,6 @@ from .hsbm import (
     SymmetricHsbmSpec,
     order_experiment_spec,
     rates_from_mean_degree,
-    sample_planted,
     sample_symmetric,
     shape_experiment_spec,
     spec_from_json,

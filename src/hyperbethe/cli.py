@@ -1,10 +1,11 @@
 """Batch command-line interface.
 
-Subcommands: generate, cluster, bp, snr, sweep-eps, sweep-shape,
-sweep-order, spectrum, eval.  Sweeps take their full configuration from a
-JSON document (--config); the simpler commands use flags.  Each subcommand
-accepts only the flags it reads.  All outputs are CSV/JSON plus the text
-formats of the library.
+Subcommands: generate, cluster, bp, snr, run, eval.  generate and run take
+their whole input from a JSON document (--config): a model spec for
+generate, an experiment config for run, whose "experiment" key picks the
+experiment.  The other commands use flags.  Each subcommand accepts only
+the flags it reads.  All outputs are CSV/JSON plus the text formats of the
+library.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .bp import BpConfig, BpError, bp_run
 from .detectability import DetectabilityError, snr_report
 from .experiments import ExperimentConfig, ExperimentError, run, write_csv, write_json
-from .hsbm import HsbmError, model_rates, sample_symmetric, spec_from_json
+from .hsbm import HsbmError, check_keys, model_rates, sample_symmetric, spec_from_json
 from .hypergraph import (
     HypergraphError,
     load_hyperedge_list,
@@ -29,9 +31,7 @@ from .metrics import ami, confusion, hyperedge_composition
 from .spectral import SpectralConfig, spectral_cluster
 
 
-def _add_common(p, config=True):
-    if config:
-        p.add_argument("--config", default=None, help="JSON config file")
+def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default="results", help="output directory")
 
@@ -50,11 +50,14 @@ def _orders(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _given(**flags):
+    """The flags given on the command line; they override the config's values."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def cmd_generate(args):
-    doc = _load_config(args)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    h, planted = sample_symmetric(spec_from_json(doc))
+    spec = replace(spec_from_json(_load_config(args)), **_given(seed=args.seed))
+    h, planted = sample_symmetric(spec)
     os.makedirs(args.out, exist_ok=True)
     save_hyperedge_list(h, os.path.join(args.out, "hypergraph.txt"))
     save_partition(planted, os.path.join(args.out, "planted.txt"))
@@ -108,12 +111,9 @@ def cmd_bp(args):
     h, names = load_hyperedge_list(args.input)
     rates = model_rates(args.q, h.orders, c_in=args.c_in, c_out=args.c_out, d=args.d, eps=args.eps)
     # BpConfig fields from the JSON config, overridden by explicit flags
-    doc = _load_config(args)
-    overrides = {"max_sweeps": args.max_sweeps, "damping": args.damping, "init": args.init}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = BpConfig(**doc)
+    doc = check_keys(BpConfig, _load_config(args), BpError)
+    flags = _given(max_sweeps=args.max_sweeps, damping=args.damping, init=args.init, seed=args.seed)
+    cfg = BpConfig(**dict(doc, **flags))
     res = bp_run(h, args.q, rates, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_partition(res.partition, os.path.join(args.out, "bp_partition.txt"), names)
@@ -133,25 +133,11 @@ def cmd_snr(args):
     print()
 
 
-def _sweep_config(args, experiment):
-    doc = _load_config(args)
-    named = doc.setdefault("experiment", experiment)
-    if named != experiment:
-        raise SystemExit(f"--config names experiment {named!r}, not {experiment!r}")
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    # an explicit --out wins over the config's "out"
-    doc["out"] = args.out or doc.get("out", "results")
-    return ExperimentConfig.from_json(doc)
-
-
-def cmd_sweep(experiment):
-    def handler(args):
-        cfg = _sweep_config(args, experiment)
-        out = run(cfg)
-        print(f"{experiment} -> {out[0] if isinstance(out, tuple) else out}")
-
-    return handler
+def cmd_run(args):
+    # an explicit --out wins over the config's "out", which wins over results/
+    cfg = replace(ExperimentConfig.from_json(_load_config(args)), **_given(seed=args.seed, out=args.out))
+    out = run(cfg)
+    print(f"{cfg.experiment} -> {out[0] if isinstance(out, tuple) else out}")
 
 
 def cmd_eval(args):
@@ -169,11 +155,12 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a hypergraph from a JSON model spec")
+    p.add_argument("--config", required=True, help="JSON model spec")
     _add_common(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("cluster", help="Bethe Hessian spectral clustering of a file")
-    _add_common(p, config=False)
+    _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--labels", default=None, help="'token label' file to score against")
     p.add_argument("--q", type=int, default=None, help="fixed community count")
@@ -182,6 +169,7 @@ def build_parser():
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("bp", help="belief propagation on a hypergraph file")
+    p.add_argument("--config", default=None, help="JSON object of BpConfig fields")
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--q", type=int, required=True)
@@ -204,15 +192,10 @@ def build_parser():
     p.add_argument("--roots", action="store_true", help="include critical eps roots")
     p.set_defaults(func=cmd_snr)
 
-    for name, expid in (
-        ("sweep-eps", "eps-sweep"),
-        ("sweep-shape", "shape-sweep"),
-        ("sweep-order", "order-sweep"),
-        ("spectrum", "spectrum"),
-    ):
-        p = sub.add_parser(name, help=f"run the {expid} experiment from --config")
-        _add_common(p)
-        p.set_defaults(func=cmd_sweep(expid), out=None)
+    p = sub.add_parser("run", help="run the experiment that a JSON config names")
+    p.add_argument("--config", required=True, help="JSON experiment config")
+    _add_common(p)
+    p.set_defaults(func=cmd_run, out=None)
 
     p = sub.add_parser("eval", help="AMI/confusion between two partition files")
     p.add_argument("--input", required=True, help="hyperedge file defining node names")
@@ -232,7 +215,8 @@ def main(argv=None):
         parser.error("eval: --normalize needs --confusion")
     try:
         args.func(args)
-    except (HsbmError, DetectabilityError, HypergraphError, BpError, ExperimentError) as exc:
+    except (HsbmError, DetectabilityError, HypergraphError, BpError, ExperimentError,
+            OSError, json.JSONDecodeError) as exc:  # also an unreadable file or a config that is not JSON
         parser.exit(2, f"hyperbethe {args.command}: error: {exc}\n")
     return 0
 

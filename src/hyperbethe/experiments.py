@@ -21,12 +21,12 @@ from functools import partial
 
 import numpy as np
 
-from .bp import BpConfig, bp_run
+from .bp import BpConfig, BpError, bp_run
 from .detectability import snr_report, switching_rho
 from .hsbm import (
     SymmetricHsbmSpec,
+    check_keys,
     order_experiment_spec,
-    sample_planted,
     sample_symmetric,
     shape_experiment_spec,
 )
@@ -73,12 +73,9 @@ class ExperimentConfig:
     def from_json(cls, doc):
         if isinstance(doc, str):
             doc = json.loads(doc)
-        doc = dict(doc)
+        doc = dict(check_keys(cls, doc, ExperimentError))
         if "bp" in doc:
-            doc["bp"] = BpConfig(**doc["bp"])
-        for key in ("grid", "orders", "methods"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
+            doc["bp"] = BpConfig(**check_keys(BpConfig, doc["bp"], BpError))
         return cls(**doc)
 
 
@@ -234,7 +231,7 @@ def _run_competition(cfg: ExperimentConfig, name, make_spec, rho_star, annotatio
     """
 
     def score(rho, seed):
-        h, planted = sample_planted(make_spec(rho, seed))
+        h, planted = sample_symmetric(make_spec(rho, seed))
         # the coarse plantings {0,1}|{2,3} and {0,2}|{1,3} as maps of the 4 planted labels
         truths = [Partition(np.array(lut)[planted.labels], 2) for lut in ((0, 0, 1, 1), (0, 1, 0, 1))]
         return dict(zip(("0123", "0213"), _bh_scores(h, 2, *truths)))

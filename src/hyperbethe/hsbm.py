@@ -13,19 +13,20 @@ community composition, the number of hyperedges is Poisson with mean
 tuples are drawn uniformly without replacement inside each block.  This is
 the sparse-regime equivalent of independent Bernoulli draws over all
 C(n, order) tuples and avoids their O(n^max_order) cost.  One sampler,
-sample_symmetric (also bound as sample_planted), takes either spec kind.
+sample_symmetric, takes either spec kind.
 
 The parameter rules (q, the order set, the rate pair, the (d, eps) pair)
 are written here once: check_q, model_orders, check_rates,
 rates_from_mean_degree and model_rates.  The detectability calculators, BP
-and the CLI call them instead of checking on their own.
+and the CLI call them instead of checking on their own.  check_keys is the
+one rule for the keys of every JSON config reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
@@ -256,9 +257,6 @@ def sample_symmetric(spec: SymmetricHsbmSpec | PlantedPatternSpec):
     return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), planted_partition(spec.n, spec.q)
 
 
-sample_planted = sample_symmetric
-
-
 def expected_order_counts(spec):
     """Expected number of hyperedges per order under a spec (exact Poisson means)."""
     sizes = block_sizes(spec.n, spec.q)
@@ -320,17 +318,34 @@ def order_experiment_spec(n, d, rho, low_order, high_order, seed=0) -> PlantedPa
     return PlantedPatternSpec(n, 4, tuple(patterns), seed)
 
 
+def check_keys(cls, doc, error):
+    """doc, whose keys must be fields of dataclass cls and include every required one; else error."""
+    names = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in names:
+            raise error(f"unknown key {key!r}; {cls.__name__} takes {', '.join(names)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
+            raise error(f"{cls.__name__} needs key {f.name!r}")
+    return doc
+
+
 def spec_from_json(doc):
     """Build a generator spec from a JSON document or dict.
 
-    Keys: n, q, orders, mode ("rates" | "degree-eps" | "patterns"),
-    rate/degree values or a pattern list, seed.
+    A "patterns" key makes a PlantedPatternSpec: n, q, patterns (each with
+    order, composition and rate) and seed.  Otherwise the keys n, q, orders,
+    seed and whichever of c_in, c_out, d and eps are given make a
+    SymmetricHsbmSpec, which takes exactly one whole pair.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    mode = doc.get("mode", "degree-eps")
+    check_keys(PlantedPatternSpec if "patterns" in doc else SymmetricHsbmSpec, doc, HsbmError)
     seed = int(doc.get("seed", 0))
-    if mode == "patterns":
+    if "patterns" in doc:
+        for p in doc["patterns"]:
+            if sorted(p) != ["composition", "order", "rate"]:
+                raise HsbmError(f"pattern {p} needs exactly the keys order, composition and rate")
         patterns = tuple(
             PlantedPattern(
                 int(p["order"]),
@@ -340,9 +355,5 @@ def spec_from_json(doc):
             for p in doc["patterns"]
         )
         return PlantedPatternSpec(int(doc["n"]), int(doc["q"]), patterns, seed)
-    common = dict(n=int(doc["n"]), q=int(doc["q"]), orders=tuple(doc["orders"]), seed=seed)
-    if mode == "rates":
-        return SymmetricHsbmSpec(c_in=float(doc["c_in"]), c_out=float(doc["c_out"]), **common)
-    if mode == "degree-eps":
-        return SymmetricHsbmSpec(d=float(doc["d"]), eps=float(doc["eps"]), **common)
-    raise HsbmError(f"unknown mode {mode!r}")
+    rates = {k: float(doc[k]) for k in ("c_in", "c_out", "d", "eps") if k in doc}
+    return SymmetricHsbmSpec(n=int(doc["n"]), q=int(doc["q"]), orders=tuple(doc["orders"]), seed=seed, **rates)

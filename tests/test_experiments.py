@@ -26,7 +26,7 @@ from hyperbethe import (
     transition_point,
 )
 from hyperbethe import experiments
-from hyperbethe.cli import _sweep_config, build_parser
+from hyperbethe.cli import build_parser
 from hyperbethe.cli import main as cli_main
 from hyperbethe.experiments import ExperimentError
 from hyperbethe.hypergraph import save_hyperedge_list
@@ -82,7 +82,7 @@ class TestHelpers:
 
     @pytest.mark.parametrize("key, value", [("fixed_q", 2), ("eta_grid", [1.1, 1.2])])
     def test_config_from_json_rejects_deleted_fields(self, key, value):
-        with pytest.raises(TypeError, match=key):
+        with pytest.raises(ExperimentError, match=key):
             ExperimentConfig.from_json({"experiment": "eps-sweep", "grid": [0.1], key: value})
 
 
@@ -301,7 +301,7 @@ class TestEmpirical:
 class TestCli:
     def test_generate_cluster_eval_pipeline(self, tmp_path, capsys):
         spec_doc = {
-            "n": 240, "q": 2, "orders": [2, 3], "mode": "degree-eps",
+            "n": 240, "q": 2, "orders": [2, 3],
             "d": 9.0, "eps": 0.05, "seed": 11,
         }
         cfg = tmp_path / "model.json"
@@ -340,7 +340,7 @@ class TestCli:
 
     def test_bp_subcommand(self, tmp_path, capsys):
         spec_doc = {
-            "n": 200, "q": 2, "orders": [2], "mode": "degree-eps",
+            "n": 200, "q": 2, "orders": [2],
             "d": 8.0, "eps": 0.05, "seed": 2,
         }
         cfg = tmp_path / "model.json"
@@ -359,29 +359,41 @@ class TestCli:
 
     def test_sweep_eps_subcommand(self, tmp_path):
         doc = {
-            "n": 200, "q": 2, "orders": [2, 3], "d": 8.0,
+            "experiment": "eps-sweep", "n": 200, "q": 2, "orders": [2, 3], "d": 8.0,
             "grid": [0.05], "reps": 1, "methods": ["bh"], "seed": 1,
             "out": str(tmp_path / "sweep"),
         }
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(doc))
-        cli_main(["sweep-eps", "--config", str(cfg)])
+        cli_main(["run", "--config", str(cfg)])
         assert (tmp_path / "sweep" / "eps_sweep.csv").exists()
 
     def test_sweep_out_flag_beats_config_out(self, tmp_path):
-        doc = {"n": 200, "d": 8.0, "grid": [0.05], "reps": 1, "seed": 1, "out": str(tmp_path / "cfg")}
+        doc = {"experiment": "eps-sweep", "n": 200, "d": 8.0, "grid": [0.05], "reps": 1, "seed": 1,
+               "out": str(tmp_path / "cfg")}
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(doc))
-        cli_main(["sweep-eps", "--config", str(cfg), "--out", str(tmp_path / "flag")])
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "flag")])
         assert (tmp_path / "flag" / "eps_sweep.csv").exists()
         assert not (tmp_path / "cfg").exists()
 
-    def test_sweep_rejects_config_of_another_experiment(self, tmp_path):
-        doc = {"experiment": "order-sweep", "n": 200, "grid": [2.0], "reps": 1, "out": str(tmp_path / "x")}
-        cfg = tmp_path / "order.json"
-        cfg.write_text(json.dumps(doc))
-        with pytest.raises(SystemExit, match="order-sweep"):
-            cli_main(["sweep-shape", "--config", str(cfg)])
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [
+            ({"n": 200, "grid": [2.0], "reps": 1}, "needs key 'experiment'"),
+            ({"experiment": "shape-sweeps", "n": 200, "grid": [2.0], "reps": 1}, "unknown experiment 'shape-sweeps'"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_run_needs_a_known_experiment(self, tmp_path, capsys, doc, needle):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(doc, out=str(tmp_path / "x"))))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("hyperbethe run: error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
         assert not (tmp_path / "x").exists()
 
     def test_integer_d_writes_the_same_bytes(self, tmp_path):
@@ -391,23 +403,22 @@ class TestCli:
             cfg = tmp_path / f"{d!r}.json"
             doc = {"experiment": "eps-sweep", "n": 200, "d": d, "grid": [0.05], "reps": 1, "seed": 2, "out": str(out)}
             cfg.write_text(json.dumps(doc))
-            cli_main(["sweep-eps", "--config", str(cfg)])
+            cli_main(["run", "--config", str(cfg)])
             outputs.append([(out / name).read_bytes() for name in ("eps_sweep.csv", "eps_sweep.json")])
         assert outputs[0] == outputs[1]
         assert b'"d": 10.0' in outputs[0][1]
 
     @pytest.mark.parametrize(
-        "command, runner, doc",
+        "experiment, runner, doc",
         [
-            ("sweep-shape", run_shape_sweep, {"n": 300, "d": 10.0, "shape_order": 5, "grid": [0.9, 1.5], "reps": 2}),
-            ("sweep-order", run_order_sweep, {"n": 300, "d": 20.0, "grid": [1.8, 2.2], "reps": 2}),
+            ("shape-sweep", run_shape_sweep, {"n": 300, "d": 10.0, "shape_order": 5, "grid": [0.9, 1.5], "reps": 2}),
+            ("order-sweep", run_order_sweep, {"n": 300, "d": 20.0, "grid": [1.8, 2.2], "reps": 2}),
         ],
     )
-    def test_competition_subcommands_match_runners(self, tmp_path, command, runner, doc):
+    def test_competition_subcommands_match_runners(self, tmp_path, experiment, runner, doc):
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(dict(doc, seed=5, out=str(tmp_path / "cli"))))
-        cli_main([command, "--config", str(cfg)])
-        experiment = command.split("-")[1] + "-sweep"
+        cfg.write_text(json.dumps(dict(doc, experiment=experiment, seed=5, out=str(tmp_path / "cli"))))
+        cli_main(["run", "--config", str(cfg)])
         csv_path, json_path, _ = runner(
             ExperimentConfig.from_json(dict(doc, experiment=experiment, seed=5, out=str(tmp_path / "direct")))
         )
@@ -416,7 +427,7 @@ class TestCli:
             assert (tmp_path / "cli" / os.path.basename(path)).read_bytes() == direct
         assert len(read_csv(csv_path)) == 3
 
-    def test_readme_experiment_configs_load(self, tmp_path):
+    def test_readme_experiment_configs_load(self, tmp_path, monkeypatch):
         text = open(README, encoding="utf-8").read()
         section = text.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
         blocks = re.findall(r"```json\n(.*?)```", section, flags=re.S)
@@ -424,22 +435,23 @@ class TestCli:
         assert sorted(c.experiment for c in configs) == [
             "eps-sweep", "order-sweep", "shape-sweep", "shape-sweep", "spectrum",
         ]
-        commands = {"eps-sweep": "sweep-eps", "shape-sweep": "sweep-shape", "order-sweep": "sweep-order"}
-        for i, (block, config) in enumerate(zip(blocks, configs)):
+        ran = []
+        monkeypatch.setattr("hyperbethe.cli.run", lambda cfg: ran.append(cfg) or cfg.out)
+        for i, block in enumerate(blocks):
             path = tmp_path / f"readme{i}.json"
             path.write_text(block)
-            args = build_parser().parse_args([commands.get(config.experiment, "spectrum"), "--config", str(path)])
-            assert _sweep_config(args, config.experiment) == config
+            cli_main(["run", "--config", str(path)])
+        assert ran == configs
         (order,) = [c for c in configs if c.experiment == "order-sweep"]
         center = switching_rho("order", low_order=order.low_order, high_order=order.high_order)
         assert order.grid == pytest.approx(tuple(np.linspace(0.85 * center, 1.15 * center, 11)), abs=1e-12)
 
     def test_spectrum_subcommand(self, tmp_path):
-        doc = {"n": 80, "q": 2, "orders": [2, 3], "d": 9.0, "grid": [0.08],
+        doc = {"experiment": "spectrum", "n": 80, "q": 2, "orders": [2, 3], "d": 9.0, "grid": [0.08],
                "reps": 1, "seed": 3, "out": str(tmp_path / "spec")}
         cfg = tmp_path / "spectrum.json"
         cfg.write_text(json.dumps(doc))
-        cli_main(["spectrum", "--config", str(cfg)])
+        cli_main(["run", "--config", str(cfg)])
         assert (tmp_path / "spec" / "spectrum.json").exists()
 
     def test_cluster_takes_q_from_labels(self, tmp_path, synthetic_dataset):
@@ -458,20 +470,74 @@ class TestCli:
             ("bp", {"--config", "--seed", "--out", "--input", "--q", "--c-in", "--c-out", "--d", "--eps",
                     "--max-sweeps", "--damping", "--init"}),
             ("snr", {"--q", "--orders", "--c-in", "--c-out", "--d", "--eps", "--roots"}),
-            ("sweep-eps", {"--config", "--seed", "--out"}),
-            ("sweep-shape", {"--config", "--seed", "--out"}),
-            ("sweep-order", {"--config", "--seed", "--out"}),
-            ("spectrum", {"--config", "--seed", "--out"}),
+            ("run", {"--config", "--seed", "--out"}),
             ("eval", {"--input", "--pred", "--truth", "--confusion", "--normalize"}),
         ],
     )
     def test_each_subcommand_has_only_the_flags_it_reads(self, command, options):
         (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert set(commands.choices) == {
-            "generate", "cluster", "bp", "snr", "sweep-eps", "sweep-shape", "sweep-order", "spectrum", "eval",
-        }
+        assert set(commands.choices) == {"generate", "cluster", "bp", "snr", "run", "eval"}
         flags = {f for a in commands.choices[command]._actions for f in a.option_strings} - {"-h", "--help"}
         assert flags == options
+
+    SPEC = {"n": 200, "q": 2, "orders": [2], "d": 8.0, "eps": 0.05}
+    SWEEP = {"experiment": "eps-sweep", "n": 200, "grid": [0.05], "reps": 1}
+    BP = ["bp", "--input", "EDGES", "--q", "2", "--d", "8", "--eps", "0.1"]
+
+    @pytest.mark.parametrize(
+        "argv, config, needle",
+        [
+            pytest.param(["generate"], dict(SPEC, mode="degree-eps"), "unknown key 'mode'", id="mode"),
+            pytest.param(["generate"], dict(SPEC, nn=200), "unknown key 'nn'", id="misspelt-spec-key"),
+            pytest.param(["generate"], dict(SPEC, c_in=5.0, c_out=1.0), "exactly one of", id="both-pairs"),
+            pytest.param(["generate"], {"q": 2, "orders": [2], "d": 8.0, "eps": 0.05}, "needs key 'n'", id="no-n"),
+            pytest.param(["generate"], {"n": 200, "orders": [2], "d": 8.0, "eps": 0.05}, "needs key 'q'", id="no-q"),
+            pytest.param(["generate"], {"n": 200, "q": 2, "d": 8.0, "eps": 0.05}, "needs key 'orders'", id="no-orders"),
+            pytest.param(["generate"], {"n": 200, "q": 2, "patterns": [{"order": 2, "composition": {"0": 2}}]},
+                         "needs exactly the keys", id="pattern-key"),
+            pytest.param(["generate"], '{"n": 200,', "Expecting", id="not-json"),
+            pytest.param(["run"], dict(SWEEP, methodz=["bh"]), "unknown key 'methodz'", id="sweep-key"),
+            pytest.param(["run"], dict(SWEEP, bp={"sweepz": 3}), "unknown key 'sweepz'", id="bp-block-key"),
+            pytest.param(BP, {"sweepz": 3}, "unknown key 'sweepz'", id="bp-config-key"),
+            pytest.param(["generate"], None, "No such file", id="generate-config"),
+            pytest.param(["run"], None, "No such file", id="run-config"),
+            pytest.param(["cluster", "--input", "MISSING"], (), "No such file", id="cluster-input"),
+            pytest.param(["cluster", "--input", "EDGES", "--labels", "MISSING"], (), "No such file", id="labels"),
+            pytest.param(BP[:2] + ["MISSING"] + BP[3:], (), "No such file", id="bp-input"),
+            pytest.param(["eval", "--input", "EDGES", "--pred", "MISSING", "--truth", "LABELS"], (), "No such file",
+                         id="pred"),
+            pytest.param(["eval", "--input", "EDGES", "--pred", "LABELS", "--truth", "MISSING"], (), "No such file",
+                         id="truth"),
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv, config, needle):
+        """config: the --config document (None: a missing file, (): no --config)."""
+        paths = {"EDGES": tmp_path / "edges.txt", "LABELS": tmp_path / "labels.txt", "MISSING": tmp_path / "nope"}
+        paths["EDGES"].write_text("0 1\n1 2 3\n")
+        paths["LABELS"].write_text("0 0\n1 0\n2 1\n3 1\n")
+        argv = [str(paths.get(a, a)) for a in argv]
+        if config != ():
+            path = tmp_path / "config.json"
+            if config is not None:
+                path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv += ["--config", str(path)]
+        if argv[0] != "eval":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith(f"hyperbethe {argv[0]}: error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_config_is_required(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--out", "x"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "usage:" in err
+        assert err.splitlines()[-1] == f"hyperbethe {command}: error: the following arguments are required: --config"
 
     @pytest.mark.parametrize(
         "argv",

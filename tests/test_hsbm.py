@@ -11,7 +11,6 @@ from hyperbethe import (
     degrees_from_rates,
     order_experiment_spec,
     rates_from_mean_degree,
-    sample_planted,
     sample_symmetric,
     shape_experiment_spec,
     spec_from_json,
@@ -88,10 +87,12 @@ class TestSpecValidation:
             PlantedPattern(4, ((0, 2), (1, 1)), 1.0)
 
     def test_json_loading(self):
-        spec = spec_from_json('{"n": 100, "q": 2, "orders": [2, 3], "mode": "degree-eps", "d": 5, "eps": 0.1, "seed": 3}')
+        spec = spec_from_json('{"n": 100, "q": 2, "orders": [2, 3], "d": 5, "eps": 0.1, "seed": 3}')
         assert isinstance(spec, SymmetricHsbmSpec) and spec.seed == 3
+        spec = spec_from_json({"n": 100, "q": 2, "orders": [2], "c_in": 5, "c_out": 1})
+        assert spec.rates() == (5.0, 1.0) and spec.d is None and spec.seed == 0
         spec = spec_from_json(
-            {"n": 100, "q": 4, "mode": "patterns",
+            {"n": 100, "q": 4,
              "patterns": [{"order": 4, "composition": {"0": 2, "1": 2}, "rate": 8.0}]}
         )
         assert isinstance(spec, PlantedPatternSpec)
@@ -164,7 +165,7 @@ class TestSymmetricSampler:
     def test_oversized_order_at_sampling(self):
         spec = PlantedPatternSpec(10, 2, (PlantedPattern(6, ((0, 6),), 5.0),))
         with pytest.raises(HsbmError):
-            sample_planted(spec)
+            sample_symmetric(spec)
 
 
 class TestOneSampler:
@@ -178,7 +179,7 @@ class TestOneSampler:
                 counts = tuple((b, comp.count(b)) for b in sorted(set(comp)))
                 cells.append(PlantedPattern(k, counts, c_in if len(counts) == 1 else c_out))
         pat = PlantedPatternSpec(300, 3, tuple(cells), seed=4)
-        draws = [sample_planted(sym), sample_symmetric(sym), sample_symmetric(pat), sample_planted(pat)]
+        draws = [sample_symmetric(sym), sample_symmetric(pat)]
         for h, planted in draws:
             assert edge_tuples(h) == edge_tuples(draws[0][0]) and h.m > 0
             assert {k: v.tolist() for k, v in h.edges_by_order.items()} == {
@@ -191,7 +192,7 @@ class TestPlantedSampler:
         spec = PlantedPatternSpec(
             400, 2, (PlantedPattern(4, ((0, 2), (1, 2)), 200.0),), seed=3
         )
-        h, planted = sample_planted(spec)
+        h, planted = sample_symmetric(spec)
         assert h.m > 0
         for e in edge_tuples(h):
             counts = np.bincount(planted.labels[list(e)], minlength=2)
@@ -200,7 +201,7 @@ class TestPlantedSampler:
     def test_shape4_ratio_tracks_rho(self):
         rho = 1.4
         spec = shape_experiment_spec(4000, 10.0, rho, order=4, seed=7)
-        h, planted = sample_planted(spec)
+        h, planted = sample_symmetric(spec)
         balanced = imbalanced = 0
         for e in edge_tuples(h):
             counts = np.bincount(planted.labels[list(e)], minlength=4)
@@ -215,7 +216,7 @@ class TestPlantedSampler:
     def test_order_spec_counts(self):
         rho = 2.0
         spec = order_experiment_spec(4000, 10.0, rho, 2, 3, seed=13)
-        h, _ = sample_planted(spec)
+        h, _ = sample_symmetric(spec)
         counts = h.order_counts()
         expected = expected_order_counts(spec)
         for k in (2, 3):
@@ -225,5 +226,5 @@ class TestPlantedSampler:
 
     def test_shape5_mean_degree(self):
         spec = shape_experiment_spec(4000, 10.0, 1.5, order=5, seed=2)
-        h, _ = sample_planted(spec)
+        h, _ = sample_symmetric(spec)
         assert h.degree_stats().mean == pytest.approx(10.0, rel=0.05)

@@ -28,7 +28,6 @@ from hyperbethe import (
     load_hyperedge_list,
     load_partition,
     nonbacktracking_matrix,
-    sample_planted,
     sample_symmetric,
     save_hyperedge_list,
     save_partition,
@@ -48,7 +47,7 @@ def scipy_modules():
 def plain_path(workdir):
     """sample -> save -> load -> BP -> AMI -> SNR report, plus a parsed CLI line; returns the AMI."""
     build_parser().parse_args(["bp", "--input", "edges.txt", "--q", "2", "--d", "8", "--eps", "0.2"])
-    sample_planted(PlantedPatternSpec(40, 2, ((3, ((0, 2), (1, 1)), 5.0),)))
+    sample_symmetric(PlantedPatternSpec(40, 2, ((3, ((0, 2), (1, 1)), 5.0),)))
     spec = SymmetricHsbmSpec(n=300, q=2, orders=(2, 3), d=8.0, eps=0.2, seed=0)
     h, planted = sample_symmetric(spec)
     edges, labels = os.path.join(workdir, "edges.txt"), os.path.join(workdir, "planted.txt")

@@ -172,14 +172,15 @@ def test_other_library_errors_exit_2(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     save_hyperedge_list(H, str(edges))
     sweep = tmp_path / "sweep.json"
-    sweep.write_text(json.dumps({"n": 300, "q": 3, "orders": [2], "d": 5, "grid": [0.1], "reps": 0}))
+    sweep.write_text(json.dumps({"experiment": "eps-sweep", "n": 300, "q": 3, "orders": [2], "d": 5, "grid": [0.1],
+                                 "reps": 0}))
     out = ["--out", str(tmp_path / "out")]
     # a DetectabilityError, a HypergraphError, a BpError and an ExperimentError
     cases = [
         (["snr", "--q", "3", "--orders", "2", "--c-in", "1", "--c-out", "5"], "disassortative"),
         (["cluster", "--input", str(empty), *out], "no hyperedges"),
         (["bp", "--input", str(edges), "--q", "3", "--d", "5", "--eps", "0.1", "--damping", "2", *out], "damping"),
-        (["sweep-eps", "--config", str(sweep), *out], "repetitions"),
+        (["run", "--config", str(sweep), *out], "repetitions"),
     ]
     for argv, needle in cases:
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,5 @@
-"""The README's library sketch and its `hyperbethe snr` example run, and the
-README names no deleted API."""
+"""The README's library sketch, its `hyperbethe snr` example and its model
+specs run, and the README names no deleted API."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import shlex
 
 import pytest
 
+from hyperbethe import PlantedPatternSpec, SymmetricHsbmSpec, sample_symmetric, spec_from_json
 from hyperbethe.cli import main as cli_main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -33,6 +34,20 @@ def test_snr_example_runs(capsys):
     assert doc["snr_bh"] > 1.0 and doc["eps_bh"] is not None
 
 
-@pytest.mark.parametrize("pattern", [r"dedup=", r"\.edges\b", r"from_labels", r"symmetric_pair_rates", r"fixed_q", r"eta_grid"])
+def test_model_specs_load():
+    section = readme().split("A `model.json` for `generate`", 1)[1].split("\n## ", 1)[0]
+    specs = [spec_from_json(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    assert [type(spec) for spec in specs] == [SymmetricHsbmSpec, PlantedPatternSpec]
+    for spec in specs:
+        assert sample_symmetric(spec)[0].m > 0
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        r"dedup=", r"\.edges\b", r"from_labels", r"symmetric_pair_rates", r"fixed_q", r"eta_grid",
+        r"sweep-(eps|shape|order)", r'"mode"', r"sample_planted",
+    ],
+)
 def test_no_deleted_api(pattern):
     assert re.search(pattern, readme()) is None
