@@ -3,7 +3,8 @@
 Subcommands: generate, cluster, bp, snr, run, eval.  generate and run take
 their whole input from a JSON document (--config): a model spec for
 generate, an experiment config for run, whose "experiment" key picks the
-experiment.  The other commands use flags.  Each subcommand accepts only
+experiment.  A --seed or --out given with it replaces that key of the
+document before hsbm.read_json reads it.  The other commands use flags.  Each subcommand accepts only
 the flags it reads.  All outputs are CSV/JSON plus the text formats of the
 library.
 """
@@ -14,12 +15,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .bp import BpConfig, BpError, bp_run
 from .detectability import DetectabilityError, snr_report
 from .experiments import ExperimentConfig, ExperimentError, run, write_csv, write_json
-from .hsbm import HsbmError, check_keys, model_rates, sample_symmetric, spec_from_json
+from .hsbm import HsbmError, model_rates, read_json, sample_symmetric, spec_from_json
 from .hypergraph import (
     HypergraphError,
     load_hyperedge_list,
@@ -28,7 +28,7 @@ from .hypergraph import (
     save_partition,
 )
 from .metrics import ami, confusion, hyperedge_composition
-from .spectral import SpectralConfig, spectral_cluster
+from .spectral import SpectralConfig, SpectralError, spectral_cluster
 
 
 def _add_common(p):
@@ -36,11 +36,11 @@ def _add_common(p):
     p.add_argument("--out", default="results", help="output directory")
 
 
-def _load_config(args):
-    if args.config is None:
-        return {}
+def _load_config(args, **flags):
+    """The --config JSON document; the flags that were given replace its keys."""
     with open(args.config, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    return dict(doc, **_given(**flags)) if isinstance(doc, dict) else doc
 
 
 def _orders(text):
@@ -51,12 +51,12 @@ def _orders(text):
 
 
 def _given(**flags):
-    """The flags given on the command line; they override the config's values."""
+    """The flags given on the command line."""
     return {k: v for k, v in flags.items() if v is not None}
 
 
 def cmd_generate(args):
-    spec = replace(spec_from_json(_load_config(args)), **_given(seed=args.seed))
+    spec = spec_from_json(_load_config(args, seed=args.seed))
     h, planted = sample_symmetric(spec)
     os.makedirs(args.out, exist_ok=True)
     save_hyperedge_list(h, os.path.join(args.out, "hypergraph.txt"))
@@ -83,12 +83,11 @@ def cmd_cluster(args):
     The community count is --q if given, else the labels' count, else the
     number of negative eigenvalues.
     """
+    flags = _given(eta=args.eta, seed=args.seed, kmeans_restarts=args.kmeans_restarts)
+    cfg = read_json(SpectralConfig, flags, SpectralError)
     h, names = load_hyperedge_list(args.input)
     truth = load_partition(args.labels, names) if args.labels else None
-    q = args.q
-    if q is None and truth is not None:
-        q = truth.q
-    cfg = SpectralConfig(eta=args.eta, seed=args.seed or 0, kmeans_restarts=args.kmeans_restarts)
+    q = truth.q if args.q is None and truth is not None else args.q
     result = spectral_cluster(h, num_communities=q, config=cfg)
     doc = result.to_dict()
     if truth is not None:
@@ -108,12 +107,10 @@ def cmd_cluster(args):
 
 
 def cmd_bp(args):
+    flags = _given(max_sweeps=args.max_sweeps, tol=args.tol, damping=args.damping, init=args.init, seed=args.seed)
+    cfg = read_json(BpConfig, flags, BpError)
     h, names = load_hyperedge_list(args.input)
     rates = model_rates(args.q, h.orders, c_in=args.c_in, c_out=args.c_out, d=args.d, eps=args.eps)
-    # BpConfig fields from the JSON config, overridden by explicit flags
-    doc = check_keys(BpConfig, _load_config(args), BpError)
-    flags = _given(max_sweeps=args.max_sweeps, damping=args.damping, init=args.init, seed=args.seed)
-    cfg = BpConfig(**dict(doc, **flags))
     res = bp_run(h, args.q, rates, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_partition(res.partition, os.path.join(args.out, "bp_partition.txt"), names)
@@ -135,7 +132,7 @@ def cmd_snr(args):
 
 def cmd_run(args):
     # an explicit --out wins over the config's "out", which wins over results/
-    cfg = replace(ExperimentConfig.from_json(_load_config(args)), **_given(seed=args.seed, out=args.out))
+    cfg = ExperimentConfig.from_json(_load_config(args, seed=args.seed, out=args.out))
     out = run(cfg)
     print(f"{cfg.experiment} -> {out[0] if isinstance(out, tuple) else out}")
 
@@ -169,7 +166,6 @@ def build_parser():
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("bp", help="belief propagation on a hypergraph file")
-    p.add_argument("--config", default=None, help="JSON object of BpConfig fields")
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--q", type=int, required=True)
@@ -178,6 +174,7 @@ def build_parser():
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--max-sweeps", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None, help="convergence threshold on the message change")
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--init", default=None, choices=("uniform", "perturbed"))
     p.set_defaults(func=cmd_bp)
@@ -215,7 +212,7 @@ def main(argv=None):
         parser.error("eval: --normalize needs --confusion")
     try:
         args.func(args)
-    except (HsbmError, DetectabilityError, HypergraphError, BpError, ExperimentError,
+    except (HsbmError, DetectabilityError, HypergraphError, BpError, ExperimentError, SpectralError,
             OSError, json.JSONDecodeError) as exc:  # also an unreadable file or a config that is not JSON
         parser.exit(2, f"hyperbethe {args.command}: error: {exc}\n")
     return 0

@@ -320,6 +320,7 @@ def _tradeoff(kind, low_order, high_order):
     if low_order is None or high_order is None:
         raise DetectabilityError("order experiment needs low_order and high_order")
     k, ks = int(low_order), int(high_order)
+    model_orders(4, (k, ks))  # four planted communities
     raw = 2 ** (ks - k) * (2 ** (k - 1) - 1) * math.comb(ks, 2) / float((2 ** (ks - 1) - 1) * math.comb(k, 2))
     return (k, ks), raw, lambda d, rho: order_experiment_spec(max(64, 4 * high_order), d, rho, low_order, high_order)
 

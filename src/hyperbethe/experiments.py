@@ -21,12 +21,12 @@ from functools import partial
 
 import numpy as np
 
-from .bp import BpConfig, BpError, bp_run
+from .bp import BpConfig, bp_run
 from .detectability import snr_report, switching_rho
 from .hsbm import (
     SymmetricHsbmSpec,
-    check_keys,
     order_experiment_spec,
+    read_json,
     sample_symmetric,
     shape_experiment_spec,
 )
@@ -45,11 +45,11 @@ class ExperimentConfig:
     experiment: str  # eps-sweep | shape-sweep | order-sweep | spectrum
     n: int = 3000
     q: int = 2
-    orders: tuple = (2, 3)
+    orders: tuple[int, ...] = (2, 3)
     d: float = 10.0
-    grid: tuple = ()
+    grid: tuple[float, ...] = ()  # spectrum: its one eps
     reps: int = 20
-    methods: tuple = ("bh",)
+    methods: tuple[str, ...] = ("bh",)
     seed: int = 0
     out: str = "results"
     shape_order: int = 4
@@ -58,14 +58,12 @@ class ExperimentConfig:
     bp: BpConfig = BpConfig()
 
     def __post_init__(self):
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
-        object.__setattr__(self, "orders", tuple(int(k) for k in self.orders))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        if self.experiment not in EXPERIMENTS:
+            raise ExperimentError(f"unknown experiment {self.experiment!r}")
         if self.reps < 1:
             raise ExperimentError("repetitions must be >= 1")
-        if self.experiment in ("eps-sweep", "shape-sweep", "order-sweep") and not self.grid:
-            raise ExperimentError("sweep experiments need a nonempty grid")
+        if not self.grid or self.experiment == "spectrum" and len(self.grid) > 1:
+            raise ExperimentError(f"{self.experiment} grid {list(self.grid)} must be nonempty, one value for spectrum")
         if self.experiment == "eps-sweep" and not (self.methods and set(self.methods) <= {"bh", "bp"}):
             raise ExperimentError(f"eps-sweep methods {self.methods} must be a nonempty subset of ('bh', 'bp')")
 
@@ -73,10 +71,12 @@ class ExperimentConfig:
     def from_json(cls, doc):
         if isinstance(doc, str):
             doc = json.loads(doc)
-        doc = dict(check_keys(cls, doc, ExperimentError))
-        if "bp" in doc:
-            doc["bp"] = BpConfig(**check_keys(BpConfig, doc["bp"], BpError))
-        return cls(**doc)
+        cfg = read_json(cls, doc, ExperimentError)
+        reads = EXPERIMENTS[cfg.experiment][1]
+        for key in doc:
+            if key not in reads and key != "experiment":
+                raise ExperimentError(f"unknown key {key!r}; {cfg.experiment} takes {', '.join(reads)}")
+        return cfg
 
 
 def _run_seed(master, point, rep):
@@ -202,9 +202,9 @@ def run_eps_sweep(cfg: ExperimentConfig):
             out["bp"] = ami(res.partition, planted)
         return out
 
+    report = snr_report(cfg.q, cfg.orders, d=cfg.d, eps=0.0, with_roots=True)  # first: fails before any write
     csv_path, means = _sweep(cfg, "eps", "eps", ("bh", "bp"), score)
     curves = {m: means[m] for m in cfg.methods}
-    report = snr_report(cfg.q, cfg.orders, d=cfg.d, eps=0.0, with_roots=True)
     doc = {
         "experiment": "eps-sweep",
         "n": cfg.n,
@@ -236,17 +236,17 @@ def _run_competition(cfg: ExperimentConfig, name, make_spec, rho_star, annotatio
         truths = [Partition(np.array(lut)[planted.labels], 2) for lut in ((0, 0, 1, 1), (0, 1, 0, 1))]
         return dict(zip(("0123", "0213"), _bh_scores(h, 2, *truths)))
 
+    predicted = dict(rho_star_raw=rho_star(), rho_star_adjusted=rho_star(adjusted=True, d=cfg.d))  # before any write
     csv_path, curves = _sweep(cfg, name, "rho", ("0123", "0213"), score)
     curve_a, curve_b = curves["0123"], curves["0213"]
     doc = dict(
         annotations,
+        **predicted,
         experiment=f"{name}-sweep",
         n=cfg.n,
         d=cfg.d,
         grid=list(cfg.grid),
         reps=cfg.reps,
-        rho_star_raw=rho_star(),
-        rho_star_adjusted=rho_star(adjusted=True, d=cfg.d),
         crossings=crossing_points(cfg.grid, curve_a, curve_b),
     )
     json_path = write_json(os.path.join(cfg.out, f"{name}_sweep.json"), doc)
@@ -275,10 +275,7 @@ def run_spectrum(cfg: ExperimentConfig):
     """Dump non-backtracking eigenvalues and Bethe Hessian spectra vs eta."""
     if cfg.n > 300:
         raise ExperimentError("spectrum dumps are limited to n <= 300")
-    spec = SymmetricHsbmSpec(
-        n=cfg.n, q=cfg.q, orders=cfg.orders, d=cfg.d,
-        eps=cfg.grid[0] if cfg.grid else 0.1, seed=cfg.seed,
-    )
+    spec = SymmetricHsbmSpec(n=cfg.n, q=cfg.q, orders=cfg.orders, d=cfg.d, eps=cfg.grid[0], seed=cfg.seed)
     h, _ = sample_symmetric(spec)
     radius = bulk_radius(h)
     nb = nonbacktracking_matrix(h, guard=50000)
@@ -299,13 +296,14 @@ def run_spectrum(cfg: ExperimentConfig):
     return write_json(os.path.join(cfg.out, "spectrum.json"), doc)
 
 
+# each experiment's runner and the config keys besides "experiment" that it reads
+EXPERIMENTS = {
+    "eps-sweep": (run_eps_sweep, ("n", "q", "orders", "d", "grid", "reps", "methods", "bp", "seed", "out")),
+    "shape-sweep": (run_shape_sweep, ("n", "d", "grid", "reps", "shape_order", "seed", "out")),
+    "order-sweep": (run_order_sweep, ("n", "d", "grid", "reps", "low_order", "high_order", "seed", "out")),
+    "spectrum": (run_spectrum, ("n", "q", "orders", "d", "grid", "seed", "out")),
+}
+
+
 def run(cfg: ExperimentConfig):
-    runner = {
-        "eps-sweep": run_eps_sweep,
-        "shape-sweep": run_shape_sweep,
-        "order-sweep": run_order_sweep,
-        "spectrum": run_spectrum,
-    }.get(cfg.experiment)
-    if runner is None:
-        raise ExperimentError(f"unknown experiment {cfg.experiment!r}")
-    return runner(cfg)
+    return EXPERIMENTS[cfg.experiment][0](cfg)

@@ -18,17 +18,18 @@ sample_symmetric, takes either spec kind.
 The parameter rules (q, the order set, the rate pair, the (d, eps) pair)
 are written here once: check_q, model_orders, check_rates,
 rates_from_mean_degree and model_rates.  The detectability calculators, BP
-and the CLI call them instead of checking on their own.  check_keys is the
-one rule for the keys of every JSON config reader.
+and the CLI call them instead of checking on their own.  read_json is the
+one reader of every JSON config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from itertools import combinations_with_replacement
 from math import comb, factorial
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class SymmetricHsbmSpec:
 
     n: int
     q: int
-    orders: tuple
+    orders: tuple[int, ...]
     c_in: float | None = None
     c_out: float | None = None
     d: float | None = None
@@ -142,18 +143,18 @@ class PlantedPattern:
     """One hyperedge family: order, community composition, Poisson rate."""
 
     order: int
-    counts: tuple  # ((community, count), ...) sorted
+    composition: dict[int, int]  # community -> count; stored as sorted ((community, count), ...)
     rate: float
 
     def __post_init__(self):
-        counts = tuple(sorted((int(c), int(k)) for c, k in dict(self.counts).items()))
-        object.__setattr__(self, "counts", counts)
-        total = sum(k for _, k in counts)
+        composition = tuple(sorted(dict(self.composition).items()))
+        object.__setattr__(self, "composition", composition)
+        total = sum(k for _, k in composition)
         if total != self.order:
             raise HsbmError(f"composition counts sum to {total}, expected order {self.order}")
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise HsbmError(f"rate {self.rate} must be nonnegative and finite")
-        if any(k <= 0 for _, k in counts):
+        if any(k <= 0 for _, k in composition):
             raise HsbmError("composition counts must be positive")
 
 
@@ -161,18 +162,13 @@ class PlantedPattern:
 class PlantedPatternSpec:
     n: int
     q: int
-    patterns: tuple = field(default_factory=tuple)
+    patterns: tuple[PlantedPattern, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
-        pats = tuple(
-            p if isinstance(p, PlantedPattern) else PlantedPattern(*p)
-            for p in self.patterns
-        )
-        object.__setattr__(self, "patterns", pats)
         check_q(self.q)
-        for p in pats:
-            if any(c < 0 or c >= self.q for c, _ in p.counts):
+        for p in self.patterns:
+            if any(c < 0 or c >= self.q for c, _ in p.composition):
                 raise HsbmError("pattern community outside [0, q)")
 
 
@@ -242,7 +238,7 @@ def _cell_mean(n, sizes, order, counts, rate):
 def _cells(spec):
     """(order, composition, rate) of every cell of a symmetric or pattern spec."""
     if isinstance(spec, PlantedPatternSpec):
-        return [(p.order, p.counts, p.rate) for p in spec.patterns]
+        return [(p.order, p.composition, p.rate) for p in spec.patterns]
     c_in, c_out = spec.rates()
     cells = []
     for order in spec.orders:
@@ -293,8 +289,8 @@ def shape_experiment_spec(n, d, rho, order=4, seed=0) -> PlantedPatternSpec:
         imbalanced = [{0: 4, 2: 1}, {0: 1, 2: 4}, {1: 4, 3: 1}, {1: 1, 3: 4}]
     else:
         raise HsbmError("shape experiment is defined for orders 4 and 5")
-    patterns = [PlantedPattern(order, tuple(c.items()), a_star) for c in balanced]
-    patterns += [PlantedPattern(order, tuple(c.items()), a) for c in imbalanced]
+    patterns = [PlantedPattern(order, c, a_star) for c in balanced]
+    patterns += [PlantedPattern(order, c, a) for c in imbalanced]
     return PlantedPatternSpec(n, 4, tuple(patterns), seed)
 
 
@@ -314,12 +310,20 @@ def order_experiment_spec(n, d, rho, low_order, high_order, seed=0) -> PlantedPa
     for pair, rate, order in (((0, 2), a, k), ((1, 3), a, k), ((0, 1), a_star, ks), ((2, 3), a_star, ks)):
         u, v = pair
         for j in range(1, order):
-            patterns.append(PlantedPattern(order, ((u, j), (v, order - j)), rate))
+            patterns.append(PlantedPattern(order, {u: j, v: order - j}, rate))
     return PlantedPatternSpec(n, 4, tuple(patterns), seed)
 
 
-def check_keys(cls, doc, error):
-    """doc, whose keys must be fields of dataclass cls and include every required one; else error."""
+def read_json(cls, doc, error):
+    """Dataclass cls from the JSON object doc, whose keys must be fields of cls and include every required one.
+
+    Values go by the field's annotation: int takes an integer (not a bool),
+    float any number, X | None also null, tuple[T, ...] a list of T,
+    dict[int, int] an object with decimal keys, a dataclass an object.  A
+    seed must be >= 0, as numpy's generators need.  Any mismatch raises error.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{cls.__name__} needs a JSON object, not {json.dumps(doc)}")
     names = [f.name for f in fields(cls)]
     for key in doc:
         if key not in names:
@@ -327,33 +331,32 @@ def check_keys(cls, doc, error):
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
             raise error(f"{cls.__name__} needs key {f.name!r}")
-    return doc
+    hints = get_type_hints(cls)
+    values = {key: _read(hints[key], value, error, f"{cls.__name__} key {key!r}") for key, value in doc.items()}
+    if values.get("seed", 0) < 0:
+        raise error(f"seed {values['seed']} must be >= 0")
+    return cls(**values)
+
+
+def _read(hint, value, error, where):
+    """value read as the annotation hint says (see read_json)."""
+    if is_dataclass(hint):
+        return read_json(hint, value, error)
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, error, where)
+    if origin is tuple and isinstance(value, list):
+        return tuple(_read(args[0], v, error, where) for v in value)
+    if origin is dict and isinstance(value, dict) and all(k.isdecimal() for k in value):
+        return {int(k): _read(args[1], v, error, where) for k, v in value.items()}
+    if origin is None and not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint):
+        return float(value) if hint is float else value
+    raise error(f"{where} takes {hint.__name__ if origin is None else hint}, not {json.dumps(value)}")
 
 
 def spec_from_json(doc):
-    """Build a generator spec from a JSON document or dict.
-
-    A "patterns" key makes a PlantedPatternSpec: n, q, patterns (each with
-    order, composition and rate) and seed.  Otherwise the keys n, q, orders,
-    seed and whichever of c_in, c_out, d and eps are given make a
-    SymmetricHsbmSpec, which takes exactly one whole pair.
-    """
+    """A PlantedPatternSpec from a JSON text or object with a "patterns" key, else a SymmetricHsbmSpec."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    check_keys(PlantedPatternSpec if "patterns" in doc else SymmetricHsbmSpec, doc, HsbmError)
-    seed = int(doc.get("seed", 0))
-    if "patterns" in doc:
-        for p in doc["patterns"]:
-            if sorted(p) != ["composition", "order", "rate"]:
-                raise HsbmError(f"pattern {p} needs exactly the keys order, composition and rate")
-        patterns = tuple(
-            PlantedPattern(
-                int(p["order"]),
-                tuple((int(c), int(k)) for c, k in p["composition"].items()),
-                float(p["rate"]),
-            )
-            for p in doc["patterns"]
-        )
-        return PlantedPatternSpec(int(doc["n"]), int(doc["q"]), patterns, seed)
-    rates = {k: float(doc[k]) for k in ("c_in", "c_out", "d", "eps") if k in doc}
-    return SymmetricHsbmSpec(n=int(doc["n"]), q=int(doc["q"]), orders=tuple(doc["orders"]), seed=seed, **rates)
+    cls = PlantedPatternSpec if isinstance(doc, dict) and "patterns" in doc else SymmetricHsbmSpec
+    return read_json(cls, doc, HsbmError)

@@ -38,8 +38,8 @@ NEG_TOL = 1e-8
 KMEANS_ITERS = 300
 
 
-class SpectralError(RuntimeError):
-    pass
+class SpectralError(ValueError):
+    """The spectral pipeline cannot run on this input or these settings."""
 
 
 class EigenConvergenceError(SpectralError):
@@ -161,7 +161,7 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
     """
     n = B.n
     if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}]")
+        raise SpectralError(f"k must be in [1, {n}]")
     if n <= DENSE_CUTOFF or k >= n - 1:
         w, v = np.linalg.eigh(B.matrix.toarray())
         w, v = w[:k], v[:, :k]
@@ -282,10 +282,10 @@ def kmeans(points, k, *, restarts=20, seed=0):
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
     if k < 1 or k > n or restarts < 1:
-        raise ValueError(f"need 1 <= k <= {n} and restarts >= 1")
+        raise SpectralError(f"need 1 <= k <= {n} and restarts >= 1")
     xx = np.einsum("ij,ij->i", X, X)
     if not np.isfinite(xx).all():
-        raise ValueError("k-means points must be finite")
+        raise SpectralError("k-means points must be finite")
     cols = np.ascontiguousarray(X.T)
     d2 = np.empty((k, n))
     dmin, dist, tmp = np.empty((3, n))

@@ -448,7 +448,7 @@ class TestCli:
 
     def test_spectrum_subcommand(self, tmp_path):
         doc = {"experiment": "spectrum", "n": 80, "q": 2, "orders": [2, 3], "d": 9.0, "grid": [0.08],
-               "reps": 1, "seed": 3, "out": str(tmp_path / "spec")}
+               "seed": 3, "out": str(tmp_path / "spec")}
         cfg = tmp_path / "spectrum.json"
         cfg.write_text(json.dumps(doc))
         cli_main(["run", "--config", str(cfg)])
@@ -467,8 +467,8 @@ class TestCli:
         [
             ("generate", {"--config", "--seed", "--out"}),
             ("cluster", {"--seed", "--out", "--input", "--labels", "--q", "--eta", "--kmeans-restarts"}),
-            ("bp", {"--config", "--seed", "--out", "--input", "--q", "--c-in", "--c-out", "--d", "--eps",
-                    "--max-sweeps", "--damping", "--init"}),
+            ("bp", {"--seed", "--out", "--input", "--q", "--c-in", "--c-out", "--d", "--eps",
+                    "--max-sweeps", "--tol", "--damping", "--init"}),
             ("snr", {"--q", "--orders", "--c-in", "--c-out", "--d", "--eps", "--roots"}),
             ("run", {"--config", "--seed", "--out"}),
             ("eval", {"--input", "--pred", "--truth", "--confusion", "--normalize"}),
@@ -481,6 +481,7 @@ class TestCli:
         assert flags == options
 
     SPEC = {"n": 200, "q": 2, "orders": [2], "d": 8.0, "eps": 0.05}
+    PATTERN = {"order": 2, "composition": {"0": 2}, "rate": 1.0}
     SWEEP = {"experiment": "eps-sweep", "n": 200, "grid": [0.05], "reps": 1}
     BP = ["bp", "--input", "EDGES", "--q", "2", "--d", "8", "--eps", "0.1"]
 
@@ -494,11 +495,51 @@ class TestCli:
             pytest.param(["generate"], {"n": 200, "orders": [2], "d": 8.0, "eps": 0.05}, "needs key 'q'", id="no-q"),
             pytest.param(["generate"], {"n": 200, "q": 2, "d": 8.0, "eps": 0.05}, "needs key 'orders'", id="no-orders"),
             pytest.param(["generate"], {"n": 200, "q": 2, "patterns": [{"order": 2, "composition": {"0": 2}}]},
-                         "needs exactly the keys", id="pattern-key"),
+                         "PlantedPattern needs key 'rate'", id="pattern-key"),
             pytest.param(["generate"], '{"n": 200,', "Expecting", id="not-json"),
             pytest.param(["run"], dict(SWEEP, methodz=["bh"]), "unknown key 'methodz'", id="sweep-key"),
             pytest.param(["run"], dict(SWEEP, bp={"sweepz": 3}), "unknown key 'sweepz'", id="bp-block-key"),
-            pytest.param(BP, {"sweepz": 3}, "unknown key 'sweepz'", id="bp-config-key"),
+            pytest.param(["generate"], dict(SPEC, d=None), "exactly one of", id="null-d"),
+            pytest.param(["generate"], dict(SPEC, n=300.7), "key 'n' takes int, not 300.7", id="float-n"),
+            pytest.param(["generate"], dict(SPEC, q=True), "key 'q' takes int, not true", id="bool-q"),
+            pytest.param(["generate"], dict(SPEC, orders="23"), "key 'orders' takes tuple[int, ...]",
+                         id="string-orders"),
+            pytest.param(["generate"], dict(SPEC, seed=1.5), "key 'seed' takes int, not 1.5", id="float-seed"),
+            pytest.param(["generate"], dict(SPEC, seed=-1), "seed -1 must be >= 0", id="negative-seed"),
+            pytest.param(["generate"], {"n": 200, "q": 2, "patterns": [dict(PATTERN, rate="x")]},
+                         "key 'rate' takes float, not \"x\"", id="string-rate"),
+            pytest.param(["generate"], {"n": 200, "q": 2, "patterns": [dict(PATTERN, composition=[2])]},
+                         "key 'composition' takes dict[int, int], not [2]", id="list-composition"),
+            pytest.param(["generate"], [SPEC], "needs a JSON object", id="top-level-list"),
+            pytest.param(["generate", "--seed", "-1"], SPEC, "seed -1 must be >= 0", id="generate-seed-flag"),
+            pytest.param(["run"], dict(SWEEP, reps="3"), "key 'reps' takes int, not \"3\"", id="string-reps"),
+            pytest.param(["run"], dict(SWEEP, methods="bh"), "key 'methods' takes tuple[str, ...]",
+                         id="string-methods"),
+            pytest.param(["run"], dict(SWEEP, grid=0.1), "key 'grid' takes tuple[float, ...]", id="number-grid"),
+            pytest.param(["run"], dict(SWEEP, orders=[2.5]), "key 'orders' takes int, not 2.5", id="float-order"),
+            pytest.param(["run"], dict(SWEEP, bp={"max_sweeps": "5"}), "key 'max_sweeps' takes int",
+                         id="bp-block-type"),
+            pytest.param(["run"], dict(SWEEP, seed=-1), "seed -1 must be >= 0", id="run-seed"),
+            pytest.param(["run", "--seed", "-1"], SWEEP, "seed -1 must be >= 0", id="run-seed-flag"),
+            pytest.param(["run"], dict(SWEEP, shape_order=4), "unknown key 'shape_order'; eps-sweep takes",
+                         id="eps-sweep-shape-order"),
+            pytest.param(["run"], {"experiment": "shape-sweep", "n": 200, "grid": [1.0], "reps": 1, "q": 4},
+                         "unknown key 'q'; shape-sweep takes", id="shape-sweep-q"),
+            pytest.param(["run"], {"experiment": "spectrum", "n": 60, "grid": [0.1], "reps": 1},
+                         "unknown key 'reps'; spectrum takes", id="spectrum-reps"),
+            pytest.param(["run"], {"experiment": "spectrum", "n": 60, "grid": [0.1, 0.2]}, "one value for spectrum",
+                         id="spectrum-grid"),
+            pytest.param(["cluster", "--input", "EDGES", "--q", "2", "--kmeans-restarts", "0"], (), "restarts >= 1",
+                         id="kmeans-restarts"),
+            pytest.param(["cluster", "--input", "EDGES", "--q", "0"], (), "k must be in [1, 4]", id="cluster-q-0"),
+            pytest.param(["cluster", "--input", "EDGES", "--q", "5"], (), "k must be in [1, 4]",
+                         id="cluster-q-above-n"),
+            pytest.param(["cluster", "--input", "EDGES", "--eta", "-1"], (), "hits a pole", id="cluster-pole"),
+            pytest.param(["cluster", "--input", "EDGES"], (), "no negative eigenvalues", id="cluster-no-structure"),
+            pytest.param(["cluster", "--input", "EDGES", "--seed", "-1"], (), "seed -1 must be >= 0",
+                         id="cluster-seed"),
+            pytest.param(BP + ["--seed", "-1"], (), "seed -1 must be >= 0", id="bp-seed"),
+            pytest.param(BP + ["--tol", "0"], (), "convergence threshold", id="bp-tol"),
             pytest.param(["generate"], None, "No such file", id="generate-config"),
             pytest.param(["run"], None, "No such file", id="run-config"),
             pytest.param(["cluster", "--input", "MISSING"], (), "No such file", id="cluster-input"),
@@ -546,6 +587,7 @@ class TestCli:
             ["eval", "--input", "e", "--pred", "p", "--truth", "t", "--seed", "1"],
             ["cluster", "--input", "e", "--config", "f"],
             ["empirical", "--input", "e"],
+            ["bp", "--input", "e", "--q", "2", "--d", "8", "--eps", "0.1", "--config", "f"],
         ],
     )
     def test_dead_flags_are_usage_errors(self, argv, capsys):

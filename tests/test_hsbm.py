@@ -96,7 +96,7 @@ class TestSpecValidation:
              "patterns": [{"order": 4, "composition": {"0": 2, "1": 2}, "rate": 8.0}]}
         )
         assert isinstance(spec, PlantedPatternSpec)
-        assert spec.patterns[0].counts == ((0, 2), (1, 2))
+        assert spec.patterns[0].composition == ((0, 2), (1, 2))
 
 
 class TestSymmetricSampler:

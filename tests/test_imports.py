@@ -18,7 +18,6 @@ import pytest
 
 import hyperbethe
 from hyperbethe import (
-    PlantedPatternSpec,
     SymmetricHsbmSpec,
     ami,
     bethe_hessian,
@@ -32,6 +31,7 @@ from hyperbethe import (
     save_hyperedge_list,
     save_partition,
     snr_report,
+    spec_from_json,
     spectral_cluster,
 )
 from hyperbethe.cli import build_parser
@@ -45,9 +45,10 @@ def scipy_modules():
 
 
 def plain_path(workdir):
-    """sample -> save -> load -> BP -> AMI -> SNR report, plus a parsed CLI line; returns the AMI."""
+    """read a spec -> sample -> save -> load -> BP -> AMI -> SNR report, plus a parsed CLI line; returns the AMI."""
     build_parser().parse_args(["bp", "--input", "edges.txt", "--q", "2", "--d", "8", "--eps", "0.2"])
-    sample_symmetric(PlantedPatternSpec(40, 2, ((3, ((0, 2), (1, 1)), 5.0),)))
+    pattern = {"order": 3, "composition": {"0": 2, "1": 1}, "rate": 5.0}
+    sample_symmetric(spec_from_json({"n": 40, "q": 2, "patterns": [pattern]}))
     spec = SymmetricHsbmSpec(n=300, q=2, orders=(2, 3), d=8.0, eps=0.2, seed=0)
     h, planted = sample_symmetric(spec)
     edges, labels = os.path.join(workdir, "edges.txt"), os.path.join(workdir, "planted.txt")

@@ -191,12 +191,16 @@ def test_other_library_errors_exit_2(tmp_path, capsys):
         assert needle in captured.err
 
 
-def test_spectral_errors_keep_their_traceback(tmp_path, monkeypatch):
+def test_spectral_errors_exit_2(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise SpectralError("no structure")
 
     edges = tmp_path / "edges.txt"
     save_hyperedge_list(H, str(edges))
     monkeypatch.setattr("hyperbethe.cli.spectral_cluster", fail)
-    with pytest.raises(SpectralError, match="no structure"):
-        cli_main(["cluster", "--input", str(edges), "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["cluster", "--input", str(edges), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == "hyperbethe cluster: error: no structure\n"
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,8 @@
 """The README's library sketch, its `hyperbethe snr` example and its model
-specs run, and the README names no deleted API."""
+specs run, its CLI table names each command's flags, and the README names no
+deleted API."""
 
+import argparse
 import json
 import os
 import re
@@ -9,6 +11,7 @@ import shlex
 import pytest
 
 from hyperbethe import PlantedPatternSpec, SymmetricHsbmSpec, sample_symmetric, spec_from_json
+from hyperbethe.cli import build_parser
 from hyperbethe.cli import main as cli_main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -40,6 +43,16 @@ def test_model_specs_load():
     assert [type(spec) for spec in specs] == [SymmetricHsbmSpec, PlantedPatternSpec]
     for spec in specs:
         assert sample_symmetric(spec)[0].m > 0
+
+
+def test_cli_table_matches_the_parser():
+    table = re.search(r"^\| command \| flags \|\n(.*?)\n\n", readme(), re.M | re.S).group(1)
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(rows) == set(commands.choices) and len(rows) == 6
+    for command, parser in commands.choices.items():
+        flags = {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z-]+", rows[command])) == flags, command
 
 
 @pytest.mark.parametrize(
