@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -309,12 +310,12 @@ MERGE_01_23 = ((0, 1), (2, 3))
 MERGE_02_13 = ((0, 2), (1, 3))
 
 
-def _tradeoff(kind, low_order, high_order):
-    """(low order, high order), raw switching rho and the (d, rho) -> spec builder of an experiment kind."""
+def _tradeoff(kind, low_order=None, high_order=None):
+    """(low order, high order), raw switching rho and (n, d, rho, seed=0) -> spec builder of a trade-off experiment."""
     if kind in ("shape4", "shape5"):
         k = int(kind[-1])
         raw = 4.0 / 3.0 if k == 4 else 3.0 / 2.0
-        return (k, k), raw, lambda d, rho: shape_experiment_spec(64, d, rho, order=k)
+        return (k, k), raw, partial(shape_experiment_spec, order=k)
     if kind != "order":
         raise DetectabilityError(f"unknown experiment kind {kind!r}")
     if low_order is None or high_order is None:
@@ -322,13 +323,14 @@ def _tradeoff(kind, low_order, high_order):
     k, ks = int(low_order), int(high_order)
     model_orders(4, (k, ks))  # four planted communities
     raw = 2 ** (ks - k) * (2 ** (k - 1) - 1) * math.comb(ks, 2) / float((2 ** (ks - 1) - 1) * math.comb(k, 2))
-    return (k, ks), raw, lambda d, rho: order_experiment_spec(max(64, 4 * high_order), d, rho, low_order, high_order)
+    return (k, ks), raw, partial(order_experiment_spec, low_order=k, high_order=ks)
 
 
 def competing_snrs(kind, rho, *, d=10.0, low_order=None, high_order=None):
     """SNRs of the two coarse structures of a trade-off experiment at ratio rho."""
-    _, _, spec_at = _tradeoff(kind, low_order, high_order)
-    rates = pair_rate_matrix(spec_at(d, rho))
+    (_, ks), _, build = _tradeoff(kind, low_order, high_order)
+    # the pair rates do not depend on n; 4 * ks is the least n whose blocks hold every hyperedge
+    rates = pair_rate_matrix(build(4 * ks, d, rho))
     return coarse_snr(rates, MERGE_01_23), coarse_snr(rates, MERGE_02_13)
 
 

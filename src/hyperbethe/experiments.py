@@ -5,9 +5,9 @@ Every runner is deterministic for a fixed config: per-run seeds derive from
 with stable formatting, so repeated runs produce byte-identical files.
 
 All sweeps share one grid x reps loop.  A repetition in which spectral
-detection finds no structure (SpectralError) scores 0 on every column the
+detection finds no structure (a SpectralError) scores 0 on every column the
 spectral partition feeds, and means always run over all repetitions; any
-other exception fails the sweep.
+other exception, EigenConvergenceError included, fails the sweep.
 """
 
 from __future__ import annotations
@@ -17,23 +17,16 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .bp import BpConfig, bp_run
-from .detectability import snr_report, switching_rho
-from .hsbm import (
-    SymmetricHsbmSpec,
-    order_experiment_spec,
-    read_json,
-    sample_symmetric,
-    shape_experiment_spec,
-)
+from .detectability import MERGE_01_23, MERGE_02_13, _tradeoff, snr_report, switching_rho
+from .hsbm import SymmetricHsbmSpec, read_json, sample_symmetric
 from .hypergraph import Partition
 from .metrics import ami
 from .nonbacktracking import nonbacktracking_matrix
-from .spectral import SpectralError, bethe_hessian, bulk_radius, spectral_cluster
+from .spectral import EigenConvergenceError, SpectralError, bethe_hessian, bulk_radius, spectral_cluster
 
 
 class ExperimentError(RuntimeError):
@@ -76,6 +69,8 @@ class ExperimentConfig:
         for key in doc:
             if key not in reads and key != "experiment":
                 raise ExperimentError(f"unknown key {key!r}; {cfg.experiment} takes {', '.join(reads)}")
+        if "seed" in doc.get("bp", {}):
+            raise ExperimentError("key 'seed' in \"bp\" has no effect: BP is seeded per repetition")
         return cfg
 
 
@@ -149,9 +144,11 @@ def crossing_points(grid, a, b):
 
 
 def _bh_scores(h, q, *truths):
-    """AMI of the Bethe Hessian partition against each truth; no structure scores 0."""
+    """AMI of the Bethe Hessian partition against each truth; no structure scores 0, a failed eigensolve raises."""
     try:
         part = spectral_cluster(h, num_communities=q).partition
+    except EigenConvergenceError:
+        raise
     except SpectralError:
         return [0.0] * len(truths)
     return [ami(part, t) for t in truths]
@@ -187,8 +184,8 @@ def run_eps_sweep(cfg: ExperimentConfig):
     Per grid point and repetition: sample, detect with the requested
     methods, score AMI against the planted partition.  Spectral detection
     estimates the community count from the negative eigenvalues.  Finding
-    no structure (a SpectralError) scores 0; BP that stops at its sweep cap
-    still scores; any other error fails the sweep.
+    no structure scores 0; BP that stops at its sweep cap still scores; any
+    other error, a failed eigensolve included, fails the sweep.
     """
 
     def score(eps, seed):
@@ -222,25 +219,28 @@ def run_eps_sweep(cfg: ExperimentConfig):
     return csv_path, json_path, curves
 
 
-def _run_competition(cfg: ExperimentConfig, name, make_spec, rho_star, annotations):
+def _run_competition(cfg: ExperimentConfig, kind):
     """Shared runner of the shape and order sweeps: detect 2 communities and
     score against both coarse plantings; writes <name>_sweep.csv/.json.
 
-    make_spec(rho, seed) is the planted model; rho_star(adjusted=, d=) the
-    predicted switching point.
+    kind names the trade-off experiment that detectability defines; only the
+    order kind reads the config's order pair.
     """
+    pair = {"low_order": cfg.low_order, "high_order": cfg.high_order}
+    (k, _), raw, build = _tradeoff(kind, **pair)  # first: a bad kind fails before any write
+    predicted = dict(rho_star_raw=raw, rho_star_adjusted=switching_rho(kind, **pair, adjusted=True, d=cfg.d))
+    name, orders = ("order", pair) if kind == "order" else ("shape", {"order": k})
 
     def score(rho, seed):
-        h, planted = sample_symmetric(make_spec(rho, seed))
-        # the coarse plantings {0,1}|{2,3} and {0,2}|{1,3} as maps of the 4 planted labels
-        truths = [Partition(np.array(lut)[planted.labels], 2) for lut in ((0, 0, 1, 1), (0, 1, 0, 1))]
+        h, planted = sample_symmetric(build(cfg.n, cfg.d, rho, seed=seed))
+        # planted label c is on side 1 of a coarse planting when c is in its second group
+        truths = [Partition(np.isin(planted.labels, groups[1]), 2) for groups in (MERGE_01_23, MERGE_02_13)]
         return dict(zip(("0123", "0213"), _bh_scores(h, 2, *truths)))
 
-    predicted = dict(rho_star_raw=rho_star(), rho_star_adjusted=rho_star(adjusted=True, d=cfg.d))  # before any write
     csv_path, curves = _sweep(cfg, name, "rho", ("0123", "0213"), score)
     curve_a, curve_b = curves["0123"], curves["0213"]
     doc = dict(
-        annotations,
+        orders,
         **predicted,
         experiment=f"{name}-sweep",
         n=cfg.n,
@@ -255,20 +255,12 @@ def _run_competition(cfg: ExperimentConfig, name, make_spec, rho_star, annotatio
 
 def run_shape_sweep(cfg: ExperimentConfig):
     """Balanced-vs-imbalanced hyperedge shape competition at one order."""
-    k = cfg.shape_order
-    return _run_competition(
-        cfg, "shape", lambda rho, seed: shape_experiment_spec(cfg.n, cfg.d, rho, order=k, seed=seed),
-        partial(switching_rho, f"shape{k}"), {"order": k},
-    )
+    return _run_competition(cfg, f"shape{cfg.shape_order}")
 
 
 def run_order_sweep(cfg: ExperimentConfig):
     """Low-order vs high-order boundary hyperedge competition."""
-    orders = {"low_order": cfg.low_order, "high_order": cfg.high_order}
-    return _run_competition(
-        cfg, "order", lambda rho, seed: order_experiment_spec(cfg.n, cfg.d, rho, seed=seed, **orders),
-        partial(switching_rho, "order", **orders), orders,
-    )
+    return _run_competition(cfg, "order")
 
 
 def run_spectrum(cfg: ExperimentConfig):

@@ -175,8 +175,6 @@ class PlantedPatternSpec:
 def _distinct_rows(rng, lo, hi, c, m):
     """m >= 1 rows of c <= hi - lo distinct uniform draws from [lo, hi); deterministic in rng."""
     size = hi - lo
-    if c == 1:
-        return rng.integers(lo, hi, size=(m, 1))
     if 2 * c > size:
         # dense regime: per-row permutation, rejection would thrash
         out = np.empty((m, c), dtype=np.int64)

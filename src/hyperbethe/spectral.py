@@ -156,7 +156,8 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
     tolerance (||r|| <= tol * |theta|) and the residual guard: the residuals
     ||B v - theta v|| are verified against max(tol, 1e-12) * ||B||_inf, a
     bound the stopping rule meets since |theta| <= ||B||_inf.  Failure raises
-    EigenConvergenceError carrying them.  With residuals=True they are
+    EigenConvergenceError carrying them, or, when ARPACK stops short, the
+    residuals of the pairs it did return.  With residuals=True they are
     returned as a third array, for callers that test each pair on its own.
     """
     n = B.n
@@ -177,7 +178,7 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
         except spla.ArpackNoConvergence as exc:
             raise EigenConvergenceError(
                 f"eigensolver did not converge ({len(exc.eigenvalues)}/{k} pairs)",
-                residuals=exc.eigenvalues,
+                residuals=_residuals(B, exc.eigenvalues, exc.eigenvectors),
             ) from exc
         order = np.argsort(w)
         w, v = w[order], v[:, order]
@@ -187,7 +188,7 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
 def _guarded(B: BetheHessian, w, v, tol, residuals=False):
     """The pairs with signs fixed, once their residuals pass the guard at tol."""
     bound = _residual_bound(B, tol)
-    res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
+    res = _residuals(B, w, v)
     if not np.all(res <= bound):  # a NaN residual fails too
         raise EigenConvergenceError(
             f"residuals {res.max():g} exceed {tol:g} * ||B|| = {bound:g}",
@@ -195,6 +196,11 @@ def _guarded(B: BetheHessian, w, v, tol, residuals=False):
         )
     v = _fix_signs(v)
     return (w, v, res) if residuals else (w, v)
+
+
+def _residuals(B: BetheHessian, w, v):
+    """||B v_i - w_i v_i|| of each pair."""
+    return np.linalg.norm(B.matrix @ v - v * w, axis=0)
 
 
 def _residual_bound(B: BetheHessian, tol):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import re
@@ -30,7 +31,7 @@ from hyperbethe.cli import build_parser
 from hyperbethe.cli import main as cli_main
 from hyperbethe.experiments import ExperimentError
 from hyperbethe.hypergraph import save_hyperedge_list
-from hyperbethe.spectral import SpectralError
+from hyperbethe.spectral import EigenConvergenceError, SpectralError
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -38,6 +39,14 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_child(code, *args, threads="1"):
+    """Run code in a fresh interpreter on this checkout's package, with BLAS limited to `threads`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code), *map(str, args)], env=env, check=True, timeout=300)
 
 
 class TestHelpers:
@@ -157,6 +166,29 @@ class TestFailureRule:
         with pytest.raises(RuntimeError, match="eigensolver fault"):
             run_shape_sweep(shape_config(tmp_path))
 
+    @pytest.fixture
+    def arpack_fails(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("patched", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(experiment="eps-sweep", n=1000, q=2, d=8.0, grid=(0.1,), reps=1, methods=("bh",)),
+            dict(experiment="shape-sweep", n=1000, d=10.0, grid=(1.0,), reps=1),
+        ],
+        ids=["eps", "shape"],
+    )
+    def test_failed_eigensolve_fails_the_sweep(self, tmp_path, arpack_fails, cfg):
+        # above the dense cutoff the Lanczos solver runs; its failure is not "no structure"
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            run(ExperimentConfig(**cfg, out=str(tmp_path)))
+        assert os.listdir(tmp_path) == []
+
     def test_no_structure_rep_scores_zero(self, tmp_path, monkeypatch):
         real_cluster, real_ami = experiments.spectral_cluster, experiments.ami
         calls, scores = [], []
@@ -187,8 +219,7 @@ class TestFailureRule:
 class TestBlasThreads:
     def test_sweep_identical_across_thread_counts(self, tmp_path):
         # the thread counts are set in the children only
-        child = textwrap.dedent(
-            """
+        child = """
             import sys
             from hyperbethe import ExperimentConfig, run_eps_sweep
             run_eps_sweep(ExperimentConfig(
@@ -196,17 +227,62 @@ class TestBlasThreads:
                 reps=2, methods=("bh", "bp"), seed=3, out=sys.argv[1],
             ))
             """
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-c", child, str(out)], env=env, check=True, timeout=300)
+            run_child(child, out, threads=threads)
             outputs.append([(out / name).read_bytes() for name in ("eps_sweep.csv", "eps_sweep.json")])
         assert outputs[0] == outputs[1]
         assert len(read_csv(tmp_path / "threads1" / "eps_sweep.csv")) == 3
+
+
+# A tiny config of each experiment and the sha256 of every file it writes,
+# measured with one BLAS thread: spectrum.json lists the non-backtracking
+# eigenvalues in LAPACK's order, which moves with the thread count.
+PINNED = {
+    "eps": (
+        {"experiment": "eps-sweep", "n": 300, "q": 2, "orders": [2, 3], "d": 8.0, "grid": [0.05, 0.3], "reps": 2,
+         "methods": ["bh", "bp"], "bp": {"max_sweeps": 50}, "seed": 7},
+        {"eps_sweep.csv": "8977c2a346f29c8f92ea94a3c8c521120b80abbef389d9bf049e8e18588a7676",
+         "eps_sweep.json": "c05bc32971ded895fab7d50362295c71f30cb94cc0a067d64091ed95ed4adb60"},
+    ),
+    "shape4": (
+        {"experiment": "shape-sweep", "n": 300, "d": 10.0, "shape_order": 4, "grid": [1.0, 2.0], "reps": 2, "seed": 4},
+        {"shape_sweep.csv": "a6bb97306ba29d7bab46a5e6f3bbf91dab7bdbed37bb011280742bcf7afcfa70",
+         "shape_sweep.json": "d8be43e6b4bc34584c099ed90b6d84332647d36f2fe10cefd90d3dd2e7b21619"},
+    ),
+    "shape5": (
+        {"experiment": "shape-sweep", "n": 300, "d": 10.0, "shape_order": 5, "grid": [0.9, 1.5], "reps": 2, "seed": 5},
+        {"shape_sweep.csv": "868a7ee1f609995b462dd505a00ec3c89ecd4b7ebbbf4fa4b3bd5439ae60e447",
+         "shape_sweep.json": "6cb4be5c33463c953bc737dd262cc524a925d416d38917bec1983bc9ca8c9e98"},
+    ),
+    "order": (
+        {"experiment": "order-sweep", "n": 300, "d": 20.0, "low_order": 2, "high_order": 3, "grid": [1.8, 2.2],
+         "reps": 2, "seed": 5},
+        {"order_sweep.csv": "5ff2581ff65fda9b6ced92ce5726e7f73a432408d053e296f4a97775e4d604de",
+         "order_sweep.json": "92c81ccdb78f68c1fa2928a03af9ae169d8925a8c33022acdd643dfe3c3ac053"},
+    ),
+    "spectrum": (
+        {"experiment": "spectrum", "n": 80, "q": 2, "orders": [2, 3], "d": 9.0, "grid": [0.08], "seed": 3},
+        {"spectrum.json": "c0b3d1b2148f31a73b092bb4f83d6475d894d6c287fce903af0c99c6a0db7eb0"},
+    ),
+}
+
+
+class TestPinnedOutputs:
+    def test_every_experiment_writes_its_pinned_bytes(self, tmp_path):
+        child = """
+            import json, os, sys
+            from hyperbethe import ExperimentConfig, run
+            for name, doc in json.loads(sys.argv[1]).items():
+                run(ExperimentConfig.from_json(dict(doc, out=os.path.join(sys.argv[2], name))))
+            """
+        run_child(child, json.dumps({name: doc for name, (doc, _) in PINNED.items()}), tmp_path)
+        written = {
+            name: {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in (tmp_path / name).iterdir()}
+            for name in PINNED
+        }
+        assert written == {name: digests for name, (_, digests) in PINNED.items()}
 
 
 class TestShapeSweepLimits:
@@ -519,6 +595,8 @@ class TestCli:
             pytest.param(["run"], dict(SWEEP, orders=[2.5]), "key 'orders' takes int, not 2.5", id="float-order"),
             pytest.param(["run"], dict(SWEEP, bp={"max_sweeps": "5"}), "key 'max_sweeps' takes int",
                          id="bp-block-type"),
+            pytest.param(["run"], dict(SWEEP, bp={"seed": 3}), "key 'seed' in \"bp\" has no effect: BP is seeded "
+                         "per repetition", id="bp-block-seed"),
             pytest.param(["run"], dict(SWEEP, seed=-1), "seed -1 must be >= 0", id="run-seed"),
             pytest.param(["run", "--seed", "-1"], SWEEP, "seed -1 must be >= 0", id="run-seed-flag"),
             pytest.param(["run"], dict(SWEEP, shape_order=4), "unknown key 'shape_order'; eps-sweep takes",

@@ -497,6 +497,22 @@ class TestSignResolvedCount:
             lowest_eigenpairs(B, 3)
         assert np.isnan(info.value.residuals).any()
 
+    def test_no_convergence_carries_residuals_of_returned_pairs(self, monkeypatch):
+        _, B = bench_model(800)
+        w, v = spla.eigsh(B.matrix, k=2, which="SA")
+        assert np.all(w < 0.0)  # eigenvalues in place of residuals would read negative
+
+        def two_of_four(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("patched", w, v)
+
+        monkeypatch.setattr(spla, "eigsh", two_of_four)
+        with pytest.raises(EigenConvergenceError, match=r"\(2/4 pairs\)") as info:
+            lowest_eigenpairs(B, 4)
+        res = info.value.residuals
+        expected = [np.linalg.norm(B.matrix @ v[:, i] - w[i] * v[:, i]) for i in range(2)]
+        np.testing.assert_allclose(res, expected, rtol=1e-6, atol=1e-12)
+        assert np.all(res >= 0.0)
+
     @pytest.mark.parametrize(
         "eps", [0.1, 0.2, 0.8 * EPS_BH, 0.95 * EPS_BH, EPS_BH, 1.05 * EPS_BH, EPS_MID]
     )
