@@ -10,7 +10,6 @@ BP, the generators and file I/O run without loading it.
 
 from .bp import BpConfig, BpResult, BpState, bp_init, bp_run, bp_sweep, external_field, hyperedge_message
 from .detectability import (
-    SnrReport,
     coarse_snr,
     competing_snrs,
     critical_epsilon,

@@ -107,7 +107,7 @@ def cmd_cluster(args):
 
 
 def cmd_bp(args):
-    flags = _given(max_sweeps=args.max_sweeps, tol=args.tol, damping=args.damping, init=args.init, seed=args.seed)
+    flags = _given(max_sweeps=args.max_sweeps, tol=args.tol, damping=args.damping, seed=args.seed)
     cfg = read_json(BpConfig, flags, BpError)
     h, names = load_hyperedge_list(args.input)
     rates = model_rates(args.q, h.orders, c_in=args.c_in, c_out=args.c_out, d=args.d, eps=args.eps)
@@ -123,10 +123,8 @@ def cmd_bp(args):
 
 
 def cmd_snr(args):
-    report = snr_report(
-        args.q, args.orders, c_in=args.c_in, c_out=args.c_out, d=args.d, eps=args.eps, with_roots=args.roots
-    )
-    json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
+    report = snr_report(args.q, args.orders, c_in=args.c_in, c_out=args.c_out, d=args.d, eps=args.eps)
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
     print()
 
 
@@ -176,7 +174,6 @@ def build_parser():
     p.add_argument("--max-sweeps", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="convergence threshold on the message change")
     p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--init", default=None, choices=("uniform", "perturbed"))
     p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("snr", help="detectability report for model parameters")
@@ -186,7 +183,6 @@ def build_parser():
     p.add_argument("--c-out", type=float, default=None)
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--roots", action="store_true", help="include critical eps roots")
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser("run", help="run the experiment that a JSON config names")

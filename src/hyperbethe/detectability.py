@@ -14,7 +14,7 @@ everything else, eps = c_out / c_in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -124,59 +124,34 @@ def zero_signal_orders(per_order):
     return [k for k, od in per_order.items() if od.d_in == od.d_out]
 
 
-@dataclass(frozen=True)
-class SnrReport:
-    q: int
-    orders: tuple
-    c_in: float
-    c_out: float
-    d_in: dict
-    d_out: dict
-    d_order: dict
-    d: float
-    mean_order: float
-    snr_bh: float
-    snr_bp: float
-    zero_signal_orders: tuple
-    eps_bh: float | None = None
-    eps_bp: float | None = None
+def snr_report(q, orders, *, c_in=None, c_out=None, d=None, eps=None):
+    """The detectability report of one parameter point, as a JSON-ready dict.
 
-    def to_dict(self):
-        doc = asdict(self)
-        doc["orders"] = list(self.orders)
-        doc["zero_signal_orders"] = list(self.zero_signal_orders)
-        for key in ("d_in", "d_out", "d_order"):
-            doc[key] = {str(k): v for k, v in doc[key].items()}
-        return doc
-
-
-def snr_report(q, orders, *, c_in=None, c_out=None, d=None, eps=None, with_roots=False):
-    """Assemble the full detectability report for one parameter point."""
+    eps_bh and eps_bp are the critical mixing ratios at the point's mean
+    degree; None where the structure is undetectable at any eps.
+    """
     c_in, c_out = model_rates(q, orders, c_in=c_in, c_out=c_out, d=d, eps=eps)
     per_order = degrees_from_rates(q, orders, c_in, c_out)
-    roots = {}
-    if with_roots:
-        for which in ("bh", "bp"):
-            try:
-                roots[which] = critical_epsilon(q, orders, mean_degree(per_order), which=which)
-            except DetectabilityError:
-                pass
-    return SnrReport(
-        q=int(q),
-        orders=tuple(sorted(per_order)),
-        c_in=float(c_in),
-        c_out=float(c_out),
-        d_in={k: od.d_in for k, od in per_order.items()},
-        d_out={k: od.d_out for k, od in per_order.items()},
-        d_order={k: od.d for k, od in per_order.items()},
-        d=mean_degree(per_order),
-        mean_order=mean_order(per_order),
-        snr_bh=snr_bh(per_order),
-        snr_bp=snr_bp(per_order),
-        zero_signal_orders=tuple(zero_signal_orders(per_order)),
-        eps_bh=roots.get("bh"),
-        eps_bp=roots.get("bp"),
-    )
+    report = {
+        "q": int(q),
+        "orders": sorted(per_order),
+        "c_in": float(c_in),
+        "c_out": float(c_out),
+        "d_in": {str(k): od.d_in for k, od in per_order.items()},
+        "d_out": {str(k): od.d_out for k, od in per_order.items()},
+        "d_order": {str(k): od.d for k, od in per_order.items()},
+        "d": mean_degree(per_order),
+        "mean_order": mean_order(per_order),
+        "snr_bh": snr_bh(per_order),
+        "snr_bp": snr_bp(per_order),
+        "zero_signal_orders": zero_signal_orders(per_order),
+    }
+    for which in ("bh", "bp"):
+        try:
+            report["eps_" + which] = critical_epsilon(q, orders, report["d"], which=which)
+        except DetectabilityError:
+            report["eps_" + which] = None
+    return report
 
 
 def critical_epsilon(q, orders, d, which="bh"):

@@ -199,7 +199,7 @@ def run_eps_sweep(cfg: ExperimentConfig):
             out["bp"] = ami(res.partition, planted)
         return out
 
-    report = snr_report(cfg.q, cfg.orders, d=cfg.d, eps=0.0, with_roots=True)  # first: fails before any write
+    report = snr_report(cfg.q, cfg.orders, d=cfg.d, eps=0.0)  # first: fails before any write
     csv_path, means = _sweep(cfg, "eps", "eps", ("bh", "bp"), score)
     curves = {m: means[m] for m in cfg.methods}
     doc = {
@@ -210,8 +210,8 @@ def run_eps_sweep(cfg: ExperimentConfig):
         "d": cfg.d,
         "grid": list(cfg.grid),
         "reps": cfg.reps,
-        "eps_bh_star": report.eps_bh,
-        "eps_bp_star": report.eps_bp,
+        "eps_bh_star": report["eps_bh"],
+        "eps_bp_star": report["eps_bp"],
         "transition_bh": transition_point(cfg.grid, curves["bh"]) if "bh" in curves else None,
         "transition_bp": transition_point(cfg.grid, curves["bp"]) if "bp" in curves else None,
     }

@@ -123,7 +123,6 @@ BP_FLAGS = st.tuples(
         damping=mostly(st.floats(0, 0.9), st.sampled_from([-0.5, 1.0, 1.5])),
     ),
     SEED_FLAG,
-    st.lists(st.sampled_from(["--init=uniform", "--init=perturbed"]), max_size=1),
 ).map(lambda parts: sum(parts, []))
 CLUSTER_FLAGS = st.tuples(
     flags(

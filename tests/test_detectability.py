@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -332,18 +334,36 @@ class TestSwitchingRho:
 
 class TestSnrReport:
     def test_report_roundtrip(self):
-        report = snr_report(3, (2, 3), d=10.0, eps=0.2, with_roots=True)
-        assert report.d == pytest.approx(10.0, rel=1e-12)
-        assert report.eps_bh == pytest.approx(critical_epsilon(3, (2, 3), 10.0, "bh"), abs=1e-12)
-        assert report.eps_bp == pytest.approx(critical_epsilon(3, (2, 3), 10.0, "bp"), abs=1e-12)
-        doc = report.to_dict()
-        assert doc["snr_bh"] > 1.0
-        assert doc["d_in"]["2"] > doc["d_in"]["3"]
+        report = snr_report(3, (2, 3), d=10.0, eps=0.2)
+        assert json.loads(json.dumps(report)) == report  # lists and string keys, as printed
+        assert set(report) == {"q", "orders", "c_in", "c_out", "d_in", "d_out", "d_order", "d", "mean_order",
+                               "snr_bh", "snr_bp", "zero_signal_orders", "eps_bh", "eps_bp"}
+        assert report["d"] == pytest.approx(10.0, rel=1e-12)
+        assert report["eps_bh"] == critical_epsilon(3, (2, 3), report["d"], "bh")
+        assert report["eps_bp"] == critical_epsilon(3, (2, 3), report["d"], "bp")
+        assert report["snr_bh"] > 1.0
+        assert report["orders"] == [2, 3]
+        assert report["d_in"]["2"] > report["d_in"]["3"]
 
     def test_zero_signal_flagged(self):
         report = snr_report(2, (2, 3), d=8.0, eps=1.0)
-        assert report.zero_signal_orders == (2, 3)
-        assert report.snr_bp == 0.0
+        assert report["zero_signal_orders"] == [2, 3]
+        assert report["snr_bp"] == 0.0
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("--q 3 --orders 2,3 --d 10 --eps 0.2", "f60c2fa166977256"),
+            ("--q 2 --orders 2,3 --d 8 --eps 1.0", "3ca17679d1a54e38"),
+            ("--q 3 --orders 2,3,4 --c-in 30 --c-out 2", "2f22bf4a2c3dc3be"),
+            # undetectable at any eps: both thresholds print as null
+            ("--q 4 --orders 3 --d 0.5 --eps 0.1", "a49741333886eb89"),
+        ],
+    )
+    def test_cli_output_is_pinned(self, args, digest, capsys):
+        """sha256 prefixes of the whole stdout, thresholds included."""
+        cli_main(["snr", *args.split()])
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize(
         "args",
@@ -362,9 +382,9 @@ class TestSnrReport:
         opts = dict(zip(args[::2], args[1::2]))
         kwargs = {key[2:].replace("-", "_"): float(v) for key, v in opts.items() if key not in ("--q", "--orders")}
         with pytest.raises(HsbmError) as lib:
-            snr_report(int(opts["--q"]), (2, 3), with_roots=True, **kwargs)
+            snr_report(int(opts["--q"]), (2, 3), **kwargs)
         with pytest.raises(SystemExit) as exc:
-            cli_main(["snr", *args, "--roots"])
+            cli_main(["snr", *args])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert captured.err == f"hyperbethe snr: error: {lib.value}\n"

@@ -15,7 +15,9 @@ from hyperbethe import (
     ExperimentConfig,
     Partition,
     SymmetricHsbmSpec,
+    confusion,
     crossing_points,
+    load_partition,
     run,
     run_eps_sweep,
     run_order_sweep,
@@ -403,10 +405,28 @@ class TestCli:
         assert float(out.split("ami=")[1]) > 0.8
 
     def test_snr_subcommand(self, capsys):
-        cli_main(["snr", "--q", "3", "--orders", "2,3", "--d", "10", "--eps", "0.2", "--roots"])
+        cli_main(["snr", "--q", "3", "--orders", "2,3", "--d", "10", "--eps", "0.2"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["snr_bh"] > 1.0
         assert doc["eps_bp"] > doc["eps_bh"]
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_eval_writes_the_confusion_csv(self, tmp_path, capsys, normalize):
+        edges, pred, truth = tmp_path / "edges.txt", tmp_path / "pred.txt", tmp_path / "truth.txt"
+        edges.write_text("0 1\n1 2 3\n3 4 5\n")
+        pred.write_text("0 0\n1 1\n2 1\n3 1\n4 2\n5 2\n")
+        truth.write_text("0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")
+        out = tmp_path / "confusion.csv"
+        cli_main(["eval", "--input", str(edges), "--pred", str(pred), "--truth", str(truth), "--confusion", str(out)]
+                 + ["--normalize"] * normalize)
+        assert capsys.readouterr().out.startswith("ami=")
+        names = [str(i) for i in range(6)]
+        mat = confusion(load_partition(truth, names), load_partition(pred, names), row_normalize=normalize)
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh)) == [["class", "community_0", "community_1", "community_2"]] + [
+                [str(i)] + ["%.12g" % x for x in row] for i, row in enumerate(mat)
+            ]
+        assert mat.shape == (2, 3) and mat[0, 1] == (2 / 3 if normalize else 2)
 
     def test_snr_subcommand_rejects_partial_rates(self):
         with pytest.raises(SystemExit):
@@ -544,8 +564,8 @@ class TestCli:
             ("generate", {"--config", "--seed", "--out"}),
             ("cluster", {"--seed", "--out", "--input", "--labels", "--q", "--eta", "--kmeans-restarts"}),
             ("bp", {"--seed", "--out", "--input", "--q", "--c-in", "--c-out", "--d", "--eps",
-                    "--max-sweeps", "--tol", "--damping", "--init"}),
-            ("snr", {"--q", "--orders", "--c-in", "--c-out", "--d", "--eps", "--roots"}),
+                    "--max-sweeps", "--tol", "--damping"}),
+            ("snr", {"--q", "--orders", "--c-in", "--c-out", "--d", "--eps"}),
             ("run", {"--config", "--seed", "--out"}),
             ("eval", {"--input", "--pred", "--truth", "--confusion", "--normalize"}),
         ],
@@ -587,6 +607,11 @@ class TestCli:
             pytest.param(["generate"], {"n": 200, "q": 2, "patterns": [dict(PATTERN, composition=[2])]},
                          "key 'composition' takes dict[int, int], not [2]", id="list-composition"),
             pytest.param(["generate"], [SPEC], "needs a JSON object", id="top-level-list"),
+            pytest.param(["generate"], dict(SPEC, eps=1.5), "eps must lie in [0, 1]", id="eps-above-1"),
+            pytest.param(["generate"], {"n": 200, "q": 2, "patterns": [dict(PATTERN, composition={"0": 2, "1": 0})]},
+                         "composition counts must be positive", id="zero-composition-count"),
+            pytest.param(["generate"], {"n": 200, "q": 2, "patterns": [dict(PATTERN, composition={"2": 2})]},
+                         "pattern community outside [0, q)", id="pattern-community-q"),
             pytest.param(["generate", "--seed", "-1"], SPEC, "seed -1 must be >= 0", id="generate-seed-flag"),
             pytest.param(["run"], dict(SWEEP, reps="3"), "key 'reps' takes int, not \"3\"", id="string-reps"),
             pytest.param(["run"], dict(SWEEP, methods="bh"), "key 'methods' takes tuple[str, ...]",
@@ -603,6 +628,8 @@ class TestCli:
                          id="eps-sweep-shape-order"),
             pytest.param(["run"], {"experiment": "shape-sweep", "n": 200, "grid": [1.0], "reps": 1, "q": 4},
                          "unknown key 'q'; shape-sweep takes", id="shape-sweep-q"),
+            pytest.param(["run"], {"experiment": "shape-sweep", "n": 200, "grid": [1.0], "reps": 1, "shape_order": 6},
+                         "unknown experiment kind 'shape6'", id="shape-order-6"),
             pytest.param(["run"], {"experiment": "spectrum", "n": 60, "grid": [0.1], "reps": 1},
                          "unknown key 'reps'; spectrum takes", id="spectrum-reps"),
             pytest.param(["run"], {"experiment": "spectrum", "n": 60, "grid": [0.1, 0.2]}, "one value for spectrum",
@@ -627,13 +654,17 @@ class TestCli:
                          id="pred"),
             pytest.param(["eval", "--input", "EDGES", "--pred", "LABELS", "--truth", "MISSING"], (), "No such file",
                          id="truth"),
+            pytest.param(["eval", "--input", "EDGES", "--pred", "MALFORMED", "--truth", "LABELS"], (),
+                         "malformed partition line: 1 0 0", id="malformed-partition-line"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, config, needle):
         """config: the --config document (None: a missing file, (): no --config)."""
-        paths = {"EDGES": tmp_path / "edges.txt", "LABELS": tmp_path / "labels.txt", "MISSING": tmp_path / "nope"}
+        paths = {"EDGES": tmp_path / "edges.txt", "LABELS": tmp_path / "labels.txt", "MISSING": tmp_path / "nope",
+                 "MALFORMED": tmp_path / "malformed.txt"}
         paths["EDGES"].write_text("0 1\n1 2 3\n")
         paths["LABELS"].write_text("0 0\n1 0\n2 1\n3 1\n")
+        paths["MALFORMED"].write_text("# a comment-only line is skipped\n0 0\n1 0 0\n2 1\n3 1\n")
         argv = [str(paths.get(a, a)) for a in argv]
         if config != ():
             path = tmp_path / "config.json"

@@ -15,6 +15,7 @@ from hyperbethe import (
     shape_experiment_spec,
     spec_from_json,
 )
+from hyperbethe import hsbm
 from hyperbethe.hsbm import HsbmError, expected_order_counts
 
 from conftest import edge_tuples
@@ -161,6 +162,28 @@ class TestSymmetricSampler:
         ])
         _, p_value, _, _ = scistats.chi2_contingency(table)
         assert p_value > 0.01
+
+    def test_dense_cells_draw_distinct_nodes_of_their_blocks(self, monkeypatch):
+        # block size 5: the {0: 3} and {1: 3} cells draw 3 of 5 nodes per row, the per-row permutation path
+        rows, draw = [], hsbm._distinct_rows
+
+        def recording(rng, lo, hi, c, m):
+            out = draw(rng, lo, hi, c, m)
+            rows.append((lo, hi, c, out))
+            return out
+
+        monkeypatch.setattr(hsbm, "_distinct_rows", recording)
+        spec = SymmetricHsbmSpec(n=10, q=2, orders=(2, 3), d=10.0, eps=0.2, seed=1)
+        h, _ = sample_symmetric(spec)
+        assert {(lo, c) for lo, hi, c, out in rows if 2 * c > hi - lo and len(out)} == {(0, 3), (5, 3)}
+        for lo, hi, c, out in rows:
+            assert out.shape[1] == c and ((out >= lo) & (out < hi)).all()
+            assert all(len(set(row)) == c for row in out.tolist())
+        # a repeated node would lower its hyperedge's order and lose an incidence
+        assert sum(out.size for *_, out in rows) == sum(k * m for k, m in h.order_counts().items())
+        again, _ = sample_symmetric(spec)
+        for k in h.orders:
+            assert h.edge_array(k).tobytes() == again.edge_array(k).tobytes()
 
     def test_oversized_order_at_sampling(self):
         spec = PlantedPatternSpec(10, 2, (PlantedPattern(6, ((0, 6),), 5.0),))

@@ -117,6 +117,8 @@ class TestConstruction:
         assert edge_tuples(h) == ((1, 2),)
 
     def test_error_messages(self):
+        with pytest.raises(HypergraphError, match=r"^node count must be nonnegative$"):
+            Hypergraph(-1, [])
         with pytest.raises(HypergraphError, match=r"^hyperedge \(1, 1\) has fewer than 2 distinct nodes$"):
             Hypergraph(3, [(0, 1), (1, 1)])
         with pytest.raises(HypergraphError, match=r"^hyperedge \(1,\) has fewer than 2 distinct nodes$"):

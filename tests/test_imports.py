@@ -57,7 +57,7 @@ def plain_path(workdir):
     h, names = load_hyperedge_list(edges)
     truth = load_partition(labels, [str(i) for i in range(spec.n)]).labels
     result = bp_run(h, spec.q, spec.rates())
-    snr_report(spec.q, spec.orders, d=spec.d, eps=spec.eps, with_roots=True)
+    snr_report(spec.q, spec.orders, d=spec.d, eps=spec.eps)
     return ami(result.partition, truth[np.asarray(names, dtype=np.int64)])
 
 

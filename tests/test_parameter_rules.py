@@ -98,7 +98,7 @@ LIBRARY = {
         ("q", "empty_orders", "low_order", "rates"),
         lambda p: degrees_from_rates(p["q"], p["orders"], p["c_in"], p["c_out"]),
     ),
-    "snr_report": (BOTH, ALL, lambda p: snr_report(**p, with_roots=True)),
+    "snr_report": (BOTH, ALL, lambda p: snr_report(**p)),
     "critical_epsilon": (
         ("degree",), ("q", "empty_orders", "low_order", "d"), lambda p: critical_epsilon(p["q"], p["orders"], p["d"])
     ),
@@ -133,7 +133,7 @@ def test_library_rule(entry, rule, p):
 def cli_argv(command, p, tmp_path):
     argv = [command, "--q", str(p["q"])]
     if command == "snr":
-        argv += ["--orders", ",".join(map(str, p["orders"])), "--roots"]
+        argv += ["--orders", ",".join(map(str, p["orders"]))]
     else:
         path = tmp_path / "edges.txt"
         save_hyperedge_list(H, str(path))

@@ -59,7 +59,7 @@ def test_cli_table_matches_the_parser():
     "pattern",
     [
         r"dedup=", r"\.edges\b", r"from_labels", r"symmetric_pair_rates", r"fixed_q", r"eta_grid",
-        r"sweep-(eps|shape|order)", r'"mode"', r"sample_planted",
+        r"sweep-(eps|shape|order)", r'"mode"', r"sample_planted", r"SnrReport", r"with_roots", r"--roots", r"--init",
     ],
 )
 def test_no_deleted_api(pattern):
