@@ -32,7 +32,7 @@ from .hsbm import check_rates
 from .hypergraph import Hypergraph, Partition
 
 LOG_FLOOR = -700.0
-# Half-width of the uniform noise of the "perturbed" init.
+# Half-width of the uniform noise on BP's start.
 INIT_NOISE = 1e-2
 
 
@@ -45,9 +45,7 @@ class BpConfig:
     max_sweeps: int = 500
     tol: float = 1e-6  # convergence threshold on max-abs message change
     damping: float = 0.0  # blend factor toward the previous messages, in [0, 1)
-    init: str = "perturbed"  # "uniform" | "perturbed" | "planted"
-    planted_smoothing: float = 1e-3
-    seed: int = 0
+    seed: int = 0  # of the start's noise
 
     def __post_init__(self):
         if self.max_sweeps < 1:
@@ -56,10 +54,6 @@ class BpConfig:
             raise BpError("convergence threshold must be positive and finite")
         if not 0.0 <= self.damping < 1.0:
             raise BpError("damping must lie in [0, 1)")
-        if self.init not in ("uniform", "perturbed", "planted"):
-            raise BpError(f"unknown init mode {self.init!r}")
-        if not 0.0 <= self.planted_smoothing <= 1.0:
-            raise BpError("planted_smoothing must lie in [0, 1]")
 
 
 class BpState:
@@ -70,19 +64,16 @@ class BpState:
     position j of hyperedge h.edges_by_order[k][t], and nodes[row] is its
     node.  marginal is the (n, q) probability table; field is the current
     length-q external field; spare holds the two buffers the next sweep
-    writes into.  n2e starts as config.init says: exact uniform, uniform plus
-    seeded noise drawn in h.incidence_pairs() order (so a seed means the
-    same start on every input), or the planted partition's smoothed labels,
-    which then also set marginal.
+    writes into.  n2e starts uniform plus seeded noise of half-width
+    INIT_NOISE, drawn in h.incidence_pairs() order so that a seed means the
+    same start on every input; marginal starts uniform.
     """
 
-    def __init__(self, h: Hypergraph, q, c_in, c_out, config: BpConfig, planted: Partition = None):
+    def __init__(self, h: Hypergraph, q, c_in, c_out, config: BpConfig):
         if q < 2:
             raise BpError("q must be >= 2")
         if h.m < 1:
             raise BpError("hypergraph has no hyperedges")
-        if config.init == "planted" and planted is None:
-            raise BpError("planted init requires the planted partition")
         self.c_in, self.c_out = check_rates(c_in, c_out)
         self.h, self.q, self.config = h, int(q), config
         self.nodes = np.concatenate([h.edge_array(k).T.ravel() for k in h.orders])
@@ -92,30 +83,21 @@ class BpState:
         self.e2n = np.full((D, q), 1.0 / q, order="F")
         self.n2e = np.empty((D, q), order="F")
         self.marginal = np.full((h.n, q), 1.0 / q)
-        if config.init == "uniform":
-            self.n2e.fill(1.0 / q)
-        elif config.init == "perturbed":
-            # drawn and row-summed in C order (numpy's Fortran-order row sums differ from q = 8 on)
-            rng = np.random.default_rng(config.seed)
-            p = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(D, q))
-            p += 1.0 / q
-            np.maximum(p, 1e-12, out=p)
-            p /= p.sum(axis=1, keepdims=True)
-            # plane row -> its row in edge-major incidence_pairs() order
-            sizes = np.empty(h.m, dtype=np.int64)
-            for k, e in h.edges_by_order.items():
-                sizes[e] = k
-            starts = np.cumsum(sizes) - sizes
-            perm = np.concatenate([(starts[e] + np.arange(k)[:, None]).ravel() for k, e in h.edges_by_order.items()])
-            for c in range(q):
-                np.take(p[:, c], perm, out=self.n2e[:, c], mode="clip")
-            del p, perm  # freed before the spare buffers are allocated
-        else:
-            s = config.planted_smoothing
-            self.marginal[:] = s / q
-            self.marginal[np.arange(h.n), planted.labels] += 1.0 - s
-            for c in range(q):
-                np.take(np.maximum(self.marginal[:, c], np.exp(LOG_FLOOR)), self.nodes, out=self.n2e[:, c], mode="clip")
+        # drawn and row-summed in C order (numpy's Fortran-order row sums differ from q = 8 on)
+        rng = np.random.default_rng(config.seed)
+        p = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(D, q))
+        p += 1.0 / q
+        np.maximum(p, 1e-12, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        # plane row -> its row in edge-major incidence_pairs() order
+        sizes = np.empty(h.m, dtype=np.int64)
+        for k, e in h.edges_by_order.items():
+            sizes[e] = k
+        starts = np.cumsum(sizes) - sizes
+        perm = np.concatenate([(starts[e] + np.arange(k)[:, None]).ravel() for k, e in h.edges_by_order.items()])
+        for c in range(q):
+            np.take(p[:, c], perm, out=self.n2e[:, c], mode="clip")
+        del p, perm  # freed before the spare buffers are allocated
         self.spare = [np.empty((D, q), order="F") for _ in range(2)]
         self.field = external_field(self)
 
@@ -134,10 +116,10 @@ def _settle(new, old, damping):
     return float(np.abs(old, out=old).max())
 
 
-def bp_init(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition = None) -> BpState:
-    """Initialize messages: exact uniform, noise-perturbed uniform, or planted."""
+def bp_init(h: Hypergraph, q, rates, config: BpConfig = None) -> BpState:
+    """Initialize messages: uniform plus the seeded noise (see BpState)."""
     c_in, c_out = rates
-    return BpState(h, q, c_in, c_out, config or BpConfig(), planted)
+    return BpState(h, q, c_in, c_out, config or BpConfig())
 
 
 def hyperedge_message(c_in, c_out, incoming, normalize=True):
@@ -238,7 +220,7 @@ class BpResult:
     converged: bool
 
 
-def bp_run(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition = None) -> BpResult:
+def bp_run(h: Hypergraph, q, rates, config: BpConfig = None) -> BpResult:
     """Iterate sweeps to convergence (or the sweep cap) and read off labels.
 
     Non-convergence is not an error: the best available marginals are
@@ -246,7 +228,7 @@ def bp_run(h: Hypergraph, q, rates, config: BpConfig = None, planted: Partition 
     community index.
     """
     cfg = config or BpConfig()
-    state = bp_init(h, q, rates, cfg, planted=planted)
+    state = bp_init(h, q, rates, cfg)
     converged = False
     for sweeps in range(1, cfg.max_sweeps + 1):
         delta = bp_sweep(state)

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ExperimentError(f"{self.experiment} grid {list(self.grid)} must be nonempty, one value for spectrum")
         if self.experiment == "eps-sweep" and not (self.methods and set(self.methods) <= {"bh", "bp"}):
             raise ExperimentError(f"eps-sweep methods {self.methods} must be a nonempty subset of ('bh', 'bp')")
+        if self.bp.seed != BpConfig.seed:
+            raise ExperimentError("key 'seed' in \"bp\" has no effect: BP is seeded per repetition")
 
     @classmethod
     def from_json(cls, doc):
@@ -69,8 +71,6 @@ class ExperimentConfig:
         for key in doc:
             if key not in reads and key != "experiment":
                 raise ExperimentError(f"unknown key {key!r}; {cfg.experiment} takes {', '.join(reads)}")
-        if "seed" in doc.get("bp", {}):
-            raise ExperimentError("key 'seed' in \"bp\" has no effect: BP is seeded per repetition")
         return cfg
 
 
@@ -195,7 +195,7 @@ def run_eps_sweep(cfg: ExperimentConfig):
         if "bh" in cfg.methods:
             out["bh"] = _bh_scores(h, None, planted)[0]
         if "bp" in cfg.methods:
-            res = bp_run(h, cfg.q, spec.rates(), replace(cfg.bp, seed=seed), planted=planted)
+            res = bp_run(h, cfg.q, spec.rates(), replace(cfg.bp, seed=seed))
             out["bp"] = ami(res.partition, planted)
         return out
 

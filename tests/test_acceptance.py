@@ -244,7 +244,7 @@ def test_c08_bp_dp_oracle():
 
     spec = SymmetricHsbmSpec(n=500, q=3, orders=(2, 3, 4), d=9.0, eps=0.25, seed=5)
     h, _ = sample_symmetric(spec)
-    state = bp_init(h, 3, spec.rates(), BpConfig(init="uniform"))
+    state = bp_init(h, 3, spec.rates()); state.n2e.fill(1.0 / 3)
     for _ in range(3):
         assert bp_sweep(state) <= 1e-12
 

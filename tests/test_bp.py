@@ -10,6 +10,7 @@ import pytest
 
 from hyperbethe import (
     BpConfig,
+    BpResult,
     Hypergraph,
     Partition,
     SymmetricHsbmSpec,
@@ -83,6 +84,28 @@ def reference_sweep(state):
     return hat, b, marg, field, delta
 
 
+def planted_start(state, planted, smoothing=1e-3):
+    """Restart state at the planted labels: marginal 1 - smoothing + smoothing / q on the label,
+    smoothing / q elsewhere; every node message is its node's marginal, floored at exp(-700)."""
+    state.marginal[:] = smoothing / state.q
+    state.marginal[np.arange(state.h.n), planted.labels] += 1.0 - smoothing
+    state.n2e[:] = np.maximum(state.marginal, np.exp(-700.0))[state.nodes]
+    state.field = external_field(state)
+    return state
+
+
+def planted_run(h, q, rates, planted, config=None):
+    """bp_run from planted_start: sweep until the change is below tol or the sweep cap."""
+    state = planted_start(bp_init(h, q, rates, config), planted)
+    converged = False
+    for sweeps in range(1, state.config.max_sweeps + 1):
+        if bp_sweep(state) < state.config.tol:
+            converged = True
+            break
+    labels = np.argmax(state.marginal, axis=1)
+    return BpResult(Partition(labels, q), state.marginal.copy(), sweeps, converged)
+
+
 @pytest.fixture
 def small_instance():
     spec = SymmetricHsbmSpec(n=400, q=2, orders=(2, 3), d=8.0, eps=0.1, seed=3)
@@ -90,67 +113,36 @@ def small_instance():
 
 
 class TestInit:
-    def test_uniform_is_exact(self, small_instance):
-        spec, h, _ = small_instance
-        state = bp_init(h, 2, spec.rates(), BpConfig(init="uniform"))
-        assert np.all(state.n2e == 0.5)
-        assert np.all(state.marginal == 0.5)
-
     def test_perturbed_deterministic(self, small_instance):
         spec, h, _ = small_instance
-        s1 = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=4))
-        s2 = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=4))
+        s1 = bp_init(h, 2, spec.rates(), BpConfig(seed=4))
+        s2 = bp_init(h, 2, spec.rates(), BpConfig(seed=4))
         assert np.array_equal(s1.n2e, s2.n2e)
         probs = s1.n2e
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.abs(probs - 0.5).max() <= 2e-2
 
-    def test_planted_smoothing(self, small_instance):
-        spec, h, planted = small_instance
-        state = bp_init(h, 2, spec.rates(), BpConfig(init="planted"), planted=planted)
-        top = state.marginal[np.arange(h.n), planted.labels]
-        assert np.allclose(top, 1.0 - 1e-3 / 2, atol=1e-12)
-        assert np.allclose(state.marginal.sum(axis=1), 1.0, atol=1e-12)
-
-    @pytest.mark.parametrize("init", ["uniform", "perturbed", "planted"])
-    @pytest.mark.parametrize("q", [2, 3, 9])
-    def test_start_matches_formula(self, init, q):
+    @pytest.mark.parametrize("q", [2, 3, 9], ids=lambda q: f"{q}-perturbed")
+    def test_start_matches_formula(self, q):
         # the start as a C-order formula over incidence_pairs(), moved row by row into plane order;
         # from q = 8 on, C- and Fortran-order row sums differ in the last bits
         spec = SymmetricHsbmSpec(n=300, q=q, orders=(2, 3, 4), d=8.0, eps=0.2, seed=q)
-        h, planted = sample_symmetric(spec)
+        h, _ = sample_symmetric(spec)
         edges = edge_tuples(h)
         h = Hypergraph(h.n, [edges[e] for e in np.random.default_rng(q).permutation(h.m)])  # orders interleaved
-        cfg = BpConfig(init=init, seed=11)
         edge_ids, nodes = h.incidence_pairs()
         rows = [np.flatnonzero(edge_ids == e) for e in range(h.m)]
         to_plane = [rows[e][j] for k in h.orders for j in range(k) for e in h.edges_by_order[k]]
-        marginal = np.full((h.n, q), 1.0 / q)
-        if init == "uniform":
-            expected = np.full((nodes.size, q), 1.0 / q)
-        elif init == "perturbed":
-            noise = np.random.default_rng(11).uniform(-INIT_NOISE, INIT_NOISE, size=(nodes.size, q))
-            p = np.clip(1.0 / q + noise, 1e-12, None)
-            expected = p / p.sum(axis=1, keepdims=True)
-        else:
-            s = cfg.planted_smoothing
-            marginal = np.full((h.n, q), s / q)
-            marginal[np.arange(h.n), planted.labels] += 1.0 - s
-            expected = np.maximum(marginal[nodes], np.exp(-700.0))
-        state = bp_init(h, q, spec.rates(), cfg, planted=planted)
+        noise = np.random.default_rng(11).uniform(-INIT_NOISE, INIT_NOISE, size=(nodes.size, q))
+        p = np.clip(1.0 / q + noise, 1e-12, None)
+        expected = p / p.sum(axis=1, keepdims=True)
+        state = bp_init(h, q, spec.rates(), BpConfig(seed=11))
         assert np.array_equal(state.nodes, nodes[to_plane])
         assert state.n2e.flags.f_contiguous and state.e2n.flags.f_contiguous
         assert state.n2e.tobytes(order="F") == expected[to_plane].tobytes(order="F")
-        assert state.marginal.tobytes() == marginal.tobytes()
+        assert state.marginal.tobytes() == np.full((h.n, q), 1.0 / q).tobytes()
         assert np.array_equal(state.e2n, np.full((nodes.size, q), 1.0 / q))
-        reference = bp_init(h, q, spec.rates(), BpConfig(init="uniform"))
-        reference.marginal = marginal
-        assert state.field.tobytes() == external_field(reference).tobytes()
-
-    def test_planted_needs_partition(self, small_instance):
-        spec, h, _ = small_instance
-        with pytest.raises(BpError, match="planted partition"):
-            bp_init(h, 2, spec.rates(), BpConfig(init="planted"))
+        assert state.field.tobytes() == external_field(state).tobytes()
 
     @pytest.mark.parametrize(
         "rates", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf), (-1.0, 1.0), (1.0, -0.5), (0.0, 0.0)]
@@ -165,6 +157,10 @@ class TestInit:
         res = bp_run(h, 2, (8.0, 0.0), BpConfig(seed=1))
         assert np.isfinite(res.marginals).all()
 
+    def test_no_hyperedges(self):
+        with pytest.raises(BpError, match="no hyperedges"):
+            bp_run(Hypergraph(5, []), 2, (4.0, 1.0))
+
     def test_q_lower_bound(self, small_instance):
         spec, h, _ = small_instance
         with pytest.raises(BpError):
@@ -176,13 +172,8 @@ class TestInit:
         for tol in (0.0, np.nan, np.inf):
             with pytest.raises(BpError, match="convergence threshold"):
                 BpConfig(tol=tol)
-        for smoothing in (-0.1, 2.0, np.nan):
-            with pytest.raises(BpError, match="planted_smoothing"):
-                BpConfig(planted_smoothing=smoothing)
         with pytest.raises(BpError):
             BpConfig(damping=1.0)
-        with pytest.raises(BpError):
-            BpConfig(init="nope")
 
 
 class TestHyperedgeMessage:
@@ -205,6 +196,10 @@ class TestHyperedgeMessage:
         inc = np.array([[1.0, 0.0], [1.0, 0.0]])
         msg = hyperedge_message(2.0, 0.0, inc)
         assert np.allclose(msg, [1.0, 0.0], atol=1e-15)
+
+    def test_needs_an_incoming_message(self):
+        with pytest.raises(BpError, match="at least one incoming message"):
+            hyperedge_message(2.0, 1.0, np.zeros((0, 2)))
 
     def test_near_one_hot_keeps_the_product(self):
         # 1 - (1 - f) rounds to 0, so a recursion on (1 - b) loses the product f;
@@ -229,7 +224,7 @@ class TestExternalField:
     def test_trivial_fixed_point_value(self, small_instance):
         spec, h, _ = small_instance
         c_in, c_out = spec.rates()
-        state = bp_init(h, 2, (c_in, c_out), BpConfig(init="uniform"))
+        state = bp_init(h, 2, (c_in, c_out))
         expected = sum(
             c_out + (c_in - c_out) / (2 ** (k - 1) * factorial(k - 1)) for k in h.orders
         )
@@ -238,13 +233,13 @@ class TestExternalField:
 
     def test_equal_rates_constant(self, small_instance):
         _, h, _ = small_instance
-        state = bp_init(h, 2, (3.0, 3.0), BpConfig(init="uniform"))
+        state = bp_init(h, 2, (3.0, 3.0))
         assert np.allclose(state.field, len(h.orders) * 3.0, rtol=1e-12)
 
     def test_one_hot_marginals_dyadic(self):
         h = Hypergraph(4, [(0, 1), (1, 2), (2, 3)])
         c_in, c_out = 5.0, 2.0
-        state = bp_init(h, 2, (c_in, c_out), BpConfig(init="uniform"))
+        state = bp_init(h, 2, (c_in, c_out))
         state.marginal = np.tile([1.0, 0.0], (4, 1))
         field = external_field(state)
         assert field[0] == pytest.approx(c_in, rel=1e-12)
@@ -254,14 +249,15 @@ class TestExternalField:
 class TestSweep:
     def test_trivial_fixed_point_preserved(self, small_instance):
         spec, h, _ = small_instance
-        state = bp_init(h, 2, spec.rates(), BpConfig(init="uniform"))
+        state = bp_init(h, 2, spec.rates())
+        state.n2e.fill(0.5)
         for _ in range(3):
             assert bp_sweep(state) <= 1e-12
 
     def test_sweep_deterministic(self, small_instance):
         spec, h, _ = small_instance
-        s1 = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=8))
-        s2 = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=8))
+        s1 = bp_init(h, 2, spec.rates(), BpConfig(seed=8))
+        s2 = bp_init(h, 2, spec.rates(), BpConfig(seed=8))
         for _ in range(3):
             d1 = bp_sweep(s1)
             d2 = bp_sweep(s2)
@@ -270,7 +266,7 @@ class TestSweep:
 
     def test_normalization_conserved(self, small_instance):
         spec, h, _ = small_instance
-        state = bp_init(h, 2, spec.rates(), BpConfig(init="perturbed", seed=1))
+        state = bp_init(h, 2, spec.rates(), BpConfig(seed=1))
         for _ in range(5):
             bp_sweep(state)
         assert np.allclose(state.n2e.sum(axis=1), 1.0, atol=1e-10)
@@ -280,20 +276,20 @@ class TestSweep:
     def test_hard_constraints_converge_fast(self):
         spec = SymmetricHsbmSpec(n=200, q=2, orders=(2, 3), d=6.0, eps=0.0, seed=2)
         h, planted = sample_symmetric(spec)
-        cfg = BpConfig(init="planted", max_sweeps=3)
-        res = bp_run(h, 2, spec.rates(), cfg, planted=planted)
+        res = planted_run(h, 2, spec.rates(), planted, BpConfig(max_sweeps=3))
         # marginals are one-hot within 3 sweeps for every node that has edges
         top = res.marginals[np.arange(h.n), planted.labels]
         used = np.zeros(h.n, dtype=bool)
         for e in edge_tuples(h):
             used[list(e)] = True
         assert np.all(top[used] > 0.999)
-        assert bp_run(h, 2, spec.rates(), BpConfig(init="planted"), planted=planted).converged
+        assert planted_run(h, 2, spec.rates(), planted).converged
 
     def test_hub_sums_stay_finite(self):
         # 1200 log(1/2) is below exp's range: without the per-node max shift the hub's messages are 0/0
         h = Hypergraph(1201, [(0, i) for i in range(1, 1201)])
-        state = bp_init(h, 2, (4.0, 1.0), BpConfig(init="uniform"))
+        state = bp_init(h, 2, (4.0, 1.0))
+        state.n2e.fill(0.5)
         assert bp_sweep(state) <= 1e-12
         assert np.all(state.n2e == 0.5) and np.all(state.marginal == 0.5)
 
@@ -301,15 +297,15 @@ class TestSweep:
         # hard constraints drive the losing labels' messages below exp(-700); they stop at the floor
         spec = SymmetricHsbmSpec(n=200, q=2, orders=(2, 3), d=6.0, eps=0.0, seed=2)
         h, planted = sample_symmetric(spec)
-        cfg = BpConfig(init="planted", planted_smoothing=0.0)
-        state = bp_init(h, 2, spec.rates(), cfg, planted=planted)
+        state = planted_start(bp_init(h, 2, spec.rates()), planted, smoothing=0.0)
         for _ in range(3):
             bp_sweep(state)
         assert state.n2e.min() == np.exp(-700.0)
 
     def test_damping_keeps_fixed_point(self, small_instance):
         spec, h, _ = small_instance
-        state = bp_init(h, 2, spec.rates(), BpConfig(init="uniform", damping=0.5))
+        state = bp_init(h, 2, spec.rates(), BpConfig(damping=0.5))
+        state.n2e.fill(0.5)
         assert bp_sweep(state) <= 1e-12
 
 
@@ -324,7 +320,7 @@ class TestPlaneLayout:
     )
     def test_matches_edge_tuples(self, n, edges):
         h = Hypergraph(n, edges)
-        state = bp_init(h, 2, (4.0, 1.0), BpConfig(init="uniform"))
+        state = bp_init(h, 2, (4.0, 1.0))
         assert [k for k, _, _ in state.planes] == list(h.orders)
         start = 0
         for k, lo, hi in state.planes:
@@ -359,8 +355,9 @@ class TestKernelReference:
         sizes = itertools.islice(itertools.cycle((2, 4, 3, 2, 5)), 40)
         return Hypergraph(32, [tuple(rng.choice(30, size=k, replace=False)) for k in sizes]), 3, (6.0, 1.5)
 
-    def check_sweeps(self, h, q, rates, damping, config=None, planted=None):
-        state = bp_init(h, q, rates, config or BpConfig(seed=7, damping=damping), planted=planted)
+    def check_sweeps(self, h, q, rates, damping, state=None):
+        if state is None:
+            state = bp_init(h, q, rates, BpConfig(seed=7, damping=damping))
         for _ in range(2):
             hat, b, marg, field, delta = reference_sweep(state)
             got = bp_sweep(state)
@@ -396,12 +393,11 @@ class TestKernelReference:
         # two floored factors, exp(-1400) underflows to 0, and each member gets a uniform message
         h = Hypergraph(8, [(0, 1, 2, 3, 4, 5), (0, 6), (3, 7)])
         planted = Partition(np.array([0, 0, 0, 1, 1, 1, 0, 1]), 2)
-        cfg = BpConfig(init="planted", planted_smoothing=0.0)
-        state = bp_init(h, 2, (5.0, 0.0), cfg, planted=planted)
+        state = planted_start(bp_init(h, 2, (5.0, 0.0)), planted, smoothing=0.0)
         k, lo, hi = state.planes[-1]
         assert k == 6
-        self.check_sweeps(h, 2, (5.0, 0.0), 0.0, cfg, planted)
-        state = bp_init(h, 2, (5.0, 0.0), cfg, planted=planted)
+        self.check_sweeps(h, 2, (5.0, 0.0), 0.0, state)
+        state = planted_start(bp_init(h, 2, (5.0, 0.0)), planted, smoothing=0.0)
         bp_sweep(state)
         assert np.all(state.e2n[lo:hi] == 0.5)
         assert np.all(state.e2n[:lo].max(axis=1) > 0.99)
@@ -413,9 +409,8 @@ class TestEdgeOrder:
         h, planted = sample_symmetric(spec)
         edges = edge_tuples(h)
         shuffled = Hypergraph(h.n, [edges[e] for e in np.random.default_rng(5).permutation(h.m)])
-        cfg = BpConfig(init="planted")
-        a = bp_run(h, 3, spec.rates(), cfg, planted=planted)
-        b = bp_run(shuffled, 3, spec.rates(), cfg, planted=planted)
+        a = planted_run(h, 3, spec.rates(), planted)
+        b = planted_run(shuffled, 3, spec.rates(), planted)
         assert a.converged and a.sweeps > 2
         assert np.array_equal(a.partition.labels, b.partition.labels) and a.sweeps == b.sweeps
         assert np.abs(a.marginals - b.marginals).max() <= 1e-12
@@ -446,10 +441,10 @@ class TestRun:
     def test_label_permutation_equivariance(self, small_instance):
         # flipping the planted labels flips the output columns identically
         spec, h, planted = small_instance
-        cfg = BpConfig(init="planted", max_sweeps=10)
-        res = bp_run(h, 2, spec.rates(), cfg, planted=planted)
+        cfg = BpConfig(max_sweeps=10)
+        res = planted_run(h, 2, spec.rates(), planted, cfg)
         flipped = type(planted)(1 - planted.labels, 2)
-        res_flipped = bp_run(h, 2, spec.rates(), cfg, planted=flipped)
+        res_flipped = planted_run(h, 2, spec.rates(), flipped, cfg)
         assert np.allclose(res.marginals, res_flipped.marginals[:, ::-1], atol=1e-9)
         assert labels_match_up_to_permutation(
             res.partition.labels, res_flipped.partition.labels, 2

@@ -75,8 +75,6 @@ BP_BLOCK = st.fixed_dictionaries({}, optional={
     "max_sweeps": st.integers(1, 30),
     "tol": st.floats(1e-6, 1e-2),
     "damping": st.floats(0, 0.9),
-    "init": st.sampled_from(["uniform", "perturbed", "planted"]),
-    "planted_smoothing": st.floats(0, 1),
     "seed": st.integers(0, 5),
 })
 EXPERIMENT = st.one_of(

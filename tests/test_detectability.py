@@ -168,6 +168,10 @@ class TestCriticalEpsilon:
         with pytest.raises(DetectabilityError):
             critical_epsilon(2, (2,), 0.5, which="bh")
 
+    def test_unknown_threshold_rejected(self):
+        with pytest.raises(DetectabilityError, match="which must be 'bh' or 'bp'"):
+            critical_epsilon(3, (2, 3), 10.0, "nope")
+
     @pytest.mark.parametrize("which", ["bh", "bp"])
     def test_nan_degree_has_no_root(self, which):
         with pytest.raises(HsbmError, match="mean degree"):

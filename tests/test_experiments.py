@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hyperbethe import (
+    BpConfig,
     ExperimentConfig,
     Partition,
     SymmetricHsbmSpec,
@@ -68,6 +69,10 @@ class TestHelpers:
         b = [0.0, 0.4, 0.8]
         (x,) = crossing_points(grid, a, b)
         assert 2.0 < x < 3.0
+        # a segment with a missing mean is skipped; so are parallel and coincident segments
+        assert crossing_points((0, 1, 2), (None, 0.5, 0.125), (0.25, 0.25, 0.375)) == [1.5]
+        assert crossing_points((0, 1), (0.5, 0.75), (0.25, 0.5)) == []
+        assert crossing_points((0, 1, 2), (0.25, 0.25, 0.5), (0.25, 0.25, 0.25)) == [1]
 
     def test_config_validation(self):
         with pytest.raises(ExperimentError):
@@ -85,11 +90,16 @@ class TestHelpers:
     def test_config_from_json_with_bp_block(self):
         cfg = ExperimentConfig.from_json(
             '{"experiment": "eps-sweep", "grid": [0.1], "methods": ["bh", "bp"],'
-            ' "bp": {"max_sweeps": 50, "damping": 0.2, "init": "uniform"}}'
+            ' "bp": {"max_sweeps": 50, "damping": 0.2}}'
         )
         assert cfg.bp.max_sweeps == 50
         assert cfg.bp.damping == 0.2
         assert cfg.methods == ("bh", "bp")
+
+    def test_code_built_bp_seed_rejected(self):
+        # run_eps_sweep seeds BP per repetition, so a seed here would be ignored
+        with pytest.raises(ExperimentError, match="seeded per repetition"):
+            ExperimentConfig("eps-sweep", grid=(0.1,), bp=BpConfig(seed=3))
 
     @pytest.mark.parametrize("key, value", [("fixed_q", 2), ("eta_grid", [1.1, 1.2])])
     def test_config_from_json_rejects_deleted_fields(self, key, value):
@@ -622,6 +632,9 @@ class TestCli:
                          id="bp-block-type"),
             pytest.param(["run"], dict(SWEEP, bp={"seed": 3}), "key 'seed' in \"bp\" has no effect: BP is seeded "
                          "per repetition", id="bp-block-seed"),
+            pytest.param(["run"], dict(SWEEP, bp={"init": "uniform"}), "unknown key 'init'", id="bp-block-init"),
+            pytest.param(["run"], dict(SWEEP, bp={"planted_smoothing": 0.1}), "unknown key 'planted_smoothing'",
+                         id="bp-block-planted-smoothing"),
             pytest.param(["run"], dict(SWEEP, seed=-1), "seed -1 must be >= 0", id="run-seed"),
             pytest.param(["run", "--seed", "-1"], SWEEP, "seed -1 must be >= 0", id="run-seed-flag"),
             pytest.param(["run"], dict(SWEEP, shape_order=4), "unknown key 'shape_order'; eps-sweep takes",

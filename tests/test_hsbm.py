@@ -83,6 +83,10 @@ class TestSpecValidation:
         with pytest.raises(HsbmError):
             SymmetricHsbmSpec(n=10, q=2, orders=(6,), d=3.0, eps=0.1)
 
+    def test_shape_experiment_orders(self):
+        with pytest.raises(HsbmError, match="orders 4 and 5"):
+            shape_experiment_spec(400, 10.0, 1.0, order=6)
+
     def test_pattern_composition_sums(self):
         with pytest.raises(HsbmError):
             PlantedPattern(4, ((0, 2), (1, 1)), 1.0)

@@ -124,6 +124,8 @@ class TestAmi:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             ami([0, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="empty partitions"):
+            ami([], [])
 
 
 class TestExpectedMi:
@@ -163,6 +165,10 @@ class TestConfusion:
     def test_singletons_vs_single_block(self):
         mat = confusion([0, 1, 2], [0, 0, 0], row_normalize=True)
         assert mat.tolist() == [[1.0], [1.0], [1.0]]
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="same nodes"):
+            confusion([0, 1], [0])
 
     def test_row_normalization_with_empty_row(self):
         a = Partition(np.array([0, 0]), 3)  # community 1 and 2 empty

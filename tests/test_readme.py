@@ -60,6 +60,7 @@ def test_cli_table_matches_the_parser():
     [
         r"dedup=", r"\.edges\b", r"from_labels", r"symmetric_pair_rates", r"fixed_q", r"eta_grid",
         r"sweep-(eps|shape|order)", r'"mode"', r"sample_planted", r"SnrReport", r"with_roots", r"--roots", r"--init",
+        r"planted_smoothing", r'"init"',
     ],
 )
 def test_no_deleted_api(pattern):
