@@ -9,6 +9,12 @@ with D_k the order-k degree diagonal and A_k the order-k co-membership
 matrix.  At eta equal to the bulk radius of the non-backtracking spectrum,
 sum_k sqrt(d_k (k-1)), its negative eigenvalues count the detectable
 communities and their eigenvectors embed the nodes for k-means.
+
+Above DENSE_CUTOFF rows the count runs Lanczos on a degree-2 Chebyshev
+filter of B, which maps the negative eigenvalues above 1 and the rest into
+[-1, 1] (Fang and Saad, "A filtered Lanczos procedure for extreme and
+interior eigenvalue problems", SIAM J. Sci. Comput. 2012); the same solve's
+Ritz vectors give the embedding.
 """
 
 from __future__ import annotations
@@ -24,8 +30,13 @@ from .hypergraph import Hypergraph, Partition
 DENSE_CUTOFF = 600
 # The negative-eigenvalue count's first Lanczos batch; it doubles from here.
 FIRST_BATCH = 4
-# Smallest Krylov basis ARPACK is given; scipy's default is 20.
+# Smallest Krylov basis ARPACK is given on B itself; scipy's default is 20.
 MIN_NCV = 32
+# The count's batches run on the Chebyshev polynomial of even degree
+# FILTER_DEGREE of B mapped onto [-1, 1], with a Krylov basis of at least
+# FILTER_NCV vectors.
+FILTER_DEGREE = 2
+FILTER_NCV = 18
 # ARPACK's stopping tolerance for the count's batches, whose Ritz values only
 # have to be sign-resolved against the threshold by their own residuals.
 COUNT_TOL = 1e-2
@@ -149,10 +160,10 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
     Dense solve up to DENSE_CUTOFF rows, Lanczos (ARPACK) above it, started
     from v0 or, by default, from a seeded random vector for determinism.
     ARPACK gets a Krylov basis of max(2k + 1, MIN_NCV) vectors, scipy's own
-    rule with 32 in place of its 20: the small batches of the
-    negative-eigenvalue count converge pairs next to the clustered bulk edge,
-    and a basis that keeps more Krylov information across each implicit
-    restart needs fewer restarts to do it.  tol is both ARPACK's stopping
+    rule with 32 in place of its 20: when the count's batches fall back to B,
+    they converge pairs next to the clustered bulk edge, and a basis that
+    keeps more Krylov information across each implicit restart needs fewer
+    restarts to do it.  tol is both ARPACK's stopping
     tolerance (||r|| <= tol * |theta|) and the residual guard: the residuals
     ||B v - theta v|| are verified against max(tol, 1e-12) * ||B||_inf, a
     bound the stopping rule meets since |theta| <= ||B||_inf.  Failure raises
@@ -222,23 +233,32 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
 
     Up to DENSE_CUTOFF rows one dense solve yields every eigenvalue; only
     the negative columns go through the guard and the sign fix, and leave
-    as a copy.  Above, batches of smallest eigenpairs (4, 8, 16, ...) are
-    extracted until one at or above thr appears; the clustering takes these
-    pairs instead of solving again.  A first batch of 4 settles q <= 3 in
-    one solve, where a batch of 8 would also converge pairs inside the
-    clustered bulk edge just above zero.
+    as a copy.  Above, batches of eigenpairs (4, 8, 16, ...) are extracted
+    until one at or above thr appears; the clustering takes these pairs
+    instead of solving again.  A first batch of 4 settles q <= 3 in one
+    solve, where a batch of 8 would also converge pairs inside the clustered
+    bulk edge just above zero.
 
-    Only the signs of theta - thr decide the count, so each batch runs ARPACK
-    at the loose COUNT_TOL.  For a symmetric matrix some eigenvalue lies
-    within ||r|| of a Ritz value theta with unit Ritz vector and residual r
-    (Parlett, The Symmetric Eigenvalue Problem), so a batch is accepted only
-    when every |theta_i - thr| > 2 ||r_i||; otherwise that batch is solved
-    again at EIG_TOL, as a tight-only count would.  A thin margin thus costs
-    time, never a sign.  The count is Krylov evidence either way, not a
+    Each batch runs Lanczos at the loose COUNT_TOL on p(B) (_chebyshev_filter),
+    whose eigenvalues above 1 are exactly those of B below thr, so the
+    batch's k largest Ritz values mu_i are compared with 1.  For a symmetric
+    matrix some eigenvalue lies within ||r|| of a Ritz value with unit Ritz
+    vector and residual r (Parlett, The Symmetric Eigenvalue Problem), so the
+    batch is accepted only when every |mu_i - 1| > 2 ||r_i||, with r_i the
+    p(B) residual, and when the Rayleigh quotients theta_i = v_i^T B v_i fall
+    below thr for exactly those i with mu_i > 1; the thetas and the same
+    vectors are the batch's pairs of B.  The filter widens the gap between
+    the negative eigenvalues and the bulk relative to the spread of the
+    spectrum, so a batch takes fewer products with B, though each Lanczos
+    step costs FILTER_DEGREE of them.  A batch that fails either check, or
+    whose solve stops short, is solved on B instead: the k smallest pairs at
+    COUNT_TOL, accepted when every |theta_i - thr| > 2 ||r_i||, else solved
+    again at EIG_TOL, as a tight-only count would.  A thin margin thus costs time,
+    never a sign.  The count is Krylov evidence either way, not a
     certificate: an eigenvalue the Krylov space never saw is not counted.
 
     The negative pairs feed the embedding, so they must also pass the
-    residual guard at EIG_TOL.  Well-separated pairs converge far past
+    residual guard on B at EIG_TOL.  Well-separated pairs converge far past
     COUNT_TOL and usually pass already; if one does not, the pairs are refined
     by one k = count solve at EIG_TOL, started from the sum of the loose vectors.
     """
@@ -247,12 +267,17 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
         w, v = np.linalg.eigh(B.matrix.toarray())
         count = int(np.sum(w < thr))
         return _guarded(B, w[:count], v[:, :count], EIG_TOL)
+    P = _chebyshev_filter(B)
     k = FIRST_BATCH
     while True:
         k = min(k, B.n)
-        w, v, res = lowest_eigenpairs(B, k, tol=COUNT_TOL, seed=seed, residuals=True)
-        if np.any(np.abs(w - thr) <= 2.0 * res):
-            w, v, res = lowest_eigenpairs(B, k, tol=EIG_TOL, seed=seed, residuals=True)
+        batch = _filtered_batch(B, P, k, seed)
+        if batch is None:
+            w, v, res = lowest_eigenpairs(B, k, tol=COUNT_TOL, seed=seed, residuals=True)
+            if np.any(np.abs(w - thr) <= 2.0 * res):
+                w, v, res = lowest_eigenpairs(B, k, tol=EIG_TOL, seed=seed, residuals=True)
+        else:
+            w, v, res = batch
         count = int(np.sum(w < thr))
         if count < k or k == B.n:
             break
@@ -261,6 +286,60 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
     if np.any(res[:count] > _residual_bound(B, EIG_TOL)):
         w, v = lowest_eigenpairs(B, count, tol=EIG_TOL, seed=seed, v0=v.sum(axis=1))
     return w, v
+
+
+def _chebyshev_filter(B: BetheHessian):
+    """p(B) = T_m(S) as a LinearOperator, with m = FILTER_DEGREE and S one CSR.
+
+    S = (2B - (U + thr) I) / (U - thr), with U = B.norm >= lambda_max and
+    thr = B.threshold, maps [thr, U] onto [-1, 1], where |T_m| <= 1; for even
+    m, p > 1 exactly below thr.  Each matvec is m sparse products with S.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    U, thr = B.norm, B.threshold
+    S = B.matrix * (2.0 / (U - thr)) - sp.identity(B.n, format="csr") * ((U + thr) / (U - thr))
+
+    def apply(x):
+        prev, cur = x, S @ x
+        for _ in range(FILTER_DEGREE - 1):
+            prev, cur = cur, 2.0 * (S @ cur) - prev
+        return cur
+
+    return spla.LinearOperator(S.shape, matvec=apply, matmat=apply, dtype=float)
+
+
+def _filtered_batch(B: BetheHessian, P, k, seed):
+    """The count's batch of k from the k largest eigenpairs of P = p(B), or None.
+
+    Lanczos at COUNT_TOL from lowest_eigenpairs' seeded start.  It returns
+    what lowest_eigenpairs(..., residuals=True) would: the Rayleigh quotients
+    theta_i = v_i^T B v_i ascending, the sign-fixed vectors and their B
+    residuals.  It returns None when a check of _negative_eigenpairs fails,
+    when ARPACK stops short, or when k >= n - 1, which lowest_eigenpairs
+    solves densely.
+    """
+    import scipy.sparse.linalg as spla
+
+    n = B.n
+    if k >= n - 1:
+        return None
+    try:
+        mu, v = spla.eigsh(
+            P, k=k, which="LA", v0=np.random.default_rng(seed).standard_normal(n),
+            ncv=min(n, max(2 * k + 1, FILTER_NCV)), tol=COUNT_TOL,
+        )
+    except spla.ArpackNoConvergence:
+        return None
+    Bv = B.matrix @ v
+    theta = np.einsum("ij,ij->j", v, Bv)
+    resolved = np.abs(mu - 1.0) > 2.0 * np.linalg.norm(P @ v - v * mu, axis=0)
+    if not (resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)):
+        return None
+    order = np.argsort(theta)
+    theta, v = theta[order], v[:, order]
+    return theta, _fix_signs(v), np.linalg.norm(Bv[:, order] - v * theta, axis=0)
 
 
 def count_negative_eigenvalues(B: BetheHessian):

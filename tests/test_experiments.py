@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import csv
 import hashlib
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -248,9 +250,47 @@ class TestBlasThreads:
         assert len(read_csv(tmp_path / "threads1" / "eps_sweep.csv")) == 3
 
 
+    def test_spectrum_identical_across_thread_counts(self, tmp_path):
+        doc, digests = PINNED["spectrum"]
+        child = """
+            import json, sys
+            from hyperbethe import ExperimentConfig, run
+            run(ExperimentConfig.from_json(dict(json.loads(sys.argv[1]), out=sys.argv[2])))
+            """
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            run_child(child, json.dumps(doc), out, threads=threads)
+            written.append((out / "spectrum.json").read_bytes())
+        assert written[0] == written[1]
+        assert hashlib.sha256(written[1]).hexdigest() == digests["spectrum.json"]
+
+    def test_spectrum_pin_restores_the_thread_count(self):
+        from numpy._core import _multiarray_umath
+
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+        before = get()
+        try:
+            put(2)
+            with experiments._one_blas_thread():
+                inside = get()
+            assert (inside, get()) == (1, 2)
+        finally:
+            put(before)
+
+    def test_spectrum_without_thread_symbols_raises(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        doc, _ = PINNED["spectrum"]
+        with pytest.raises(ExperimentError, match="cannot pin numpy's BLAS to one thread"):
+            run(ExperimentConfig.from_json(dict(doc, out=str(tmp_path / "out"))))
+        assert not (tmp_path / "out").exists()
+
+
 # A tiny config of each experiment and the sha256 of every file it writes,
-# measured with one BLAS thread: spectrum.json lists the non-backtracking
-# eigenvalues in LAPACK's order, which moves with the thread count.
+# measured with one BLAS thread.  Every output but spectrum.json is checked
+# at two threads too (TestBlasThreads here and in the spectral and BP tests);
+# spectrum.json pins its solve to one thread.
 PINNED = {
     "eps": (
         {"experiment": "eps-sweep", "n": 300, "q": 2, "orders": [2, 3], "d": 8.0, "grid": [0.05, 0.3], "reps": 2,

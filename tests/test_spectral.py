@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -92,6 +93,48 @@ def bench_model(n, *, q=3, eps=0.1, seed=0):
 
 def guard_bound(B, tol=1e-8):
     return tol * np.abs(B.matrix.toarray()).sum(axis=1).max()
+
+
+def without_filter(monkeypatch):
+    """Solve every count batch on B itself, as the count did before the Chebyshev filter."""
+    monkeypatch.setattr(spectral, "_filtered_batch", lambda *args: None)
+
+
+def unfiltered_cluster(h):
+    """spectral_cluster(h) with every count batch solved on B itself."""
+    with pytest.MonkeyPatch.context() as m:
+        without_filter(m)
+        return spectral_cluster(h)
+
+
+def assert_same_result(result, reference):
+    """Same count, eigenvalues, embedding and labels, bit for bit."""
+    assert result.partition.q == reference.partition.q
+    assert np.array_equal(result.eigenvalues, reference.eigenvalues)
+    assert np.array_equal(result.embedding, reference.embedding)
+    assert np.array_equal(result.partition.labels, reference.partition.labels)
+
+
+def edit_filtered_solves(monkeypatch, edit):
+    """(which, k) of each eigsh call; edit(mu, v) may alter each filtered solve's output."""
+    calls = []
+    eigsh = spla.eigsh
+
+    def edited(*args, **kwargs):
+        calls.append((kwargs["which"], kwargs["k"]))
+        mu, v = eigsh(*args, **kwargs)
+        if kwargs["which"] == "LA":
+            edit(mu, v)
+        return mu, v
+
+    monkeypatch.setattr(spla, "eigsh", edited)
+    return calls
+
+
+def unresolve_top_value(mu, v):
+    """Move the largest filtered Ritz value to within its residual of 1, still above 1."""
+    top = np.argmax(mu)
+    mu[top] = 1.0 + 1e-3 * (mu[top] - 1.0)
 
 
 def with_isolated(h, extra):
@@ -320,7 +363,8 @@ class TestDenseLanczosSwitch:
             lanczos.partition.labels, dense.partition.labels, 3
         )
 
-    def test_lanczos_batches_double_from_four(self, monkeypatch):
+    @staticmethod
+    def batches_double_from_four(monkeypatch, filtered):
         spec = SymmetricHsbmSpec(n=800, q=5, orders=(2, 3), d=15.0, eps=0.05, seed=0)
         h, _ = sample_symmetric(spec)
         calls = []
@@ -330,15 +374,22 @@ class TestDenseLanczosSwitch:
             calls.append(args[1])
             return solve(*args, **kwargs)
 
-        ncv = []
+        solves = []
         eigsh = spla.eigsh
         monkeypatch.setattr(
-            spla, "eigsh", lambda *a, **kw: ncv.append(kw["ncv"]) or eigsh(*a, **kw)
+            spla, "eigsh", lambda *a, **kw: solves.append((kw["k"], kw["ncv"], kw["which"])) or eigsh(*a, **kw)
         )
         monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
-        lanczos = spectral_cluster(h)
-        assert calls == [4, 8]
-        assert ncv == [32, 32]
+        if filtered:
+            lanczos = spectral_cluster(h)
+            assert solves == [(4, 18, "LA"), (8, 18, "LA")]
+            assert calls == []  # the filtered pairs pass the guard: no solve on B
+        else:
+            with monkeypatch.context() as m:
+                without_filter(m)
+                lanczos = spectral_cluster(h)
+            assert calls == [4, 8]
+            assert solves == [(4, 32, "SA"), (8, 32, "SA")]
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", h.n)
         calls.clear()
         eigh = np.linalg.eigh
@@ -350,6 +401,12 @@ class TestDenseLanczosSwitch:
         assert labels_match_up_to_permutation(
             lanczos.partition.labels, dense.partition.labels, 5
         )
+
+    def test_lanczos_batches_double_from_four(self, monkeypatch):
+        self.batches_double_from_four(monkeypatch, filtered=True)
+
+    def test_lanczos_batches_double_from_four_on_fallback(self, monkeypatch):
+        self.batches_double_from_four(monkeypatch, filtered=False)
 
     def test_dense_count_solves_once(self, monkeypatch):
         spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
@@ -424,15 +481,17 @@ class TestSignResolvedCount:
 
     @staticmethod
     def tight_only(B):
-        """The count with every batch at EIG_TOL, as before the loose pass."""
+        """The count with every batch on B at EIG_TOL, as before the filter and the loose pass."""
         with pytest.MonkeyPatch.context() as m:
+            without_filter(m)
             m.setattr(spectral, "COUNT_TOL", 1e-8)
             return spectral._negative_eigenpairs(B)
 
-    def test_unresolved_batch_is_solved_again_tight(self, monkeypatch):
+    def unresolved_batch_is_solved_again_tight(self, monkeypatch, edit_filter):
         # at 0.9 ARPACK stops before every Ritz value's sign is resolved
         _, B = bench_model(800, seed=2)
         tight_w, tight_v = self.tight_only(B)
+        solves = edit_filtered_solves(monkeypatch, edit_filter)
         calls = self.record_solves(monkeypatch)
         monkeypatch.setattr(spectral, "COUNT_TOL", 0.9)
         w, v = spectral._negative_eigenpairs(B)
@@ -440,40 +499,73 @@ class TestSignResolvedCount:
         assert all(v0 is None for *_, v0 in calls)
         assert len(w) == 3
         assert np.array_equal(w, tight_w) and np.array_equal(v, tight_v)
+        return solves
 
-    def test_guard_failure_refines_from_loose_vectors(self, monkeypatch):
+    def test_unresolved_batch_is_solved_again_tight(self, monkeypatch):
+        # an unresolved filtered batch is solved on B, where it is unresolved too
+        solves = self.unresolved_batch_is_solved_again_tight(monkeypatch, unresolve_top_value)
+        assert solves == [("LA", 4), ("SA", 4), ("SA", 4)]
+
+    def test_unresolved_batch_is_solved_again_tight_on_fallback(self, monkeypatch):
+        without_filter(monkeypatch)
+        solves = self.unresolved_batch_is_solved_again_tight(monkeypatch, lambda mu, v: None)
+        assert solves == [("SA", 4), ("SA", 4)]
+
+    @staticmethod
+    def unconverge_first_pair(B, out, loose):
+        """A batch's first vector moved out of the guard at EIG_TOL, its sign still resolved."""
+        w, v, res = out
+        x = v[:, 0] + 1e-5 * np.random.default_rng(0).standard_normal(B.n)
+        v[:, 0] = x / np.linalg.norm(x)
+        res[0] = np.linalg.norm(B.matrix @ v[:, 0] - w[0] * v[:, 0])
+        loose.append(v.copy())
+        return w, v, res
+
+    def guard_failure_refines_from_loose_vectors(self, monkeypatch, filtered):
         _, B = bench_model(800)
         tight_w, tight_v = self.tight_only(B)
         loose = []
-
-        def unconverged_first_pair(mat, kwargs, out):
-            if not kwargs.get("residuals"):
-                return out
-            # still sign-resolved, but outside the guard at EIG_TOL
-            w, v, res = out
-            x = v[:, 0] + 1e-5 * np.random.default_rng(0).standard_normal(mat.n)
-            v[:, 0] = x / np.linalg.norm(x)
-            res[0] = np.linalg.norm(mat.matrix @ v[:, 0] - w[0] * v[:, 0])
-            loose.append(v.copy())
-            return w, v, res
-
-        calls = self.record_solves(monkeypatch, unconverged_first_pair)
+        if filtered:
+            batch = spectral._filtered_batch
+            monkeypatch.setattr(
+                spectral, "_filtered_batch", lambda *args: self.unconverge_first_pair(B, batch(*args), loose)
+            )
+            calls = self.record_solves(monkeypatch)
+        else:
+            without_filter(monkeypatch)
+            calls = self.record_solves(
+                monkeypatch,
+                lambda mat, kwargs, out: self.unconverge_first_pair(mat, out, loose) if kwargs.get("residuals") else out,
+            )
         w, v = spectral._negative_eigenpairs(B)
-        assert [(k, tol) for k, tol, _ in calls] == [(4, spectral.COUNT_TOL), (3, 1e-8)]
-        assert calls[0][2] is None
-        assert np.array_equal(calls[1][2], loose[0][:, :3].sum(axis=1))
+        assert len(loose) == 1
+        assert np.array_equal(calls[-1][2], loose[0][:, :3].sum(axis=1))
         res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
         assert res.max() <= guard_bound(B)
         assert np.allclose(w, tight_w, atol=1e-8)
         assert np.allclose(v, tight_v, atol=1e-6)
+        return calls
 
-    def test_guard_rejects_perturbed_embedding_pair(self, monkeypatch):
+    def test_guard_failure_refines_from_loose_vectors(self, monkeypatch):
+        calls = self.guard_failure_refines_from_loose_vectors(monkeypatch, filtered=True)
+        assert [(k, tol) for k, tol, _ in calls] == [(3, 1e-8)]
+
+    def test_guard_failure_refines_from_loose_vectors_on_fallback(self, monkeypatch):
+        calls = self.guard_failure_refines_from_loose_vectors(monkeypatch, filtered=False)
+        assert [(k, tol) for k, tol, _ in calls] == [(4, spectral.COUNT_TOL), (3, 1e-8)]
+        assert calls[0][2] is None
+
+    @staticmethod
+    def guard_rejects_perturbed_embedding_pair(monkeypatch):
         h, B = bench_model(800)
         eigsh = spla.eigsh
+        solves = []
 
         def perturbed(*args, **kwargs):
             w, v = eigsh(*args, **kwargs)
-            i = np.argmin(w)
+            solves.append(kwargs["which"])
+            # the lowest theta: the largest mu of a filtered solve
+            i = np.argmax(w) if kwargs["which"] == "LA" else np.argmin(w)
             x = v[:, i] + 1e-5 * np.random.default_rng(0).standard_normal(v.shape[0])
             v[:, i] = x / np.linalg.norm(x)
             return w, v
@@ -482,6 +574,84 @@ class TestSignResolvedCount:
         with pytest.raises(EigenConvergenceError) as info:
             spectral_cluster(h)
         assert info.value.residuals.max() > guard_bound(B)
+        return solves
+
+    def test_guard_rejects_perturbed_embedding_pair(self, monkeypatch):
+        # the filtered batch is accepted; the guard sends it to refinement on B
+        assert self.guard_rejects_perturbed_embedding_pair(monkeypatch) == ["LA", "SA"]
+
+    def test_guard_rejects_perturbed_embedding_pair_on_fallback(self, monkeypatch):
+        without_filter(monkeypatch)
+        assert self.guard_rejects_perturbed_embedding_pair(monkeypatch) == ["SA", "SA"]
+
+    def test_filter_exceeds_one_exactly_below_threshold(self):
+        _, B = bench_model(700)
+        lam, vecs = np.linalg.eigh(B.matrix.toarray())
+        mu = np.einsum("ij,ij->j", vecs, spectral._chebyshev_filter(B) @ vecs)
+        S = (2.0 * lam - (B.norm + B.threshold)) / (B.norm - B.threshold)
+        np.testing.assert_allclose(mu, 2.0 * S**2 - 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(mu > 1.0, lam < B.threshold)
+        assert np.all(np.abs(mu[lam >= B.threshold]) <= 1.0)
+        assert (lam < B.threshold).sum() == 3
+
+    @staticmethod
+    def filtered_solve_checks(B, P, mu, v):
+        """Whether each Ritz value of P is sign-resolved against 1, and the Rayleigh quotients on B."""
+        resolved = np.abs(mu - 1.0) > 2.0 * np.linalg.norm(P @ v - v * mu, axis=0)
+        return resolved, np.einsum("ij,ij->j", v, B.matrix @ v)
+
+    def test_unresolved_filtered_value_falls_back(self, monkeypatch):
+        h, B = bench_model(800)
+        reference = unfiltered_cluster(h)
+        seen = []
+
+        def unresolved(mu, v):
+            unresolve_top_value(mu, v)
+            seen.append((mu.copy(), v.copy()))
+
+        solves = edit_filtered_solves(monkeypatch, unresolved)
+        result = spectral_cluster(h)
+        assert solves == [("LA", 4), ("SA", 4)]
+        mu, v = seen[0]
+        resolved, theta = self.filtered_solve_checks(B, spectral._chebyshev_filter(B), mu, v)
+        assert not resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
+        assert_same_result(result, reference)
+
+    def test_filter_disagreeing_with_theta_falls_back(self, monkeypatch):
+        # a filter pivoting between the first and second negative eigenvalues
+        # resolves every mu, but two more theta than mu lie on the negative side
+        h, B = bench_model(800)
+        reference = unfiltered_cluster(h)
+        pivot = 0.5 * (reference.eigenvalues[0] + reference.eigenvalues[1])
+        P = spectral._chebyshev_filter(dataclasses.replace(B, threshold=pivot))
+        monkeypatch.setattr(spectral, "_chebyshev_filter", lambda B: P)
+        seen = []
+        solves = edit_filtered_solves(monkeypatch, lambda mu, v: seen.append((mu.copy(), v.copy())))
+        result = spectral_cluster(h)
+        assert solves == [("LA", 4), ("SA", 4)]
+        mu, v = seen[0]
+        resolved, theta = self.filtered_solve_checks(B, P, mu, v)
+        assert resolved.all()
+        assert (theta < B.threshold).sum() == 3 and (mu > 1.0).sum() == 1
+        assert_same_result(result, reference)
+
+    def test_filtered_no_convergence_falls_back(self, monkeypatch):
+        h, _ = bench_model(800)
+        reference = unfiltered_cluster(h)
+        eigsh = spla.eigsh
+        solves = []
+
+        def stops_short_when_filtered(*args, **kwargs):
+            solves.append(kwargs["which"])
+            mu, v = eigsh(*args, **kwargs)
+            if kwargs["which"] == "LA":
+                raise spla.ArpackNoConvergence("patched", mu[:2], v[:, :2])
+            return mu, v
+
+        monkeypatch.setattr(spla, "eigsh", stops_short_when_filtered)
+        result = spectral_cluster(h)
+        assert solves == ["LA", "SA"]
+        assert_same_result(result, reference)
 
     def test_guard_rejects_nan_pair(self, monkeypatch):
         _, B = bench_model(800)
@@ -531,17 +701,27 @@ class TestSignResolvedCount:
             )
 
     @pytest.mark.parametrize("eps, count", [(0.1, 3), (0.5, 1)])
-    def test_loose_count_needs_fewer_matvecs(self, matvecs, eps, count):
+    def test_loose_count_needs_fewer_matvecs(self, monkeypatch, matvecs, eps, count):
         _, B = bench_model(3000, eps=eps)
         w, v = spectral._negative_eigenpairs(B)
+        filtered = list(matvecs)  # products with p(B), each FILTER_DEGREE with B
+        matvecs.clear()
+        with monkeypatch.context() as m:
+            without_filter(m)
+            loose_w, loose_v = spectral._negative_eigenpairs(B)
         loose = list(matvecs)
         matvecs.clear()
         tight_w, tight_v = self.tight_only(B)
-        assert len(w) == len(tight_w) == count
-        assert len(loose) == len(matvecs) == 1
+        assert len(w) == len(loose_w) == len(tight_w) == count
+        assert len(filtered) == len(loose) == len(matvecs) == 1
+        # B-products, the k = 4 columns of each check included: the filtered
+        # batch's acceptance check applies p(B) and B once, the guard B once
+        k = spectral.FIRST_BATCH
+        assert spectral.FILTER_DEGREE * (filtered[0] + k) + k < loose[0] + k
         assert sum(loose) < 0.75 * sum(matvecs)
-        assert np.allclose(w, tight_w, atol=1e-8)
-        assert np.allclose(v, tight_v, atol=1e-6)
+        for pairs in ((w, v), (loose_w, loose_v)):
+            assert np.allclose(pairs[0], tight_w, atol=1e-8)
+            assert np.allclose(pairs[1], tight_v, atol=1e-6)
 
 
 class TestBlasThreads:
