@@ -22,13 +22,14 @@ from .experiments import ExperimentConfig, ExperimentError, run, write_csv, writ
 from .hsbm import HsbmError, model_rates, read_json, sample_symmetric, spec_from_json
 from .hypergraph import (
     HypergraphError,
+    Partition,
     load_hyperedge_list,
     load_partition,
     save_hyperedge_list,
     save_partition,
 )
 from .metrics import ami, confusion, hyperedge_composition
-from .spectral import SpectralConfig, SpectralError, spectral_cluster
+from .spectral import BlasThreadError, SpectralConfig, SpectralError, spectral_cluster
 
 
 def _add_common(p):
@@ -60,7 +61,10 @@ def cmd_generate(args):
     h, planted = sample_symmetric(spec)
     os.makedirs(args.out, exist_ok=True)
     save_hyperedge_list(h, os.path.join(args.out, "hypergraph.txt"))
-    save_partition(planted, os.path.join(args.out, "planted.txt"))
+    # a node in no hyperedge is not in the file, so it gets no label either
+    present = h.node_degrees().nonzero()[0]
+    save_partition(Partition(planted.labels[present], planted.q), os.path.join(args.out, "planted.txt"),
+                   [str(i) for i in present.tolist()])
     print(f"n={h.n} m={h.m} orders={list(h.orders)} -> {args.out}")
 
 
@@ -208,8 +212,8 @@ def main(argv=None):
         parser.error("eval: --normalize needs --confusion")
     try:
         args.func(args)
-    except (HsbmError, DetectabilityError, HypergraphError, BpError, ExperimentError, SpectralError,
-            OSError, json.JSONDecodeError) as exc:  # also an unreadable file or a config that is not JSON
+    except (HsbmError, DetectabilityError, HypergraphError, BpError, ExperimentError, SpectralError, BlasThreadError,
+            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:  # also an unreadable, non-JSON or non-UTF-8 file
         parser.exit(2, f"hyperbethe {args.command}: error: {exc}\n")
     return 0
 

@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,14 @@ from .hsbm import SymmetricHsbmSpec, read_json, sample_symmetric
 from .hypergraph import Partition
 from .metrics import ami
 from .nonbacktracking import nonbacktracking_matrix
-from .spectral import EigenConvergenceError, SpectralError, bethe_hessian, bulk_radius, spectral_cluster
+from .spectral import (
+    EigenConvergenceError,
+    SpectralError,
+    bethe_hessian,
+    bulk_radius,
+    one_blas_thread,
+    spectral_cluster,
+)
 
 
 class ExperimentError(RuntimeError):
@@ -264,37 +270,6 @@ def run_order_sweep(cfg: ExperimentConfig):
     return _run_competition(cfg, "order")
 
 
-@contextmanager
-def _one_blas_thread():
-    """Pin numpy's bundled OpenBLAS to one thread, and restore its count on exit.
-
-    A dense nonsymmetric eigensolve returns its eigenvalues in an order, and
-    with last bits, that move with the BLAS thread count.  The count is set
-    through the scipy_openblas_{get,set}_num_threads64_ symbols of the
-    OpenBLAS that numpy's wheel bundles; without them this raises.
-    """
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-
-        blas = ctypes.CDLL(_multiarray_umath.__file__)
-        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError) as exc:
-        raise ExperimentError(
-            f"cannot pin numpy's BLAS to one thread ({exc}); spectrum dumps need the scipy_openblas "
-            "build that numpy's wheels bundle"
-        ) from exc
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
 def run_spectrum(cfg: ExperimentConfig):
     """Dump non-backtracking eigenvalues and Bethe Hessian spectra vs eta.
 
@@ -307,7 +282,7 @@ def run_spectrum(cfg: ExperimentConfig):
     h, _ = sample_symmetric(spec)
     radius = bulk_radius(h)
     nb = nonbacktracking_matrix(h, guard=50000)
-    with _one_blas_thread():
+    with one_blas_thread():
         w = np.linalg.eigvals(nb.matrix.toarray())
     etas = np.linspace(1.05, 1.5 * radius, 10)
     bh_spectra = []

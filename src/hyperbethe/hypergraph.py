@@ -22,6 +22,12 @@ class HypergraphError(ValueError):
     pass
 
 
+# Every character that str.split() splits on but '\n', mapped to ' '; none lies above U+3000.
+_SPACES = {c: " " for c in range(0x3001) if chr(c).isspace() and c != 10}
+# _LOW_BYTES[r] sets the low r bytes of a uint64 word.
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Node -> community labeling with an explicit community count q."""
@@ -157,23 +163,31 @@ def _sorted_distinct(nodes, lengths):
 def load_hyperedge_list(path):
     """Read a hyperedge-list text file.
 
-    One hyperedge per line, whitespace-separated node tokens, '#' starts a
-    comment.  Tokens are mapped to dense indices in first-appearance order;
-    duplicate tokens within a line are dropped; lines with fewer than 2
-    distinct nodes are skipped (a warning reports how many) and number no
-    node.  Repeated identical hyperedges are kept as multiplicity.
+    One hyperedge per line (a line ends at LF, CRLF or CR), node tokens
+    separated by the whitespace str.split() splits on, '#' starts a comment;
+    text that is not UTF-8 raises UnicodeDecodeError.  Tokens are mapped to
+    dense indices in first-appearance order; duplicate tokens within a line
+    are dropped; lines with fewer than 2 distinct nodes are skipped (a
+    warning reports how many) and number no node.  Repeated identical
+    hyperedges are kept as multiplicity.
 
     Returns (hypergraph, node_names) where node_names[i] is the token of node i.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = re.sub(r"#[^\n]*", "", fh.read()) + "\n"
-    # No token holds '#' once comments are cut, so '#' can mark each line end.
-    first_seen = {}  # token -> position of its first occurrence
-    ids = np.fromiter(map(first_seen.setdefault, text.replace("\n", " # ").split(), itertools.count()), np.int64)
-    line_end, tokens = ids == first_seen["#"], list(first_seen)
-    ids = (np.cumsum(ids == np.arange(ids.size)) - 1)[ids]  # index into tokens
-    line, ids = np.cumsum(line_end)[~line_end], ids[~line_end]
-    lengths = np.bincount(line, minlength=int(line_end.sum()))
+        # the spaces after the last line end let a word be read at any token start
+        text = (re.sub(r"#[^\n]*", "", fh.read()) + "\n" + " " * 7).translate(_SPACES)
+    data = np.frombuffer(text.encode(), np.uint8)  # UTF-8 holds ' ' and '\n' only as themselves
+    del text
+    # where a run of separators ends a token starts, and where one starts that token ends
+    bounds = np.flatnonzero(np.diff((data == 32) | (data == 10), prepend=True))
+    start = bounds[0::2].copy()
+    size = bounds[1::2] - start
+    del bounds
+    ids, top = _token_ids(data, start, size)
+    line_ends = np.flatnonzero(data == 10)
+    line = np.searchsorted(line_ends, start)
+    lengths = np.bincount(line, minlength=line_ends.size)
+    del line_ends
     # a line has 2 distinct nodes iff one of its tokens differs from its first
     kept = np.zeros(lengths.size, dtype=bool)
     kept[line[ids != ids[(np.cumsum(lengths) - lengths)[line]]]] = True
@@ -183,16 +197,61 @@ def load_hyperedge_list(path):
     if not kept.any():
         raise HypergraphError(f"no hyperedges found in {path}")
     # Number nodes in the order they first occur on a kept line.
-    ids = ids[kept[line]]
-    first = np.full(len(tokens), ids.size)
+    on_kept = np.flatnonzero(kept[line])
+    del line
+    ids = ids[on_kept]
+    first = np.full(top, ids.size)
     np.minimum.at(first, ids, np.arange(ids.size))
     seen = np.flatnonzero(first < ids.size)
     seen = seen[np.argsort(first[seen])]
-    node = np.empty(len(tokens), dtype=np.int64)
+    # Decode one copy of each node's token, each followed by a '\n' to split on.
+    at = on_kept[first[seen]]
+    del on_kept, first
+    start, size = start[at], size[at] + 1
+    offset = np.cumsum(size) - size
+    chars = data[np.arange(size.sum()) + np.repeat(start - offset, size)]
+    chars[offset + size - 1] = 10
+    del data, start, size
+    names = chars.tobytes().decode("utf-8").split("\n")[:-1]
+    node = np.empty(top, dtype=np.int64)
     node[seen] = np.arange(seen.size)
-    h = Hypergraph(seen.size, node[ids], lengths[kept])
-    # Fresh copies: the split's own strings would keep its memory from being freed.
-    return h, "\n".join(map(tokens.__getitem__, seen.tolist())).split("\n")
+    ids = node[ids]
+    del node
+    return Hypergraph(seen.size, ids, lengths[kept]), names
+
+
+def _token_ids(data, start, size):
+    """Equal ids for equal tokens: (ids, top), ids in [0, top), one per token.
+
+    A token's UTF-8 bytes are read as little-endian uint64 words, the last
+    one padded with 0xff, a byte UTF-8 never holds.  Pass j gives a fresh id
+    to each distinct (id, word j) pair of the tokens that reach word j, so
+    once a token's last word is read, equal tokens share its id.  A file of
+    tokens of up to 8 bytes takes one pass.
+    """
+    words = np.ndarray((data.size - 7,), "<u8", data, 0, (1,))  # the word starting at each byte
+    ids = np.zeros(start.size, dtype=np.int64)
+    top = 0
+    reach = np.arange(start.size)  # the tokens that reach word j, in ascending id order
+    for skip in itertools.count(0, 8):
+        if not reach.size:
+            return ids, top
+        word = words[start[reach] + skip] | ~_LOW_BYTES[np.minimum(size[reach] - skip, 8)]
+        # A stable sort keeps the tokens of one word in id order, so equal (id, word)
+        # pairs sit together; in the first pass every id is 0.
+        order = np.argsort(word, kind="stable" if skip else None)
+        reach = reach[order]
+        word = word[order]
+        del order
+        prev = ids[reach]
+        fresh = np.ones(reach.size, dtype=bool)
+        fresh[1:] = (word[1:] != word[:-1]) | (prev[1:] != prev[:-1])
+        del word, prev
+        ids[reach] = np.cumsum(fresh) + (top - 1)
+        top += int(np.count_nonzero(fresh))
+        del fresh
+        # the fresh ids ascend along reach, and the filter keeps its order
+        reach = reach[size[reach] > skip + 8]
 
 
 def _checked_names(names, n):

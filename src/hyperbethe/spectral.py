@@ -20,6 +20,7 @@ Ritz vectors give the embedding.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ KMEANS_ITERS = 300
 
 class SpectralError(ValueError):
     """The spectral pipeline cannot run on this input or these settings."""
+
+
+class BlasThreadError(RuntimeError):
+    """numpy's BLAS cannot be pinned to one thread, so a dense solve's bits could move with the thread count."""
 
 
 class EigenConvergenceError(SpectralError):
@@ -154,10 +159,48 @@ def bethe_hessian(h: Hypergraph, eta) -> BetheHessian:
     return BetheHessian(float(eta), full, norm, threshold)
 
 
+@contextmanager
+def one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread, and restore its count on exit.
+
+    A dense eigensolve returns eigenvalues, and for a nonsymmetric matrix
+    their order, with last bits that move with the BLAS thread count.  The
+    count is set through the scipy_openblas_{get,set}_num_threads64_ symbols
+    of the OpenBLAS that numpy's wheel bundles; without them this raises.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError) as exc:
+        raise BlasThreadError(
+            f"cannot pin numpy's BLAS to one thread ({exc}); dense eigensolves need the scipy_openblas "
+            "build that numpy's wheels bundle"
+        ) from exc
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def _dense_eigh(B: BetheHessian):
+    """Every eigenpair of B, ascending, from one dense solve on one BLAS thread."""
+    with one_blas_thread():
+        return np.linalg.eigh(B.matrix.toarray())
+
+
 def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, residuals=False):
     """k algebraically smallest eigenpairs of the operator.
 
-    Dense solve up to DENSE_CUTOFF rows, Lanczos (ARPACK) above it, started
+    Dense solve up to DENSE_CUTOFF rows, on one BLAS thread so that its bits
+    do not move with the thread count; Lanczos (ARPACK) above it, started
     from v0 or, by default, from a seeded random vector for determinism.
     ARPACK gets a Krylov basis of max(2k + 1, MIN_NCV) vectors, scipy's own
     rule with 32 in place of its 20: when the count's batches fall back to B,
@@ -175,7 +218,7 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
     if not 1 <= k <= n:
         raise SpectralError(f"k must be in [1, {n}]")
     if n <= DENSE_CUTOFF or k >= n - 1:
-        w, v = np.linalg.eigh(B.matrix.toarray())
+        w, v = _dense_eigh(B)
         w, v = w[:k], v[:, :k]
     else:
         import scipy.sparse.linalg as spla
@@ -264,7 +307,7 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
     """
     thr = B.threshold
     if B.n <= DENSE_CUTOFF:
-        w, v = np.linalg.eigh(B.matrix.toarray())
+        w, v = _dense_eigh(B)
         count = int(np.sum(w < thr))
         return _guarded(B, w[:count], v[:, :count], EIG_TOL)
     P = _chebyshev_filter(B)

@@ -31,12 +31,12 @@ from hyperbethe import (
     switching_rho,
     transition_point,
 )
-from hyperbethe import experiments
+from hyperbethe import experiments, spectral
 from hyperbethe.cli import build_parser
 from hyperbethe.cli import main as cli_main
 from hyperbethe.experiments import ExperimentError
 from hyperbethe.hypergraph import save_hyperedge_list
-from hyperbethe.spectral import EigenConvergenceError, SpectralError
+from hyperbethe.spectral import BlasThreadError, EigenConvergenceError, SpectralError
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -273,7 +273,7 @@ class TestBlasThreads:
         before = get()
         try:
             put(2)
-            with experiments._one_blas_thread():
+            with spectral.one_blas_thread():
                 inside = get()
             assert (inside, get()) == (1, 2)
         finally:
@@ -282,15 +282,40 @@ class TestBlasThreads:
     def test_spectrum_without_thread_symbols_raises(self, monkeypatch, tmp_path):
         monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
         doc, _ = PINNED["spectrum"]
-        with pytest.raises(ExperimentError, match="cannot pin numpy's BLAS to one thread"):
+        with pytest.raises(BlasThreadError, match="cannot pin numpy's BLAS to one thread"):
             run(ExperimentConfig.from_json(dict(doc, out=str(tmp_path / "out"))))
         assert not (tmp_path / "out").exists()
 
+    def test_cli_outputs_identical_across_thread_counts(self, tmp_path):
+        # every file each command writes, and what it prints; n = 300 takes the dense eigensolve, n = 1000 Lanczos
+        child = """
+            import json, os, sys
+            from hyperbethe.cli import main
+            os.makedirs(sys.argv[1])
+            os.chdir(sys.argv[1])  # relative paths, so the printed lines do not name the directory
+            sys.stdout = open("stdout.txt", "w")
+            for n in (300, 1000):
+                with open(f"model{n}.json", "w") as fh:
+                    json.dump({"n": n, "q": 3, "orders": [2, 3], "d": 10.0, "eps": 0.1, "seed": 4}, fh)
+                main(["generate", "--config", f"model{n}.json", "--out", f"gen{n}"])
+                main(["cluster", "--input", f"gen{n}/hypergraph.txt", "--out", f"auto{n}"])
+            main(["cluster", "--input", "gen300/hypergraph.txt", "--q", "3", "--out", "fixed"])
+            main(["bp", "--input", "gen300/hypergraph.txt", "--q", "3", "--d", "10", "--eps", "0.1", "--out", "bp"])
+            main(["snr", "--q", "3", "--orders", "2,3", "--d", "10", "--eps", "0.1"])
+            """
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            run_child(child, out, threads=threads)
+            written.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(written[0]) == 21 and sorted(written[0]) == sorted(written[1])
+        for name, data in written[0].items():
+            assert data == written[1][name], name
+
 
 # A tiny config of each experiment and the sha256 of every file it writes,
-# measured with one BLAS thread.  Every output but spectrum.json is checked
-# at two threads too (TestBlasThreads here and in the spectral and BP tests);
-# spectrum.json pins its solve to one thread.
+# measured with one BLAS thread; TestPinnedOutputs checks them at two threads
+# too.  Dense eigensolves run on one BLAS thread whatever the count.
 PINNED = {
     "eps": (
         {"experiment": "eps-sweep", "n": 300, "q": 2, "orders": [2, 3], "d": 8.0, "grid": [0.05, 0.3], "reps": 2,
@@ -322,19 +347,25 @@ PINNED = {
 
 
 class TestPinnedOutputs:
-    def test_every_experiment_writes_its_pinned_bytes(self, tmp_path):
+    @staticmethod
+    def digests_written(out, threads):
         child = """
             import json, os, sys
             from hyperbethe import ExperimentConfig, run
             for name, doc in json.loads(sys.argv[1]).items():
                 run(ExperimentConfig.from_json(dict(doc, out=os.path.join(sys.argv[2], name))))
             """
-        run_child(child, json.dumps({name: doc for name, (doc, _) in PINNED.items()}), tmp_path)
-        written = {
-            name: {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in (tmp_path / name).iterdir()}
+        run_child(child, json.dumps({name: doc for name, (doc, _) in PINNED.items()}), out, threads=threads)
+        return {
+            name: {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in (out / name).iterdir()}
             for name in PINNED
         }
-        assert written == {name: digests for name, (_, digests) in PINNED.items()}
+
+    def test_every_experiment_writes_its_pinned_bytes(self, tmp_path):
+        assert self.digests_written(tmp_path, "1") == {name: digests for name, (_, digests) in PINNED.items()}
+
+    def test_pinned_bytes_at_two_threads(self, tmp_path):
+        assert self.digests_written(tmp_path, "2") == {name: digests for name, (_, digests) in PINNED.items()}
 
 
 class TestShapeSweepLimits:
@@ -453,6 +484,21 @@ class TestCli:
         ])
         out = capsys.readouterr().out
         assert float(out.split("ami=")[1]) > 0.8
+
+    def test_generate_labels_only_the_nodes_in_the_hypergraph(self, tmp_path, capsys):
+        # node 228 of this instance is in no hyperedge
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"n": 300, "q": 3, "orders": [2, 3], "d": 10.0, "eps": 0.1, "seed": 4}))
+        gen = tmp_path / "gen"
+        cli_main(["generate", "--config", str(cfg), "--out", str(gen)])
+        tokens = set((gen / "hypergraph.txt").read_text().split())
+        labeled = [line.split()[0] for line in (gen / "planted.txt").read_text().splitlines()]
+        assert "228" not in tokens and len(tokens) == 299
+        assert labeled == sorted(tokens, key=int)
+        cli_main(["cluster", "--input", str(gen / "hypergraph.txt"), "--out", str(gen)])
+        cli_main(["eval", "--input", str(gen / "hypergraph.txt"), "--pred", str(gen / "partition.txt"),
+                  "--truth", str(gen / "planted.txt")])
+        assert float(capsys.readouterr().out.split("ami=")[1]) > 0.8
 
     def test_snr_subcommand(self, capsys):
         cli_main(["snr", "--q", "3", "--orders", "2,3", "--d", "10", "--eps", "0.2"])
@@ -709,19 +755,34 @@ class TestCli:
                          id="truth"),
             pytest.param(["eval", "--input", "EDGES", "--pred", "MALFORMED", "--truth", "LABELS"], (),
                          "malformed partition line: 1 0 0", id="malformed-partition-line"),
+            pytest.param(["generate"], b"\xff", "can't decode byte 0xff", id="generate-config-not-utf8"),
+            pytest.param(["run"], b"\xff", "can't decode byte 0xff", id="run-config-not-utf8"),
+            pytest.param(["cluster", "--input", "BINARY"], (), "can't decode byte 0xff", id="cluster-input-not-utf8"),
+            pytest.param(["cluster", "--input", "EDGES", "--labels", "BINARY"], (), "can't decode byte 0xff",
+                         id="labels-not-utf8"),
+            pytest.param(BP[:2] + ["BINARY"] + BP[3:], (), "can't decode byte 0xff", id="bp-input-not-utf8"),
+            pytest.param(["eval", "--input", "BINARY", "--pred", "LABELS", "--truth", "LABELS"], (),
+                         "can't decode byte 0xff", id="eval-input-not-utf8"),
+            pytest.param(["eval", "--input", "EDGES", "--pred", "BINARY", "--truth", "LABELS"], (),
+                         "can't decode byte 0xff", id="pred-not-utf8"),
+            pytest.param(["eval", "--input", "EDGES", "--pred", "LABELS", "--truth", "BINARY"], (),
+                         "can't decode byte 0xff", id="truth-not-utf8"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, config, needle):
-        """config: the --config document (None: a missing file, (): no --config)."""
+        """config: the --config document (None: a missing file, (): no --config); BINARY is not UTF-8."""
         paths = {"EDGES": tmp_path / "edges.txt", "LABELS": tmp_path / "labels.txt", "MISSING": tmp_path / "nope",
-                 "MALFORMED": tmp_path / "malformed.txt"}
+                 "MALFORMED": tmp_path / "malformed.txt", "BINARY": tmp_path / "binary.txt"}
         paths["EDGES"].write_text("0 1\n1 2 3\n")
         paths["LABELS"].write_text("0 0\n1 0\n2 1\n3 1\n")
         paths["MALFORMED"].write_text("# a comment-only line is skipped\n0 0\n1 0 0\n2 1\n3 1\n")
+        paths["BINARY"].write_bytes(b"0 1\n1 \xff\n")
         argv = [str(paths.get(a, a)) for a in argv]
         if config != ():
             path = tmp_path / "config.json"
-            if config is not None:
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            elif config is not None:
                 path.write_text(config if isinstance(config, str) else json.dumps(config))
             argv += ["--config", str(path)]
         if argv[0] != "eval":

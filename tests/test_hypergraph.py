@@ -304,6 +304,21 @@ class TestFileIO:
             b"a\x00 b\nb a\x00 c\n",
             b"\n\n  \na b\n\n",
             b"c a b\na b\nb a c\nd a\na b\nb d\nd c b a\na d\nb c a d\n",  # mixed orders, repeats kept
+            b"a b\na\x00 b c\n",  # a and a\0 differ only in a byte that zero padding would add
+            b"abcdefghi abcdefghi\x00\nabcdefghi z\n",  # the same in a token's second word
+            # tokens of 8, 9, 16 and 17 bytes sharing their first 8 and 16 bytes
+            b"abcdefgh abcdefghi\nabcdefghijklmnop abcdefghijklmnopq abcdefgh\nabcdefghi abcdefghijklmnopq\n",
+            b"aaaaaaaa12345678 bbbbbbbb12345678\nbbbbbbbb12345678 c\n",  # equal second words, first words differ
+            # 15 tokens, each 8 times: only a stable sort of the second words keeps equal tokens together
+            pytest.param("".join(f"{'abcde'[i % 5] * 8}{'QRS'[i % 3]}" + " \n"[i % 2] for i in range(120)).encode(),
+                         id="tied-second-words"),
+            "abcdefgé abcdefgè abcdefgh\nabcdefgé abcdefgh\n".encode(),  # a character across byte 8
+            pytest.param(("x" * 100 + " " + "x" * 99 + "y " + "x" * 100 + "\n" + "x" * 99 + "y z\n").encode(),
+                         id="100-byte-tokens"),
+            b"",
+            b"# only\n#comments\n\n",
+            pytest.param("".join(f"a{c}b{c}{c}c{c}\n" for c in map(chr, range(0x110000)) if c.isspace()).encode(),
+                         id="every-character-str.split-splits-on"),
         ],
     )
     def test_matches_per_line_reader(self, tmp_path, content):
@@ -314,7 +329,9 @@ class TestFileIO:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
-            st.sampled_from(["a", "b", "c", "\u00e9", "x\x00", " ", "\t", "\n", "\r", "\r\n", "#", "\u00a0", "\u2028"]),
+            st.sampled_from(
+                ["a", "b", "c", "\u00e9", "x\x00", "abcdefgh", " ", "\t", "\n", "\r", "\r\n", "#", "\u00a0", "\u2028"]
+            ),
             max_size=40,
         ),
     )

@@ -1,8 +1,10 @@
+import ctypes
 import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from hyperbethe import (
     spectral_cluster,
 )
 from hyperbethe import spectral
-from hyperbethe.spectral import EigenConvergenceError
+from hyperbethe.spectral import BlasThreadError, EigenConvergenceError
 
 from conftest import edge_tuples, labels_match_up_to_permutation, random_hypergraph
 
@@ -749,6 +751,13 @@ class TestBlasThreads:
         for key in ("w", "v", "labels"):
             assert one[key].tobytes() == two[key].tobytes(), key
         assert len(one["w"]) == 3
+
+    def test_dense_solve_without_thread_symbols_raises(self, monkeypatch):
+        h, _ = sample_symmetric(SymmetricHsbmSpec(n=300, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=4))
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        for q in (None, 3):
+            with pytest.raises(BlasThreadError, match="cannot pin numpy's BLAS to one thread"):
+                spectral_cluster(h, num_communities=q)
 
 
 class TestKmeans:
