@@ -17,8 +17,11 @@ hyperedge, so the order-k rows of each community column form a contiguous
 2 swaps the two plane rows, higher orders multiply prefix and suffix
 products.  The node side stays in the log domain: each node's sum of
 incoming log-hats is one bincount per community, shifted by the field and
-the node's max before one gather back to the incidences.  Four (D, q)
-Fortran-order buffers, so row sums run column-wise, rotate across sweeps.
+the node's max before one gather back to the incidences.  Three (D, q)
+Fortran-order buffers, so row sums run column-wise, rotate across sweeps:
+the new hats go into the free one, their logs over the old hats, and the
+new node messages over the logs, one column at a time through a D-long
+scratch column.  A sweep allocates nothing of D or more elements.
 """
 
 from __future__ import annotations
@@ -63,10 +66,13 @@ class BpState:
     incidences.  For each (k, lo, hi) in planes, row lo + j * m_k + t is
     position j of hyperedge h.edges_by_order[k][t], and nodes[row] is its
     node.  marginal is the (n, q) probability table; field is the current
-    length-q external field; spare holds the two buffers the next sweep
-    writes into.  n2e starts uniform plus seeded noise of half-width
-    INIT_NOISE, drawn in h.incidence_pairs() order so that a seed means the
-    same start on every input; marginal starts uniform.
+    length-q external field.  free is the (D, q) buffer the next sweep
+    writes its hats into, col a D-long scratch column and node_sum the
+    (n, q) Fortran-order table of each node's summed log-hats.  n2e starts
+    uniform plus seeded noise of half-width INIT_NOISE, drawn in
+    h.incidence_pairs() order so that a seed means the same start on every
+    input; marginal starts as a uniform C-order table, which the first sweep
+    replaces by a Fortran-order one that later sweeps overwrite in place.
     """
 
     def __init__(self, h: Hypergraph, q, c_in, c_out, config: BpConfig):
@@ -80,9 +86,7 @@ class BpState:
         bounds = np.cumsum([0] + [k * h.edges_by_order[k].size for k in h.orders]).tolist()
         self.planes = tuple(zip(h.orders, bounds[:-1], bounds[1:]))
         D = self.nodes.size
-        self.e2n = np.full((D, q), 1.0 / q, order="F")
         self.n2e = np.empty((D, q), order="F")
-        self.marginal = np.full((h.n, q), 1.0 / q)
         # drawn and row-summed in C order (numpy's Fortran-order row sums differ from q = 8 on)
         rng = np.random.default_rng(config.seed)
         p = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(D, q))
@@ -97,8 +101,12 @@ class BpState:
         perm = np.concatenate([(starts[e] + np.arange(k)[:, None]).ravel() for k, e in h.edges_by_order.items()])
         for c in range(q):
             np.take(p[:, c], perm, out=self.n2e[:, c], mode="clip")
-        del p, perm  # freed before the spare buffers are allocated
-        self.spare = [np.empty((D, q), order="F") for _ in range(2)]
+        del p, perm  # freed before e2n is filled, so the start peaks below a sweep
+        self.e2n = np.full((D, q), 1.0 / q, order="F")
+        self.free = np.empty((D, q), order="F")
+        self.col = np.empty(D)
+        self.node_sum = np.empty((h.n, q), order="F")
+        self.marginal = np.full((h.n, q), 1.0 / q)
         self.field = external_field(self)
 
     @property
@@ -106,12 +114,15 @@ class BpState:
         return int(self.nodes.size)
 
 
-def _settle(new, old, damping):
-    """Damp new messages toward the old ones and return the max-abs change; overwrites old."""
+def _settle(new, old, damping, col):
+    """Damp new messages toward the old ones and return the max-abs change; overwrites old and col."""
     if damping > 0.0:
         new *= 1.0 - damping
-        new += damping * old
-        new /= new.sum(axis=1, keepdims=True)
+        for c in range(new.shape[1]):
+            np.multiply(old[:, c], damping, out=col)
+            new[:, c] += col
+        np.sum(new, axis=1, out=col)
+        new /= col[:, None]
     old -= new
     return float(np.abs(old, out=old).max())
 
@@ -171,7 +182,7 @@ def bp_sweep(state: BpState):
 
     # hyperedge -> node: the other members' product, prefix times suffix per plane;
     # row 0 of each plane carries the running suffix product
-    b, (hat, new_b) = state.n2e, state.spare
+    b, hat, col = state.n2e, state.free, state.col
     for k, lo, hi in state.planes:
         src, dst = b[lo:hi].reshape(k, -1, q), hat[lo:hi].reshape(k, -1, q)
         dst[1] = src[0]
@@ -183,30 +194,36 @@ def bp_sweep(state: BpState):
             dst[0] *= src[j]
     hat *= state.c_in - state.c_out
     hat += state.c_out
-    total = hat.sum(axis=1, keepdims=True)
-    dead = total[:, 0] <= 0.0  # every label impossible: send a uniform message
-    hat[dead], total[dead] = 1.0, q
-    hat /= total
-    delta = _settle(hat, state.e2n, damping)
+    np.sum(hat, axis=1, out=col)
+    if col.min() <= 0.0:  # every label impossible: send a uniform message
+        dead = col <= 0.0
+        hat[dead], col[dead] = 1.0, q
+    hat /= col[:, None]
+    delta = _settle(hat, state.e2n, damping, col)
     log_hat = np.log(np.maximum(hat, floor, out=state.e2n), out=state.e2n)
 
-    # node -> hyperedge: each node's log-sum of incoming hats minus the sender's
-    node_sum = np.empty((n, q), order="F")
+    # node -> hyperedge: each node's log-sum of incoming hats minus the sender's,
+    # written over the sender's log-hat
+    node_sum, new_b = state.node_sum, log_hat
     for c in range(q):
         node_sum[:, c] = np.bincount(state.nodes, weights=log_hat[:, c], minlength=n)
     node_sum -= state.field
     node_sum -= node_sum.max(axis=1, keepdims=True)
     for c in range(q):
-        np.take(node_sum[:, c], state.nodes, out=new_b[:, c], mode="clip")
-    new_b -= log_hat
+        np.take(node_sum[:, c], state.nodes, out=col, mode="clip")
+        np.subtract(col, log_hat[:, c], out=new_b[:, c])
     np.exp(new_b, out=new_b)
-    new_b /= new_b.sum(axis=1, keepdims=True)
-    delta = max(delta, _settle(new_b, b, damping))
+    np.sum(new_b, axis=1, out=col)
+    new_b /= col[:, None]
+    delta = max(delta, _settle(new_b, b, damping, col))
     np.maximum(new_b, floor, out=new_b)
 
+    # external_field's column sums depend on the layout: the first sweep replaces the
+    # C-order start by a Fortran-order marginal, which later sweeps overwrite
     np.exp(node_sum, out=node_sum)
-    state.marginal = node_sum / node_sum.sum(axis=1, keepdims=True)
-    state.e2n, state.n2e, state.spare = hat, new_b, [log_hat, b]
+    marginal = state.marginal if state.marginal.flags.f_contiguous else None
+    state.marginal = np.divide(node_sum, node_sum.sum(axis=1, keepdims=True), out=marginal)
+    state.e2n, state.n2e, state.free = hat, new_b, b
     if not np.isfinite(delta):
         raise BpError(f"sweep gave a non-finite message change ({delta})")
     return delta

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -488,3 +490,64 @@ class TestBlasThreads:
         for key in ("marginals", "labels", "sweeps", "converged"):
             assert one[key].tobytes() == two[key].tobytes(), key
         assert bool(one["converged"])
+
+
+class TestPinnedSweepBytes:
+    # sha256 of e2n, n2e and marginal (C-order bytes) and of the deltas after 40 sweeps: a change to
+    # the kernel's buffers must keep every operand and its order, so these bits never move
+    HSBM = {
+        (2, (2, 3), 0.0, 0.3): "21f15237577dc175a4a2e7d6a9d956567a12cb901359f0f218c2b24555987a5c",
+        (3, (2, 3, 4), 0.5, 0.4): "4d025af6f57805b918a76ef0c833642a5ccbbba91831424396e5cfc6970ee771",
+        (9, (2, 5), 0.0, 0.5): "479e523605e11c1a4fb59fa49bab0dd23050d45f8ba3b0aeb545a207b6edf007",
+        (10, (3, 10), 0.3, 0.2): "56e801fab1cd65a438d2c0d506402128c3af2a5b24cd62ae272028a2248f5f67",
+        (8, (2,), 0.0, 0.6): "c1d548833a3fc01493dfc9ebb9b996d62e12fe879d8830a3b59c74ea06e6c388",
+    }
+
+    @staticmethod
+    def digest(state):
+        deltas = np.array([bp_sweep(state) for _ in range(40)])
+        return hashlib.sha256(b"".join(a.tobytes() for a in (state.e2n, state.n2e, state.marginal, deltas))).hexdigest()
+
+    @pytest.mark.parametrize("q, orders, damping, eps", list(HSBM))
+    def test_hsbm_instance(self, q, orders, damping, eps):
+        spec = SymmetricHsbmSpec(n=2000, q=q, orders=orders, d=12.0, eps=eps, seed=1)
+        h, _ = sample_symmetric(spec)
+        state = bp_init(h, q, spec.rates(), BpConfig(seed=3, damping=damping))
+        assert self.digest(state) == self.HSBM[q, orders, damping, eps]
+
+    def test_zero_hat_instance(self):
+        # the instance of TestKernelReference.test_zero_hat_row_sends_uniform
+        h = Hypergraph(8, [(0, 1, 2, 3, 4, 5), (0, 6), (3, 7)])
+        planted = Partition(np.array([0, 0, 0, 1, 1, 1, 0, 1]), 2)
+        state = planted_start(bp_init(h, 2, (5.0, 0.0), BpConfig(seed=3)), planted, smoothing=0.0)
+        assert self.digest(state) == "aaa46e19dca766e25436bd85b8a885b778083ca8ec4b907c61e922d6dba51d2e"
+
+
+class TestSweepAllocations:
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_sweep_allocates_under_one_column(self, damping):
+        spec = SymmetricHsbmSpec(n=3000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0)
+        h, _ = sample_symmetric(spec)
+        state = bp_init(h, 3, spec.rates(), BpConfig(damping=damping))
+        shape = (state.num_messages, 3)
+        buffers = {}
+
+        def collect():
+            for a in vars(state).values():
+                if isinstance(a, np.ndarray) and a.shape == shape and a.dtype == np.float64:
+                    buffers[id(a)] = a  # held, so no id is reused
+
+        collect()
+        for _ in range(2):
+            bp_sweep(state)
+            collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bp_sweep(state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        collect()
+        assert peak < 8 * state.num_messages  # one float64 column
+        assert len(buffers) == 3
