@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ExperimentError(f"unknown experiment {self.experiment!r}")
+        # a field the experiment does not read may only stand at its default
+        for f in fields(self):
+            if f.name != "experiment" and getattr(self, f.name) != f.default:
+                self._check_reads(f.name)
         if self.reps < 1:
             raise ExperimentError("repetitions must be >= 1")
         if not self.grid or self.experiment == "spectrum" and len(self.grid) > 1:
@@ -74,11 +78,15 @@ class ExperimentConfig:
         if isinstance(doc, str):
             doc = json.loads(doc)
         cfg = read_json(cls, doc, ExperimentError)
-        reads = EXPERIMENTS[cfg.experiment][1]
         for key in doc:
-            if key not in reads and key != "experiment":
-                raise ExperimentError(f"unknown key {key!r}; {cfg.experiment} takes {', '.join(reads)}")
+            if key != "experiment":
+                cfg._check_reads(key)
         return cfg
+
+    def _check_reads(self, key):
+        reads = EXPERIMENTS[self.experiment][1]
+        if key not in reads:
+            raise ExperimentError(f"unknown key {key!r}; {self.experiment} takes {', '.join(reads)}")
 
 
 def _run_seed(master, point, rep):

@@ -33,16 +33,14 @@ DENSE_CUTOFF = 600
 FIRST_BATCH = 4
 # Smallest Krylov basis ARPACK is given on B itself; scipy's default is 20.
 MIN_NCV = 32
-# The count's batches run on the Chebyshev polynomial of even degree
-# FILTER_DEGREE of B mapped onto [-1, 1], with a Krylov basis of at least
-# FILTER_NCV vectors.
-FILTER_DEGREE = 2
+# The count's batches run on the degree-2 Chebyshev polynomial of B mapped
+# onto [-1, 1], with a Krylov basis of at least FILTER_NCV vectors.
 FILTER_NCV = 18
-# ARPACK's stopping tolerance for the count's batches, whose Ritz values only
-# have to be sign-resolved against the threshold by their own residuals.
+# ARPACK's stopping tolerance for the count's first solve of each batch, whose
+# Ritz values only have to be sign-resolved against 1 by their own residuals.
 COUNT_TOL = 1e-2
-# ARPACK's stopping tolerance for the pairs that feed the embedding, and the
-# residual guard's.
+# ARPACK's stopping tolerance for the pairs that feed the embedding, for a
+# batch solved again, and the residual guard's.
 EIG_TOL = 1e-8
 # Eigenvalues below -NEG_TOL * max|B_ii| count as negative.
 NEG_TOL = 1e-8
@@ -196,23 +194,21 @@ def _dense_eigh(B: BetheHessian):
         return np.linalg.eigh(B.matrix.toarray())
 
 
-def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, residuals=False):
+def lowest_eigenpairs(B: BetheHessian, k, *, seed=0):
     """k algebraically smallest eigenpairs of the operator.
 
     Dense solve up to DENSE_CUTOFF rows, on one BLAS thread so that its bits
     do not move with the thread count; Lanczos (ARPACK) above it, started
-    from v0 or, by default, from a seeded random vector for determinism.
-    ARPACK gets a Krylov basis of max(2k + 1, MIN_NCV) vectors, scipy's own
-    rule with 32 in place of its 20: when the count's batches fall back to B,
-    they converge pairs next to the clustered bulk edge, and a basis that
-    keeps more Krylov information across each implicit restart needs fewer
-    restarts to do it.  tol is both ARPACK's stopping
-    tolerance (||r|| <= tol * |theta|) and the residual guard: the residuals
-    ||B v - theta v|| are verified against max(tol, 1e-12) * ||B||_inf, a
+    from a seeded random vector for determinism.  ARPACK gets a Krylov basis
+    of max(2k + 1, MIN_NCV) vectors, scipy's own rule with 32 in place of its
+    20: a fixed k reaches into the clustered bulk edge just above zero, and a
+    basis that keeps more Krylov information across each implicit restart
+    needs fewer restarts to converge pairs there.  EIG_TOL is both ARPACK's
+    stopping tolerance (||r|| <= tol * |theta|) and the residual guard: the
+    residuals ||B v - theta v|| are verified against EIG_TOL * ||B||_inf, a
     bound the stopping rule meets since |theta| <= ||B||_inf.  Failure raises
     EigenConvergenceError carrying them, or, when ARPACK stops short, the
-    residuals of the pairs it did return.  With residuals=True they are
-    returned as a third array, for callers that test each pair on its own.
+    residuals of the pairs it did return.
     """
     n = B.n
     if not 1 <= k <= n:
@@ -223,11 +219,10 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
     else:
         import scipy.sparse.linalg as spla
 
-        if v0 is None:
-            v0 = np.random.default_rng(seed).standard_normal(n)
         try:
             w, v = spla.eigsh(
-                B.matrix, k=k, which="SA", v0=v0, ncv=min(n, max(2 * k + 1, MIN_NCV)), tol=tol,
+                B.matrix, k=k, which="SA", v0=np.random.default_rng(seed).standard_normal(n),
+                ncv=min(n, max(2 * k + 1, MIN_NCV)), tol=EIG_TOL,
             )
         except spla.ArpackNoConvergence as exc:
             raise EigenConvergenceError(
@@ -236,10 +231,10 @@ def lowest_eigenpairs(B: BetheHessian, k, *, tol=EIG_TOL, seed=0, v0=None, resid
             ) from exc
         order = np.argsort(w)
         w, v = w[order], v[:, order]
-    return _guarded(B, w, v, tol, residuals)
+    return _guarded(B, w, v, EIG_TOL)
 
 
-def _guarded(B: BetheHessian, w, v, tol, residuals=False):
+def _guarded(B: BetheHessian, w, v, tol):
     """The pairs with signs fixed, once their residuals pass the guard at tol."""
     bound = _residual_bound(B, tol)
     res = _residuals(B, w, v)
@@ -248,8 +243,7 @@ def _guarded(B: BetheHessian, w, v, tol, residuals=False):
             f"residuals {res.max():g} exceed {tol:g} * ||B|| = {bound:g}",
             residuals=res,
         )
-    v = _fix_signs(v)
-    return (w, v, res) if residuals else (w, v)
+    return w, _fix_signs(v)
 
 
 def _residuals(B: BetheHessian, w, v):
@@ -274,13 +268,13 @@ def _fix_signs(v):
 def _negative_eigenpairs(B: BetheHessian, *, seed=0):
     """Eigenpairs of B below thr = B.threshold, ascending.
 
-    Up to DENSE_CUTOFF rows one dense solve yields every eigenvalue; only
-    the negative columns go through the guard and the sign fix, and leave
-    as a copy.  Above, batches of eigenpairs (4, 8, 16, ...) are extracted
-    until one at or above thr appears; the clustering takes these pairs
-    instead of solving again.  A first batch of 4 settles q <= 3 in one
-    solve, where a batch of 8 would also converge pairs inside the clustered
-    bulk edge just above zero.
+    Up to DENSE_CUTOFF rows, and for a batch of k >= n - 1, one dense solve
+    yields every eigenvalue; only the negative columns go through the guard
+    and the sign fix, and leave as a copy.  Above, batches of eigenpairs
+    (4, 8, 16, ...) are extracted until one at or above thr appears; the
+    clustering takes these pairs instead of solving again.  A first batch of
+    4 settles q <= 3 in one solve, where a batch of 8 would also converge
+    pairs inside the clustered bulk edge just above zero.
 
     Each batch runs Lanczos at the loose COUNT_TOL on p(B) (_chebyshev_filter),
     whose eigenvalues above 1 are exactly those of B below thr, so the
@@ -293,50 +287,49 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
     vectors are the batch's pairs of B.  The filter widens the gap between
     the negative eigenvalues and the bulk relative to the spread of the
     spectrum, so a batch takes fewer products with B, though each Lanczos
-    step costs FILTER_DEGREE of them.  A batch that fails either check, or
-    whose solve stops short, is solved on B instead: the k smallest pairs at
-    COUNT_TOL, accepted when every |theta_i - thr| > 2 ||r_i||, else solved
-    again at EIG_TOL, as a tight-only count would.  A thin margin thus costs time,
-    never a sign.  The count is Krylov evidence either way, not a
-    certificate: an eigenvalue the Krylov space never saw is not counted.
+    step costs two of them.  A batch that fails either check, or whose solve
+    stops short, is solved again on p(B) at EIG_TOL from the same start, and
+    its thetas below thr are counted, as a tight-only count would.  A thin
+    margin thus costs time, never a sign.  The count is Krylov evidence, not
+    a certificate: an eigenvalue the Krylov space never saw is not counted.
 
     The negative pairs feed the embedding, so they must also pass the
     residual guard on B at EIG_TOL.  Well-separated pairs converge far past
     COUNT_TOL and usually pass already; if one does not, the pairs are refined
-    by one k = count solve at EIG_TOL, started from the sum of the loose vectors.
+    by one k = count solve on p(B) at EIG_TOL, started from the sum of their
+    vectors.  A solve at EIG_TOL that stops short, or a refinement that fails
+    the guard, raises EigenConvergenceError.
     """
     thr = B.threshold
-    if B.n <= DENSE_CUTOFF:
-        w, v = _dense_eigh(B)
-        count = int(np.sum(w < thr))
-        return _guarded(B, w[:count], v[:, :count], EIG_TOL)
-    P = _chebyshev_filter(B)
-    k = FIRST_BATCH
-    while True:
-        k = min(k, B.n)
-        batch = _filtered_batch(B, P, k, seed)
-        if batch is None:
-            w, v, res = lowest_eigenpairs(B, k, tol=COUNT_TOL, seed=seed, residuals=True)
-            if np.any(np.abs(w - thr) <= 2.0 * res):
-                w, v, res = lowest_eigenpairs(B, k, tol=EIG_TOL, seed=seed, residuals=True)
-        else:
-            w, v, res = batch
-        count = int(np.sum(w < thr))
-        if count < k or k == B.n:
-            break
-        k *= 2
-    w, v = w[:count], v[:, :count]
-    if np.any(res[:count] > _residual_bound(B, EIG_TOL)):
-        w, v = lowest_eigenpairs(B, count, tol=EIG_TOL, seed=seed, v0=v.sum(axis=1))
-    return w, v
+    if B.n > DENSE_CUTOFF:
+        P, start = _chebyshev_filter(B), np.random.default_rng(seed).standard_normal(B.n)
+        k = FIRST_BATCH
+        while k < B.n - 1:
+            try:
+                w, v, res, resolved = _filtered_batch(B, P, k, COUNT_TOL, start)
+            except EigenConvergenceError:
+                resolved = False
+            if not resolved:
+                w, v, res, _ = _filtered_batch(B, P, k, EIG_TOL, start)
+            count = int(np.sum(w < thr))
+            if count < k:
+                w, v = w[:count], v[:, :count]
+                if np.all(res[:count] <= _residual_bound(B, EIG_TOL)):
+                    return w, v
+                w, v, _, _ = _filtered_batch(B, P, count, EIG_TOL, v.sum(axis=1))
+                return _guarded(B, w, v, EIG_TOL)
+            k *= 2
+    w, v = _dense_eigh(B)
+    count = int(np.sum(w < thr))
+    return _guarded(B, w[:count], v[:, :count], EIG_TOL)
 
 
 def _chebyshev_filter(B: BetheHessian):
-    """p(B) = T_m(S) as a LinearOperator, with m = FILTER_DEGREE and S one CSR.
+    """p(B) = T_2(S) = 2 S^2 - I as a LinearOperator, with S one CSR.
 
     S = (2B - (U + thr) I) / (U - thr), with U = B.norm >= lambda_max and
-    thr = B.threshold, maps [thr, U] onto [-1, 1], where |T_m| <= 1; for even
-    m, p > 1 exactly below thr.  Each matvec is m sparse products with S.
+    thr = B.threshold, maps [thr, U] onto [-1, 1], where |T_2| <= 1, and
+    p > 1 exactly below thr.  Each matvec is two sparse products with S.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -345,44 +338,36 @@ def _chebyshev_filter(B: BetheHessian):
     S = B.matrix * (2.0 / (U - thr)) - sp.identity(B.n, format="csr") * ((U + thr) / (U - thr))
 
     def apply(x):
-        prev, cur = x, S @ x
-        for _ in range(FILTER_DEGREE - 1):
-            prev, cur = cur, 2.0 * (S @ cur) - prev
-        return cur
+        return 2.0 * (S @ (S @ x)) - x
 
     return spla.LinearOperator(S.shape, matvec=apply, matmat=apply, dtype=float)
 
 
-def _filtered_batch(B: BetheHessian, P, k, seed):
-    """The count's batch of k from the k largest eigenpairs of P = p(B), or None.
+def _filtered_batch(B: BetheHessian, P, k, tol, v0):
+    """The k largest eigenpairs of P = p(B) by Lanczos at tol from v0, as pairs of B.
 
-    Lanczos at COUNT_TOL from lowest_eigenpairs' seeded start.  It returns
-    what lowest_eigenpairs(..., residuals=True) would: the Rayleigh quotients
-    theta_i = v_i^T B v_i ascending, the sign-fixed vectors and their B
-    residuals.  It returns None when a check of _negative_eigenpairs fails,
-    when ARPACK stops short, or when k >= n - 1, which lowest_eigenpairs
-    solves densely.
+    Returns the Rayleigh quotients theta_i = v_i^T B v_i ascending, the
+    sign-fixed vectors, their B residuals, and whether the batch passes
+    _negative_eigenpairs' two checks.  When ARPACK stops short this raises
+    EigenConvergenceError carrying the B residuals of the pairs it returned.
     """
     import scipy.sparse.linalg as spla
 
-    n = B.n
-    if k >= n - 1:
-        return None
     try:
-        mu, v = spla.eigsh(
-            P, k=k, which="LA", v0=np.random.default_rng(seed).standard_normal(n),
-            ncv=min(n, max(2 * k + 1, FILTER_NCV)), tol=COUNT_TOL,
-        )
-    except spla.ArpackNoConvergence:
-        return None
+        mu, v = spla.eigsh(P, k=k, which="LA", v0=v0, ncv=min(B.n, max(2 * k + 1, FILTER_NCV)), tol=tol)
+    except spla.ArpackNoConvergence as exc:
+        v = exc.eigenvectors
+        raise EigenConvergenceError(
+            f"eigensolver did not converge ({len(exc.eigenvalues)}/{k} pairs)",
+            residuals=_residuals(B, np.einsum("ij,ij->j", v, B.matrix @ v), v),
+        ) from exc
     Bv = B.matrix @ v
     theta = np.einsum("ij,ij->j", v, Bv)
     resolved = np.abs(mu - 1.0) > 2.0 * np.linalg.norm(P @ v - v * mu, axis=0)
-    if not (resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)):
-        return None
+    resolved = resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
     order = np.argsort(theta)
     theta, v = theta[order], v[:, order]
-    return theta, _fix_signs(v), np.linalg.norm(Bv[:, order] - v * theta, axis=0)
+    return theta, _fix_signs(v), np.linalg.norm(Bv[:, order] - v * theta, axis=0), resolved
 
 
 def count_negative_eigenvalues(B: BetheHessian):

@@ -103,6 +103,26 @@ class TestHelpers:
         with pytest.raises(ExperimentError, match="seeded per repetition"):
             ExperimentConfig("eps-sweep", grid=(0.1,), bp=BpConfig(seed=3))
 
+    @pytest.mark.parametrize(
+        "experiment, key, value, json_value",
+        [("shape-sweep", "q", 7, 7), ("shape-sweep", "methods", ("bp",), ["bp"]),
+         ("spectrum", "bp", BpConfig(max_sweeps=5), {"max_sweeps": 5}), ("order-sweep", "shape_order", 5, 5),
+         ("eps-sweep", "low_order", 3, 3)],
+    )
+    def test_code_built_config_rejects_fields_its_experiment_ignores(self, experiment, key, value, json_value):
+        # the same message as the JSON form's
+        with pytest.raises(ExperimentError) as info:
+            ExperimentConfig(experiment, grid=(1.0,), **{key: value})
+        with pytest.raises(ExperimentError) as json_info:
+            ExperimentConfig.from_json({"experiment": experiment, "grid": [1.0], key: json_value})
+        assert str(info.value) == str(json_info.value)
+        assert str(info.value).startswith(f"unknown key {key!r}; {experiment} takes ")
+
+    def test_code_built_config_takes_unread_fields_at_their_default(self):
+        defaults = {"q": 2, "orders": (2, 3), "methods": ("bh",), "bp": BpConfig()}
+        cfg = ExperimentConfig("shape-sweep", grid=(1.0,), **defaults)
+        assert cfg == ExperimentConfig("shape-sweep", grid=(1.0,))
+
     @pytest.mark.parametrize("key, value", [("fixed_q", 2), ("eta_grid", [1.1, 1.2])])
     def test_config_from_json_rejects_deleted_fields(self, key, value):
         with pytest.raises(ExperimentError, match=key):
@@ -388,7 +408,7 @@ class TestSpectrumDump:
     def test_dump_contents(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="spectrum", n=80, q=2, orders=(2, 3), d=9.0,
-            grid=(0.08,), reps=1, seed=3, out=str(tmp_path),
+            grid=(0.08,), seed=3, out=str(tmp_path),
         )
         path = run_spectrum(cfg)
         doc = json.loads(open(path).read())

@@ -97,40 +97,40 @@ def guard_bound(B, tol=1e-8):
     return tol * np.abs(B.matrix.toarray()).sum(axis=1).max()
 
 
-def without_filter(monkeypatch):
-    """Solve every count batch on B itself, as the count did before the Chebyshev filter."""
-    monkeypatch.setattr(spectral, "_filtered_batch", lambda *args: None)
-
-
-def unfiltered_cluster(h):
-    """spectral_cluster(h) with every count batch solved on B itself."""
+def dense_cluster(h):
+    """spectral_cluster(h) on the dense path, the reference for the filtered count."""
     with pytest.MonkeyPatch.context() as m:
-        without_filter(m)
+        m.setattr(spectral, "DENSE_CUTOFF", h.n)
         return spectral_cluster(h)
 
 
 def assert_same_result(result, reference):
-    """Same count, eigenvalues, embedding and labels, bit for bit."""
-    assert result.partition.q == reference.partition.q
-    assert np.array_equal(result.eigenvalues, reference.eigenvalues)
-    assert np.array_equal(result.embedding, reference.embedding)
-    assert np.array_equal(result.partition.labels, reference.partition.labels)
+    """Same count and labels; eigenvalues within 1e-8, sign-fixed embedding within 1e-6."""
+    q = reference.partition.q
+    assert result.partition.q == q
+    assert np.allclose(result.eigenvalues, reference.eigenvalues, atol=1e-8)
+    assert np.allclose(result.embedding, reference.embedding, atol=1e-6)
+    assert labels_match_up_to_permutation(result.partition.labels, reference.partition.labels, q)
 
 
-def edit_filtered_solves(monkeypatch, edit):
-    """(which, k) of each eigsh call; edit(mu, v) may alter each filtered solve's output."""
+def record_solves(monkeypatch, edit=None):
+    """(which, k, tol, v0) of each eigsh call; edit(mu, v) may alter each filtered solve's output."""
     calls = []
     eigsh = spla.eigsh
 
-    def edited(*args, **kwargs):
-        calls.append((kwargs["which"], kwargs["k"]))
+    def recorded(*args, **kwargs):
+        calls.append((kwargs["which"], kwargs["k"], kwargs["tol"], np.copy(kwargs["v0"])))
         mu, v = eigsh(*args, **kwargs)
-        if kwargs["which"] == "LA":
+        if edit and kwargs["which"] == "LA":
             edit(mu, v)
         return mu, v
 
-    monkeypatch.setattr(spla, "eigsh", edited)
+    monkeypatch.setattr(spla, "eigsh", recorded)
     return calls
+
+
+def solve_kinds(calls):
+    return [(which, k, tol) for which, k, tol, _ in calls]
 
 
 def unresolve_top_value(mu, v):
@@ -365,8 +365,7 @@ class TestDenseLanczosSwitch:
             lanczos.partition.labels, dense.partition.labels, 3
         )
 
-    @staticmethod
-    def batches_double_from_four(monkeypatch, filtered):
+    def test_lanczos_batches_double_from_four(self, monkeypatch):
         spec = SymmetricHsbmSpec(n=800, q=5, orders=(2, 3), d=15.0, eps=0.05, seed=0)
         h, _ = sample_symmetric(spec)
         calls = []
@@ -382,18 +381,10 @@ class TestDenseLanczosSwitch:
             spla, "eigsh", lambda *a, **kw: solves.append((kw["k"], kw["ncv"], kw["which"])) or eigsh(*a, **kw)
         )
         monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
-        if filtered:
-            lanczos = spectral_cluster(h)
-            assert solves == [(4, 18, "LA"), (8, 18, "LA")]
-            assert calls == []  # the filtered pairs pass the guard: no solve on B
-        else:
-            with monkeypatch.context() as m:
-                without_filter(m)
-                lanczos = spectral_cluster(h)
-            assert calls == [4, 8]
-            assert solves == [(4, 32, "SA"), (8, 32, "SA")]
+        lanczos = spectral_cluster(h)
+        assert solves == [(4, 18, "LA"), (8, 18, "LA")]
+        assert calls == []  # the filtered pairs pass the guard: no solve on B
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", h.n)
-        calls.clear()
         eigh = np.linalg.eigh
         monkeypatch.setattr(spectral.np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))
         dense = spectral_cluster(h)
@@ -403,12 +394,6 @@ class TestDenseLanczosSwitch:
         assert labels_match_up_to_permutation(
             lanczos.partition.labels, dense.partition.labels, 5
         )
-
-    def test_lanczos_batches_double_from_four(self, monkeypatch):
-        self.batches_double_from_four(monkeypatch, filtered=True)
-
-    def test_lanczos_batches_double_from_four_on_fallback(self, monkeypatch):
-        self.batches_double_from_four(monkeypatch, filtered=False)
 
     def test_dense_count_solves_once(self, monkeypatch):
         spec = SymmetricHsbmSpec(n=400, q=4, orders=(2, 3), d=15.0, eps=0.05, seed=0)
@@ -467,124 +452,91 @@ EPS_MID = 0.5 * (EPS_BH + critical_epsilon(3, (2, 3), 10.0, which="bp"))
 
 
 class TestSignResolvedCount:
-    @staticmethod
-    def record_solves(monkeypatch, edit=None):
-        """(k, tol, v0) of each lowest_eigenpairs call; edit may alter its output."""
-        calls = []
-        solve = spectral.lowest_eigenpairs
-
-        def recorded(mat, k, **kwargs):
-            calls.append((k, kwargs["tol"], kwargs.get("v0")))
-            out = solve(mat, k, **kwargs)
-            return edit(mat, kwargs, out) if edit else out
-
-        monkeypatch.setattr(spectral, "lowest_eigenpairs", recorded)
-        return calls
-
-    @staticmethod
-    def tight_only(B):
-        """The count with every batch on B at EIG_TOL, as before the filter and the loose pass."""
-        with pytest.MonkeyPatch.context() as m:
-            without_filter(m)
-            m.setattr(spectral, "COUNT_TOL", 1e-8)
-            return spectral._negative_eigenpairs(B)
-
-    def unresolved_batch_is_solved_again_tight(self, monkeypatch, edit_filter):
-        # at 0.9 ARPACK stops before every Ritz value's sign is resolved
-        _, B = bench_model(800, seed=2)
-        tight_w, tight_v = self.tight_only(B)
-        solves = edit_filtered_solves(monkeypatch, edit_filter)
-        calls = self.record_solves(monkeypatch)
-        monkeypatch.setattr(spectral, "COUNT_TOL", 0.9)
-        w, v = spectral._negative_eigenpairs(B)
-        assert [(k, tol) for k, tol, _ in calls] == [(4, 0.9), (4, 1e-8)]
-        assert all(v0 is None for *_, v0 in calls)
-        assert len(w) == 3
-        assert np.array_equal(w, tight_w) and np.array_equal(v, tight_v)
-        return solves
+    LOOSE = ("LA", 4, spectral.COUNT_TOL)
+    TIGHT = ("LA", 4, spectral.EIG_TOL)
 
     def test_unresolved_batch_is_solved_again_tight(self, monkeypatch):
-        # an unresolved filtered batch is solved on B, where it is unresolved too
-        solves = self.unresolved_batch_is_solved_again_tight(monkeypatch, unresolve_top_value)
-        assert solves == [("LA", 4), ("SA", 4), ("SA", 4)]
+        # at 0.9 ARPACK stops before every Ritz value's sign is resolved
+        _, B = bench_model(800, seed=2)
+        ref_w, ref_v = lowest_eigenpairs(B, 3)
+        monkeypatch.setattr(spectral, "COUNT_TOL", 0.9)
+        calls = record_solves(monkeypatch, unresolve_top_value)
+        w, v = spectral._negative_eigenpairs(B)
+        assert solve_kinds(calls) == [("LA", 4, 0.9), self.TIGHT]
+        start = np.random.default_rng(0).standard_normal(B.n)
+        assert all(np.array_equal(v0, start) for *_, v0 in calls)  # both from the seeded start
+        assert len(w) == 3
+        assert np.allclose(w, ref_w, atol=1e-8) and np.allclose(v, ref_v, atol=1e-6)
 
-    def test_unresolved_batch_is_solved_again_tight_on_fallback(self, monkeypatch):
-        without_filter(monkeypatch)
-        solves = self.unresolved_batch_is_solved_again_tight(monkeypatch, lambda mu, v: None)
-        assert solves == [("SA", 4), ("SA", 4)]
+    def test_near_threshold_batch_is_solved_again_unpatched(self, monkeypatch):
+        # the second eigenvalue, 3.3e-4, sits just above the threshold: the
+        # loose batch cannot resolve its sign and is solved again at EIG_TOL
+        spec = SymmetricHsbmSpec(n=700, q=2, orders=(3,), d=10.0, eps=0.45, seed=22)
+        h, _ = sample_symmetric(spec)
+        B = bethe_hessian(h, bulk_radius(h))
+        lam, vecs = np.linalg.eigh(B.matrix.toarray())
+        assert 0.0 < lam[1] < 1e-3
+        calls = record_solves(monkeypatch)
+        w, v = spectral._negative_eigenpairs(B)
+        assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
+        assert len(w) == int((lam < B.threshold).sum()) == 1
+        assert abs(w[0] - lam[0]) <= 1e-8
+        assert min(np.abs(v[:, 0] - s * vecs[:, 0]).max() for s in (1.0, -1.0)) <= 1e-6
+
+    def test_bench_instance_counts_in_one_solve(self, monkeypatch):
+        # perfbench cluster_n30k's seed-0 instance: one loose batch, accepted
+        h, _ = sample_symmetric(SymmetricHsbmSpec(n=30000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0))
+        B = bethe_hessian(h, bulk_radius(h))
+        calls = record_solves(monkeypatch)
+        assert count_negative_eigenvalues(B) == 3
+        assert solve_kinds(calls) == [self.LOOSE]
 
     @staticmethod
     def unconverge_first_pair(B, out, loose):
         """A batch's first vector moved out of the guard at EIG_TOL, its sign still resolved."""
-        w, v, res = out
+        w, v, res, resolved = out
         x = v[:, 0] + 1e-5 * np.random.default_rng(0).standard_normal(B.n)
         v[:, 0] = x / np.linalg.norm(x)
         res[0] = np.linalg.norm(B.matrix @ v[:, 0] - w[0] * v[:, 0])
         loose.append(v.copy())
-        return w, v, res
-
-    def guard_failure_refines_from_loose_vectors(self, monkeypatch, filtered):
-        _, B = bench_model(800)
-        tight_w, tight_v = self.tight_only(B)
-        loose = []
-        if filtered:
-            batch = spectral._filtered_batch
-            monkeypatch.setattr(
-                spectral, "_filtered_batch", lambda *args: self.unconverge_first_pair(B, batch(*args), loose)
-            )
-            calls = self.record_solves(monkeypatch)
-        else:
-            without_filter(monkeypatch)
-            calls = self.record_solves(
-                monkeypatch,
-                lambda mat, kwargs, out: self.unconverge_first_pair(mat, out, loose) if kwargs.get("residuals") else out,
-            )
-        w, v = spectral._negative_eigenpairs(B)
-        assert len(loose) == 1
-        assert np.array_equal(calls[-1][2], loose[0][:, :3].sum(axis=1))
-        res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
-        assert res.max() <= guard_bound(B)
-        assert np.allclose(w, tight_w, atol=1e-8)
-        assert np.allclose(v, tight_v, atol=1e-6)
-        return calls
+        return w, v, res, resolved
 
     def test_guard_failure_refines_from_loose_vectors(self, monkeypatch):
-        calls = self.guard_failure_refines_from_loose_vectors(monkeypatch, filtered=True)
-        assert [(k, tol) for k, tol, _ in calls] == [(3, 1e-8)]
+        _, B = bench_model(800)
+        ref_w, ref_v = lowest_eigenpairs(B, 3)
+        loose = []
+        batch = spectral._filtered_batch
 
-    def test_guard_failure_refines_from_loose_vectors_on_fallback(self, monkeypatch):
-        calls = self.guard_failure_refines_from_loose_vectors(monkeypatch, filtered=False)
-        assert [(k, tol) for k, tol, _ in calls] == [(4, spectral.COUNT_TOL), (3, 1e-8)]
-        assert calls[0][2] is None
+        def first_unconverged(*args):
+            out = batch(*args)
+            return out if loose else self.unconverge_first_pair(B, out, loose)
 
-    @staticmethod
-    def guard_rejects_perturbed_embedding_pair(monkeypatch):
+        monkeypatch.setattr(spectral, "_filtered_batch", first_unconverged)
+        calls = record_solves(monkeypatch)
+        w, v = spectral._negative_eigenpairs(B)
+        assert solve_kinds(calls) == [self.LOOSE, ("LA", 3, spectral.EIG_TOL)]
+        assert np.array_equal(calls[-1][3], loose[0][:, :3].sum(axis=1))
+        res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
+        assert res.max() <= guard_bound(B)
+        assert np.allclose(w, ref_w, atol=1e-8)
+        assert np.allclose(v, ref_v, atol=1e-6)
+
+    def test_guard_rejects_perturbed_embedding_pair(self, monkeypatch):
+        # the filtered batch is accepted; the guard sends it to a refinement,
+        # perturbed too, which fails the guard
         h, B = bench_model(800)
-        eigsh = spla.eigsh
-        solves = []
 
-        def perturbed(*args, **kwargs):
-            w, v = eigsh(*args, **kwargs)
-            solves.append(kwargs["which"])
-            # the lowest theta: the largest mu of a filtered solve
-            i = np.argmax(w) if kwargs["which"] == "LA" else np.argmin(w)
+        def perturb_top(mu, v):
+            # the lowest theta: the largest mu
+            i = np.argmax(mu)
             x = v[:, i] + 1e-5 * np.random.default_rng(0).standard_normal(v.shape[0])
             v[:, i] = x / np.linalg.norm(x)
-            return w, v
 
-        monkeypatch.setattr(spla, "eigsh", perturbed)
+        calls = record_solves(monkeypatch, perturb_top)
         with pytest.raises(EigenConvergenceError) as info:
             spectral_cluster(h)
         assert info.value.residuals.max() > guard_bound(B)
-        return solves
-
-    def test_guard_rejects_perturbed_embedding_pair(self, monkeypatch):
-        # the filtered batch is accepted; the guard sends it to refinement on B
-        assert self.guard_rejects_perturbed_embedding_pair(monkeypatch) == ["LA", "SA"]
-
-    def test_guard_rejects_perturbed_embedding_pair_on_fallback(self, monkeypatch):
-        without_filter(monkeypatch)
-        assert self.guard_rejects_perturbed_embedding_pair(monkeypatch) == ["SA", "SA"]
+        assert solve_kinds(calls) == [self.LOOSE, ("LA", 3, spectral.EIG_TOL)]
 
     def test_filter_exceeds_one_exactly_below_threshold(self):
         _, B = bench_model(700)
@@ -603,17 +555,18 @@ class TestSignResolvedCount:
         return resolved, np.einsum("ij,ij->j", v, B.matrix @ v)
 
     def test_unresolved_filtered_value_falls_back(self, monkeypatch):
+        # an unresolved loose batch falls back to the tight solve on p(B)
         h, B = bench_model(800)
-        reference = unfiltered_cluster(h)
+        reference = dense_cluster(h)
         seen = []
 
         def unresolved(mu, v):
             unresolve_top_value(mu, v)
             seen.append((mu.copy(), v.copy()))
 
-        solves = edit_filtered_solves(monkeypatch, unresolved)
+        calls = record_solves(monkeypatch, unresolved)
         result = spectral_cluster(h)
-        assert solves == [("LA", 4), ("SA", 4)]
+        assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
         mu, v = seen[0]
         resolved, theta = self.filtered_solve_checks(B, spectral._chebyshev_filter(B), mu, v)
         assert not resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
@@ -623,37 +576,51 @@ class TestSignResolvedCount:
         # a filter pivoting between the first and second negative eigenvalues
         # resolves every mu, but two more theta than mu lie on the negative side
         h, B = bench_model(800)
-        reference = unfiltered_cluster(h)
+        reference = dense_cluster(h)
         pivot = 0.5 * (reference.eigenvalues[0] + reference.eigenvalues[1])
         P = spectral._chebyshev_filter(dataclasses.replace(B, threshold=pivot))
         monkeypatch.setattr(spectral, "_chebyshev_filter", lambda B: P)
         seen = []
-        solves = edit_filtered_solves(monkeypatch, lambda mu, v: seen.append((mu.copy(), v.copy())))
+        calls = record_solves(monkeypatch, lambda mu, v: seen.append((mu.copy(), v.copy())))
         result = spectral_cluster(h)
-        assert solves == [("LA", 4), ("SA", 4)]
+        assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
         mu, v = seen[0]
         resolved, theta = self.filtered_solve_checks(B, P, mu, v)
         assert resolved.all()
         assert (theta < B.threshold).sum() == 3 and (mu > 1.0).sum() == 1
         assert_same_result(result, reference)
 
-    def test_filtered_no_convergence_falls_back(self, monkeypatch):
-        h, _ = bench_model(800)
-        reference = unfiltered_cluster(h)
+    @staticmethod
+    def stop_short(monkeypatch, tols):
+        """eigsh raising ArpackNoConvergence with two of its pairs at each tol in tols."""
         eigsh = spla.eigsh
-        solves = []
+        calls = []
 
-        def stops_short_when_filtered(*args, **kwargs):
-            solves.append(kwargs["which"])
+        def stops_short(*args, **kwargs):
+            calls.append((kwargs["which"], kwargs["k"], kwargs["tol"]))
             mu, v = eigsh(*args, **kwargs)
-            if kwargs["which"] == "LA":
+            if kwargs["tol"] in tols:
                 raise spla.ArpackNoConvergence("patched", mu[:2], v[:, :2])
             return mu, v
 
-        monkeypatch.setattr(spla, "eigsh", stops_short_when_filtered)
+        monkeypatch.setattr(spla, "eigsh", stops_short)
+        return calls
+
+    def test_filtered_no_convergence_falls_back(self, monkeypatch):
+        h, _ = bench_model(800)
+        reference = dense_cluster(h)
+        calls = self.stop_short(monkeypatch, {spectral.COUNT_TOL})
         result = spectral_cluster(h)
-        assert solves == ["LA", "SA"]
+        assert calls == [self.LOOSE, self.TIGHT]
         assert_same_result(result, reference)
+
+    def test_tight_no_convergence_raises(self, monkeypatch):
+        _, B = bench_model(800)
+        calls = self.stop_short(monkeypatch, {spectral.COUNT_TOL, spectral.EIG_TOL})
+        with pytest.raises(EigenConvergenceError, match=r"\(2/4 pairs\)") as info:
+            spectral._negative_eigenpairs(B)
+        assert calls == [self.LOOSE, self.TIGHT]
+        assert info.value.residuals.shape == (2,) and np.all(info.value.residuals >= 0.0)
 
     def test_guard_rejects_nan_pair(self, monkeypatch):
         _, B = bench_model(800)
@@ -703,27 +670,20 @@ class TestSignResolvedCount:
             )
 
     @pytest.mark.parametrize("eps, count", [(0.1, 3), (0.5, 1)])
-    def test_loose_count_needs_fewer_matvecs(self, monkeypatch, matvecs, eps, count):
+    def test_loose_count_needs_fewer_matvecs(self, matvecs, eps, count):
         _, B = bench_model(3000, eps=eps)
         w, v = spectral._negative_eigenpairs(B)
-        filtered = list(matvecs)  # products with p(B), each FILTER_DEGREE with B
+        filtered = list(matvecs)  # products with p(B), each two with B
         matvecs.clear()
-        with monkeypatch.context() as m:
-            without_filter(m)
-            loose_w, loose_v = spectral._negative_eigenpairs(B)
-        loose = list(matvecs)
-        matvecs.clear()
-        tight_w, tight_v = self.tight_only(B)
-        assert len(w) == len(loose_w) == len(tight_w) == count
-        assert len(filtered) == len(loose) == len(matvecs) == 1
-        # B-products, the k = 4 columns of each check included: the filtered
-        # batch's acceptance check applies p(B) and B once, the guard B once
         k = spectral.FIRST_BATCH
-        assert spectral.FILTER_DEGREE * (filtered[0] + k) + k < loose[0] + k
-        assert sum(loose) < 0.75 * sum(matvecs)
-        for pairs in ((w, v), (loose_w, loose_v)):
-            assert np.allclose(pairs[0], tight_w, atol=1e-8)
-            assert np.allclose(pairs[1], tight_v, atol=1e-6)
+        fixed_w, fixed_v = lowest_eigenpairs(B, k)
+        assert len(w) == count
+        assert len(filtered) == len(matvecs) == 1
+        # B-products, the k columns of each check included: the filtered
+        # batch's acceptance check applies p(B) and B once, the guard B once
+        assert 2 * (filtered[0] + k) + k < matvecs[0] + k
+        assert np.allclose(w, fixed_w[:count], atol=1e-8)
+        assert np.allclose(v, fixed_v[:, :count], atol=1e-6)
 
 
 class TestBlasThreads:
