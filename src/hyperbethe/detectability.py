@@ -22,6 +22,7 @@ import numpy as np
 from .hsbm import (
     _cells,
     check_rates,
+    degree_scale,
     model_orders,
     model_rates,
     order_experiment_spec,
@@ -59,7 +60,7 @@ def degrees_from_rates(q, orders, c_in, c_out):
     check_rates(c_in, c_out)
     out = {}
     for k in orders:
-        scale = q ** (k - 1) * math.factorial(k - 1)
+        scale = degree_scale(q, k)
         d_in = c_in / scale
         d_out = c_out / scale
         out[k] = OrderDegrees(d_in, d_out, d_in + (q ** (k - 1) - 1) * d_out)

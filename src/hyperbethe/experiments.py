@@ -281,8 +281,8 @@ def run_order_sweep(cfg: ExperimentConfig):
 def run_spectrum(cfg: ExperimentConfig):
     """Dump non-backtracking eigenvalues and Bethe Hessian spectra vs eta.
 
-    The non-backtracking solve runs on one BLAS thread, so spectrum.json has
-    the same bytes at every thread count.
+    The non-backtracking solve and the Bethe Hessian solves run on one BLAS
+    thread, so spectrum.json has the same bytes at every thread count.
     """
     if cfg.n > 300:
         raise ExperimentError("spectrum dumps are limited to n <= 300")
@@ -290,20 +290,17 @@ def run_spectrum(cfg: ExperimentConfig):
     h, _ = sample_symmetric(spec)
     radius = bulk_radius(h)
     nb = nonbacktracking_matrix(h, guard=50000)
+    etas = np.linspace(1.05, 1.5 * radius, 10)
     with one_blas_thread():
         w = np.linalg.eigvals(nb.matrix.toarray())
-    etas = np.linspace(1.05, 1.5 * radius, 10)
-    bh_spectra = []
-    for eta in etas:
-        B = bethe_hessian(h, float(eta))
-        bh_spectra.append(sorted(float(x) for x in np.linalg.eigvalsh(B.matrix.toarray())))
+        bh = [np.linalg.eigvalsh(bethe_hessian(h, float(eta)).matrix.toarray()) for eta in etas]
     doc = {
         "experiment": "spectrum",
         "n": cfg.n,
         "bulk_radius": radius,
         "nb_eigenvalues": [[float(z.real), float(z.imag)] for z in w],
         "eta_grid": [float(e) for e in etas],
-        "bh_eigenvalues": bh_spectra,
+        "bh_eigenvalues": [sorted(float(x) for x in lam) for lam in bh],
     }
     return write_json(os.path.join(cfg.out, "spectrum.json"), doc)
 

@@ -15,11 +15,11 @@ the sparse-regime equivalent of independent Bernoulli draws over all
 C(n, order) tuples and avoids their O(n^max_order) cost.  One sampler,
 sample_symmetric, takes either spec kind.
 
-The parameter rules (q, the order set, the rate pair, the (d, eps) pair)
-are written here once: check_q, model_orders, check_rates,
-rates_from_mean_degree and model_rates.  The detectability calculators, BP
-and the CLI call them instead of checking on their own.  read_json is the
-one reader of every JSON config.
+The parameter rules (q, the order set, the rate pair, the (d, eps) pair,
+the degree scale) are written here once: check_q, model_orders,
+check_rates, rates_from_mean_degree, model_rates and degree_scale.  The
+detectability calculators, BP and the CLI call them instead of checking on
+their own.  read_json is the one reader of every JSON config.
 """
 
 from __future__ import annotations
@@ -72,6 +72,18 @@ def model_orders(q, orders):
     return orders
 
 
+def degree_scale(q, k):
+    """q^(k-1) (k-1)!, the int that the order-k rate arithmetic divides by; it must fit in a float."""
+    scale = 1
+    for j in range(1, k):  # each factor q j is >= 2 j, so an overflowing order stops this within 151 steps
+        scale *= q * j
+        try:
+            float(scale)
+        except OverflowError:
+            raise HsbmError(f"order {k}: q^(k-1) (k-1)! = {q}^{k - 1} {k - 1}! exceeds the float range") from None
+    return scale
+
+
 def check_rates(c_in, c_out):
     """The rate pair as floats; both finite and nonnegative, not both zero."""
     if not (math.isfinite(c_in) and math.isfinite(c_out)) or min(c_in, c_out) < 0.0 or c_in == c_out == 0.0:
@@ -93,8 +105,7 @@ def rates_from_mean_degree(q, orders, d, eps):
         raise HsbmError(f"eps {eps} must be nonnegative and finite")
     denom = 0.0
     for k in orders:
-        w = q ** (k - 1)
-        denom += (1.0 + eps * (w - 1)) / (w * factorial(k - 1))
+        denom += (1.0 + eps * (q ** (k - 1) - 1)) / degree_scale(q, k)
     c_in = d / denom
     return c_in, eps * c_in
 
@@ -208,11 +219,13 @@ def _sample_cells(n, q, cells, seed):
                     f"composition needs {c} nodes from community {community} "
                     f"of size {sizes[community]}"
                 )
-        mean = _cell_mean(n, sizes, order, counts, rate) if rate else 0.0
-        if mean == 0.0:
-            continue
         rng = np.random.default_rng([seed, order, cell_id])
-        m_cell = int(rng.poisson(mean))
+        try:
+            mean = _cell_mean(n, sizes, order, counts, rate) if rate else 0.0
+            m_cell = int(rng.poisson(mean)) if mean else 0
+        except (OverflowError, ValueError):
+            raise HsbmError(f"cell {cell_id} (order {order}, composition {dict(counts)}): its Poisson mean is "
+                            "beyond the range of a float or of numpy's Poisson draw") from None
         if m_cell == 0:
             continue
         cols = [

@@ -87,6 +87,11 @@ class SpectralConfig:
     kmeans_restarts: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        # the bound bulk_radius applies to its own value
+        if self.eta is not None and not 1.0 + 1e-9 < self.eta < math.inf:
+            raise SpectralError(f"eta override {self.eta:g} must be finite and > 1")
+
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -195,65 +200,63 @@ def _dense_eigh(B: BetheHessian):
 
 
 def lowest_eigenpairs(B: BetheHessian, k, *, seed=0):
-    """k algebraically smallest eigenpairs of the operator.
+    """k algebraically smallest eigenpairs of the operator, ascending, through the residual guard.
 
     Dense solve up to DENSE_CUTOFF rows, on one BLAS thread so that its bits
-    do not move with the thread count; Lanczos (ARPACK) above it, started
-    from a seeded random vector for determinism.  ARPACK gets a Krylov basis
-    of max(2k + 1, MIN_NCV) vectors, scipy's own rule with 32 in place of its
-    20: a fixed k reaches into the clustered bulk edge just above zero, and a
-    basis that keeps more Krylov information across each implicit restart
-    needs fewer restarts to converge pairs there.  EIG_TOL is both ARPACK's
-    stopping tolerance (||r|| <= tol * |theta|) and the residual guard: the
-    residuals ||B v - theta v|| are verified against EIG_TOL * ||B||_inf, a
-    bound the stopping rule meets since |theta| <= ||B||_inf.  Failure raises
-    EigenConvergenceError carrying them, or, when ARPACK stops short, the
-    residuals of the pairs it did return.
+    do not move with the thread count; above it the Ritz pairs of B from
+    _lanczos, started from a seeded random vector for determinism.
     """
     n = B.n
     if not 1 <= k <= n:
         raise SpectralError(f"k must be in [1, {n}]")
     if n <= DENSE_CUTOFF or k >= n - 1:
         w, v = _dense_eigh(B)
-        w, v = w[:k], v[:, :k]
-    else:
-        import scipy.sparse.linalg as spla
-
-        try:
-            w, v = spla.eigsh(
-                B.matrix, k=k, which="SA", v0=np.random.default_rng(seed).standard_normal(n),
-                ncv=min(n, max(2 * k + 1, MIN_NCV)), tol=EIG_TOL,
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise EigenConvergenceError(
-                f"eigensolver did not converge ({len(exc.eigenvalues)}/{k} pairs)",
-                residuals=_residuals(B, exc.eigenvalues, exc.eigenvectors),
-            ) from exc
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-    return _guarded(B, w, v, EIG_TOL)
+        return _guarded(B, w[:k], v[:, :k])
+    w, _, v, _ = _lanczos(B, B.matrix, k, "SA", np.random.default_rng(seed).standard_normal(n), EIG_TOL, MIN_NCV)
+    return _guarded(B, w, v)
 
 
-def _guarded(B: BetheHessian, w, v, tol):
-    """The pairs with signs fixed, once their residuals pass the guard at tol."""
-    bound = _residual_bound(B, tol)
-    res = _residuals(B, w, v)
+def _lanczos(B: BetheHessian, A, k, which, v0, tol, ncv):
+    """k eigenpairs of A, which is B or p(B), by ARPACK (scipy's eigsh) from v0, as pairs of B.
+
+    The Krylov basis has max(2k + 1, ncv) vectors, scipy's own rule with ncv
+    in place of its 20: MIN_NCV on B, where a fixed k reaches into the
+    clustered bulk edge just above zero and a basis that keeps more Krylov
+    information across each implicit restart needs fewer restarts to converge
+    pairs there, and FILTER_NCV on p(B).  tol is ARPACK's stopping rule,
+    ||r|| <= tol * |mu|; at EIG_TOL on B it meets the guard's bound
+    EIG_TOL * ||B||_inf, since |mu| <= ||B||_inf.
+
+    Returns A's Ritz values mu, the Rayleigh quotients theta_i = v_i^T B v_i,
+    the sign-fixed vectors and their B residuals ||B v_i - theta_i v_i||,
+    ascending in theta.  When ARPACK stops short this raises
+    EigenConvergenceError carrying the B residuals of the pairs it returned.
+    """
+    import scipy.sparse.linalg as spla
+
+    stopped = None
+    try:
+        mu, v = spla.eigsh(A, k=k, which=which, v0=v0, ncv=min(B.n, max(2 * k + 1, ncv)), tol=tol)
+    except spla.ArpackNoConvergence as exc:
+        mu, v, stopped = exc.eigenvalues, exc.eigenvectors, exc
+    Bv = B.matrix @ v
+    theta = np.einsum("ij,ij->j", v, Bv)
+    order = np.argsort(theta)
+    theta, v = theta[order], v[:, order]
+    res = np.linalg.norm(Bv[:, order] - v * theta, axis=0)
+    if stopped is not None:
+        raise EigenConvergenceError(f"eigensolver did not converge ({len(mu)}/{k} pairs)", residuals=res) from stopped
+    return mu[order], theta, _fix_signs(v), res
+
+
+def _guarded(B: BetheHessian, w, v, res=None):
+    """The pairs with signs fixed, once their residuals ||B v_i - w_i v_i|| (res if given) pass EIG_TOL * ||B||_inf."""
+    if res is None:
+        res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
+    bound = EIG_TOL * B.norm
     if not np.all(res <= bound):  # a NaN residual fails too
-        raise EigenConvergenceError(
-            f"residuals {res.max():g} exceed {tol:g} * ||B|| = {bound:g}",
-            residuals=res,
-        )
+        raise EigenConvergenceError(f"residuals {res.max():g} exceed {EIG_TOL:g} * ||B|| = {bound:g}", residuals=res)
     return w, _fix_signs(v)
-
-
-def _residuals(B: BetheHessian, w, v):
-    """||B v_i - w_i v_i|| of each pair."""
-    return np.linalg.norm(B.matrix @ v - v * w, axis=0)
-
-
-def _residual_bound(B: BetheHessian, tol):
-    """The residual guard's bound: max(tol, 1e-12) * ||B||_inf."""
-    return max(tol, 1e-12) * B.norm
 
 
 def _fix_signs(v):
@@ -313,15 +316,14 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
                 w, v, res, _ = _filtered_batch(B, P, k, EIG_TOL, start)
             count = int(np.sum(w < thr))
             if count < k:
-                w, v = w[:count], v[:, :count]
-                if np.all(res[:count] <= _residual_bound(B, EIG_TOL)):
-                    return w, v
-                w, v, _, _ = _filtered_batch(B, P, count, EIG_TOL, v.sum(axis=1))
-                return _guarded(B, w, v, EIG_TOL)
+                if np.all(res[:count] <= EIG_TOL * B.norm):
+                    return w[:count], v[:, :count]
+                w, v, res, _ = _filtered_batch(B, P, count, EIG_TOL, v[:, :count].sum(axis=1))
+                return _guarded(B, w, v, res)
             k *= 2
     w, v = _dense_eigh(B)
     count = int(np.sum(w < thr))
-    return _guarded(B, w[:count], v[:, :count], EIG_TOL)
+    return _guarded(B, w[:count], v[:, :count])
 
 
 def _chebyshev_filter(B: BetheHessian):
@@ -346,28 +348,12 @@ def _chebyshev_filter(B: BetheHessian):
 def _filtered_batch(B: BetheHessian, P, k, tol, v0):
     """The k largest eigenpairs of P = p(B) by Lanczos at tol from v0, as pairs of B.
 
-    Returns the Rayleigh quotients theta_i = v_i^T B v_i ascending, the
-    sign-fixed vectors, their B residuals, and whether the batch passes
-    _negative_eigenpairs' two checks.  When ARPACK stops short this raises
-    EigenConvergenceError carrying the B residuals of the pairs it returned.
+    Returns _lanczos' Rayleigh quotients, vectors and B residuals, and
+    whether the batch passes _negative_eigenpairs' two checks.
     """
-    import scipy.sparse.linalg as spla
-
-    try:
-        mu, v = spla.eigsh(P, k=k, which="LA", v0=v0, ncv=min(B.n, max(2 * k + 1, FILTER_NCV)), tol=tol)
-    except spla.ArpackNoConvergence as exc:
-        v = exc.eigenvectors
-        raise EigenConvergenceError(
-            f"eigensolver did not converge ({len(exc.eigenvalues)}/{k} pairs)",
-            residuals=_residuals(B, np.einsum("ij,ij->j", v, B.matrix @ v), v),
-        ) from exc
-    Bv = B.matrix @ v
-    theta = np.einsum("ij,ij->j", v, Bv)
+    mu, theta, v, res = _lanczos(B, P, k, "LA", v0, tol, FILTER_NCV)
     resolved = np.abs(mu - 1.0) > 2.0 * np.linalg.norm(P @ v - v * mu, axis=0)
-    resolved = resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
-    order = np.argsort(theta)
-    theta, v = theta[order], v[:, order]
-    return theta, _fix_signs(v), np.linalg.norm(Bv[:, order] - v * theta, axis=0), resolved
+    return theta, v, res, resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
 
 
 def count_negative_eigenvalues(B: BetheHessian):

@@ -1,7 +1,7 @@
 """Each HSBM parameter rule gives one HsbmError message at every entry point.
 
 The rules live in hsbm (check_q, model_orders, check_rates,
-rates_from_mean_degree, model_rates); the spec, the detectability
+rates_from_mean_degree, model_rates, degree_scale); the spec, the detectability
 calculators, BP and the CLI reach them instead of checking on their own.  A
 cell of the table is one bad input at one entry point: the library raises
 HsbmError whose text matches the rule, the CLI exits 2 with that text as its
@@ -32,6 +32,8 @@ nan, inf = math.nan, math.inf
 
 BASES = {"rates": {"c_in": 5.0, "c_out": 1.0}, "degree": {"d": 10.0, "eps": 0.1}}
 
+SCALE = r"order \d+: q\^\(k-1\) \(k-1\)! = \d+\^\d+ \d+! exceeds the float range"
+
 # rule -> (message pattern, [(base, overrides), ...])
 RULES = {
     "q": (
@@ -45,6 +47,18 @@ RULES = {
     "low_order": (
         r"orders must be >= 2",
         [(base, {"orders": orders}) for base in BASES for orders in ((1, 2), (0, 2, 3))],
+    ),
+    # (d, eps) meet the degree scale q^(k-1) (k-1)! in rates_from_mean_degree, (c_in, c_out) only
+    # where degrees are computed from them
+    "scale": (
+        SCALE,
+        [("degree", {"orders": orders}) for orders in ((2, 400), (3, 180))]
+        + [("degree", {"q": 2, "orders": (2, 200)})],
+    ),
+    "rates_scale": (
+        SCALE,
+        [("rates", {"orders": orders}) for orders in ((2, 400), (3, 180))]
+        + [("rates", {"q": 2, "orders": (2, 200)})],
     ),
     "rates": (
         r"rates \(.*\) must be finite, nonnegative and not both zero",
@@ -80,34 +94,40 @@ RULES = {
     ),
 }
 
-BOTH, ALL = ("rates", "degree"), tuple(RULES)
+BOTH, ALL = ("rates", "degree"), tuple(rule for rule in RULES if rule != "rates_scale")
 
 H = sample_symmetric(SymmetricHsbmSpec(n=90, q=3, orders=(2, 3), d=6.0, eps=0.1, seed=0))[0]
 
 # entry point -> (bases it takes, rules it applies, call on a parameter dict)
 LIBRARY = {
-    "SymmetricHsbmSpec": (BOTH, ALL, lambda p: SymmetricHsbmSpec(n=300, **p)),
+    # blocks of at least 10**6 // 3 nodes hold every order in the table
+    "SymmetricHsbmSpec": (BOTH, ALL, lambda p: SymmetricHsbmSpec(n=10**6, **p)),
     "model_rates": (BOTH, ALL, lambda p: model_rates(**p)),
     "rates_from_mean_degree": (
         ("degree",),
-        ("q", "empty_orders", "low_order", "d", "eps"),
+        ("q", "empty_orders", "low_order", "scale", "d", "eps"),
         lambda p: rates_from_mean_degree(p["q"], p["orders"], p["d"], p["eps"]),
     ),
     "degrees_from_rates": (
         ("rates",),
-        ("q", "empty_orders", "low_order", "rates"),
+        ("q", "empty_orders", "low_order", "rates_scale", "rates"),
         lambda p: degrees_from_rates(p["q"], p["orders"], p["c_in"], p["c_out"]),
     ),
-    "snr_report": (BOTH, ALL, lambda p: snr_report(**p)),
+    "snr_report": (BOTH, ALL + ("rates_scale",), lambda p: snr_report(**p)),
     "critical_epsilon": (
-        ("degree",), ("q", "empty_orders", "low_order", "d"), lambda p: critical_epsilon(p["q"], p["orders"], p["d"])
+        ("degree",),
+        ("q", "empty_orders", "low_order", "scale", "d"),
+        lambda p: critical_epsilon(p["q"], p["orders"], p["d"]),
     ),
     # BP's own q >= 2 check is a BpError, and its orders come from the hypergraph
     "bp_run": (("rates",), ("rates",), lambda p: bp_run(H, p["q"], (p["c_in"], p["c_out"]))),
 }
 
 # the CLI cannot pass an empty order set (--orders is parsed by argparse), and bp reads its orders from the file
-CLI = {"snr": (BOTH, ("q", "low_order", "rates", "d", "eps", "pair")), "bp": (BOTH, ("q", "rates", "d", "eps", "pair"))}
+CLI = {
+    "snr": (BOTH, ("q", "low_order", "scale", "rates_scale", "rates", "d", "eps", "pair")),
+    "bp": (BOTH, ("q", "rates", "d", "eps", "pair")),
+}
 
 
 def params(base, overrides):
@@ -175,10 +195,11 @@ def test_other_library_errors_exit_2(tmp_path, capsys):
     sweep.write_text(json.dumps({"experiment": "eps-sweep", "n": 300, "q": 3, "orders": [2], "d": 5, "grid": [0.1],
                                  "reps": 0}))
     out = ["--out", str(tmp_path / "out")]
-    # a DetectabilityError, a HypergraphError, a BpError and an ExperimentError
+    # a DetectabilityError, a HypergraphError, a SpectralError, a BpError and an ExperimentError
     cases = [
         (["snr", "--q", "3", "--orders", "2", "--c-in", "1", "--c-out", "5"], "disassortative"),
         (["cluster", "--input", str(empty), *out], "no hyperedges"),
+        (["cluster", "--input", str(edges), "--eta", "0.5", *out], "eta override 0.5 must be finite and > 1"),
         (["bp", "--input", str(edges), "--q", "3", "--d", "5", "--eps", "0.1", "--damping", "2", *out], "damping"),
         (["run", "--config", str(sweep), *out], "repetitions"),
     ]
@@ -189,6 +210,41 @@ def test_other_library_errors_exit_2(tmp_path, capsys):
         assert exc.value.code == 2 and captured.out == ""
         assert captured.err.startswith(f"hyperbethe {argv[0]}: error: ") and captured.err.count("\n") == 1
         assert needle in captured.err
+
+
+def test_largest_order_whose_scale_fits_is_accepted():
+    # 2^150 150! = 8.2e307 fits in a float, 2^151 151! = 2.5e310 does not
+    assert math.isfinite(rates_from_mean_degree(2, (2, 151), 5.0, 0.1)[0])
+    with pytest.raises(HsbmError, match="order 152"):
+        rates_from_mean_degree(2, (2, 152), 5.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "model, needle",
+    [
+        # the first cell's Poisson mean, 2.2e26, is beyond numpy's range
+        (
+            {"n": 100, "q": 2, "orders": [2], "d": 1e25, "eps": 0.1},
+            r"cell 0 \(order 2, composition \{0: 2\}\): its Poisson mean is beyond the range .*",
+        ),
+        # #tuples = C(5e6, 150) and n^149 overflow a float, though the order's degree scale fits
+        (
+            {"n": 10**7, "q": 2, "orders": [150], "d": 5.0, "eps": 0.1},
+            r"cell 0 \(order 150, composition \{0: 150\}\): its Poisson mean is beyond the range .*",
+        ),
+    ],
+)
+def test_cell_mean_out_of_range_exits_2(model, needle, tmp_path, capsys):
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(model))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["generate", "--config", str(config), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    prefix = "hyperbethe generate: error: "
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert re.fullmatch(needle, captured.err[len(prefix):-1])
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectral_errors_exit_2(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from hyperbethe import (
     spectral_cluster,
 )
 from hyperbethe import spectral
+from hyperbethe.hsbm import shape_experiment_spec
 from hyperbethe.spectral import BlasThreadError, EigenConvergenceError
 
 from conftest import edge_tuples, labels_match_up_to_permutation, random_hypergraph
@@ -720,6 +722,26 @@ class TestBlasThreads:
                 spectral_cluster(h, num_communities=q)
 
 
+class TestPinnedLanczosBytes:
+    # sha256 of the eigenvalues, embedding and labels on the Lanczos paths: the tests above compare
+    # with dense solves within tolerances, so a change to the eigensolver layer that moves bits shows here
+    AUTO_Q = "002eb0f22f420b54e5e9c687e41683854c8dfc8541d865e42b6ea007b1fdd2bc"
+    FIXED_Q = "83a0775c5cc088f8f4c875ad38d96aefbcd8f04b48c9e8bf67cb283ee6073ad6"
+
+    @staticmethod
+    def digest(result):
+        parts = (result.eigenvalues, result.embedding, result.partition.labels)
+        return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+
+    def test_auto_q_filtered_count(self):
+        h, _ = bench_model(3000)
+        assert self.digest(spectral_cluster(h)) == self.AUTO_Q
+
+    def test_fixed_q_on_b(self):
+        h, _ = sample_symmetric(shape_experiment_spec(2000, 10.0, 1.2, order=4, seed=0))
+        assert self.digest(spectral_cluster(h, num_communities=2)) == self.FIXED_Q
+
+
 class TestKmeans:
     def test_separated_clusters(self):
         rng = np.random.default_rng(0)
@@ -818,6 +840,13 @@ class TestClusterPipeline:
         # a hyperedge-free operator is the identity: nothing negative
         with pytest.raises(SpectralError, match="no negative eigenvalues"):
             spectral_cluster(Hypergraph(40, []), config=SpectralConfig(eta=2.0))
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0 + 1e-12, np.nan, np.inf, -2.0])
+    def test_eta_override_obeys_bulk_radius_rule(self, eta):
+        # at 0.5 every eigenvalue of the bench model at n = 900 is negative, so q would be n
+        h, _ = bench_model(900)
+        with pytest.raises(SpectralError, match="eta override .* must be finite and > 1"):
+            spectral_cluster(h, config=SpectralConfig(eta=eta))
 
     @pytest.mark.parametrize("n", [400, 700])
     def test_one_eigensolve_when_counting(self, monkeypatch, n):
