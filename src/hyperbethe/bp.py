@@ -94,11 +94,8 @@ class BpState:
         np.maximum(p, 1e-12, out=p)
         p /= p.sum(axis=1, keepdims=True)
         # plane row -> its row in edge-major incidence_pairs() order
-        sizes = np.empty(h.m, dtype=np.int64)
-        for k, e in h.edges_by_order.items():
-            sizes[e] = k
-        starts = np.cumsum(sizes) - sizes
-        perm = np.concatenate([(starts[e] + np.arange(k)[:, None]).ravel() for k, e in h.edges_by_order.items()])
+        offsets = h.edge_offsets()
+        perm = np.concatenate([(offsets[e] + np.arange(k)[:, None]).ravel() for k, e in h.edges_by_order.items()])
         for c in range(q):
             np.take(p[:, c], perm, out=self.n2e[:, c], mode="clip")
         del p, perm  # freed before e2n is filled, so the start peaks below a sweep

@@ -37,6 +37,12 @@ def _add_common(p):
     p.add_argument("--out", default="results", help="output directory")
 
 
+def _add_model(p):
+    p.add_argument("--q", type=int, required=True)
+    for flag in ("--c-in", "--c-out", "--d", "--eps"):
+        p.add_argument(flag, type=float, default=None)
+
+
 def _load_config(args, **flags):
     """The --config JSON document; the flags that were given replace its keys."""
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -170,23 +176,15 @@ def build_parser():
     p = sub.add_parser("bp", help="belief propagation on a hypergraph file")
     _add_common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c-in", type=float, default=None)
-    p.add_argument("--c-out", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    _add_model(p)
     p.add_argument("--max-sweeps", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="convergence threshold on the message change")
     p.add_argument("--damping", type=float, default=None)
     p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("snr", help="detectability report for model parameters")
-    p.add_argument("--q", type=int, required=True)
+    _add_model(p)
     p.add_argument("--orders", type=_orders, required=True, help="comma-separated, e.g. 2,3")
-    p.add_argument("--c-in", type=float, default=None)
-    p.add_argument("--c-out", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser("run", help="run the experiment that a JSON config names")

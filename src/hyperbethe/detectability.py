@@ -100,11 +100,8 @@ def snr_bp(per_order):
     Any order with d_in(k) = d_out(k) zeroes the whole product (the literal
     product form); callers can inspect zero_signal_orders() to notice.
     """
-    d = mean_degree(per_order)
+    d, khat = mean_degree(per_order), mean_order(per_order)
     weight_sum = sum(od.d / k for k, od in per_order.items())
-    if weight_sum == 0.0:
-        raise DetectabilityError("all per-order degrees are zero")
-    khat = d / weight_sum
     prod = 1.0
     for k, od in per_order.items():
         if od.d == 0.0:

@@ -213,12 +213,6 @@ def _sample_cells(n, q, cells, seed):
     sizes = block_sizes(n, q)
     blocks, drawn = [np.zeros(0, dtype=np.int64)], []  # drawn: (order, m_cell) of each nonempty cell
     for cell_id, (order, counts, rate) in enumerate(cells):
-        for community, c in counts:
-            if c > sizes[community]:
-                raise HsbmError(
-                    f"composition needs {c} nodes from community {community} "
-                    f"of size {sizes[community]}"
-                )
         rng = np.random.default_rng([seed, order, cell_id])
         try:
             mean = _cell_mean(n, sizes, order, counts, rate) if rate else 0.0
@@ -228,10 +222,11 @@ def _sample_cells(n, q, cells, seed):
                             "beyond the range of a float or of numpy's Poisson draw") from None
         if m_cell == 0:
             continue
-        cols = [
-            _distinct_rows(rng, *ranges[community], c, m_cell)
-            for community, c in counts
-        ]
+        try:
+            cols = [_distinct_rows(rng, *ranges[community], c, m_cell) for community, c in counts]
+        except MemoryError:
+            raise HsbmError(f"cell {cell_id} (order {order}, composition {dict(counts)}): its {m_cell} drawn "
+                            "hyperedges do not fit in memory") from None
         blocks.append(np.concatenate(cols, axis=1).ravel())
         drawn.append((order, m_cell))
     drawn = np.array(drawn, dtype=np.int64).reshape(-1, 2)
@@ -247,8 +242,14 @@ def _cell_mean(n, sizes, order, counts, rate):
 
 
 def _cells(spec):
-    """(order, composition, rate) of every cell of a symmetric or pattern spec."""
-    if isinstance(spec, PlantedPatternSpec):
+    """(order, composition, rate) of every cell of a symmetric or pattern spec; HsbmError on one that cannot fit."""
+    if isinstance(spec, PlantedPatternSpec):  # a symmetric spec's cells fit by its order check
+        sizes = block_sizes(spec.n, spec.q)
+        for p in spec.patterns:
+            for community, c in p.composition:
+                if c > sizes[community]:
+                    raise HsbmError(f"composition needs {c} nodes from community {community} "
+                                    f"of size {sizes[community]}")
         return [(p.order, p.composition, p.rate) for p in spec.patterns]
     c_in, c_out = spec.rates()
     cells = []

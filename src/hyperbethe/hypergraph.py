@@ -50,7 +50,6 @@ class Partition:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    node_degrees: np.ndarray
     per_order: dict  # order -> mean degree contributed by that order
     mean: float
     mean_order: float  # total size over hyperedge count; nan when m == 0
@@ -107,11 +106,11 @@ class Hypergraph:
         return sum((self.degrees_by_order(k) for k in self.orders), np.zeros(self.n, dtype=np.int64))
 
     def degree_stats(self) -> DegreeStats:
-        """Per-node degrees, per-order mean degrees, mean degree and mean order."""
+        """Per-order mean degrees, mean degree and mean order."""
         counts = self.order_counts()
         per_order = {k: k * c / self.n if self.n else 0.0 for k, c in counts.items()}
         mean_order = sum(k * c for k, c in counts.items()) / self.m if self.m else float("nan")
-        return DegreeStats(self.node_degrees(), per_order, float(sum(per_order.values())), float(mean_order))
+        return DegreeStats(per_order, float(sum(per_order.values())), float(mean_order))
 
     def projection(self, order):
         """Order-k co-membership CSR, built on every call.
@@ -127,6 +126,13 @@ class Hypergraph:
         rows, cols = arr[:, ii].ravel(), arr[:, jj].ravel()
         return sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
+    def edge_offsets(self):
+        """Length m + 1: hyperedge e's nodes fill [offsets[e], offsets[e + 1]) of the edge-major incidence order."""
+        sizes = np.zeros(self.m + 1, dtype=np.int64)
+        for k, e in self.edges_by_order.items():
+            sizes[e + 1] = k
+        return np.cumsum(sizes)
+
     def incidence_pairs(self):
         """Directed incidences (edge_id, node) sorted by edge then node.
 
@@ -134,13 +140,11 @@ class Hypergraph:
         orders, with edges in input order, built on every call.  The file
         writer reads it.
         """
-        sizes = np.zeros(self.m, dtype=np.int64)
+        offsets = self.edge_offsets()
+        nodes = np.empty(offsets[-1], dtype=np.int64)
         for k, e in self.edges_by_order.items():
-            sizes[e] = k
-        starts, nodes = np.cumsum(sizes) - sizes, np.empty(sizes.sum(), dtype=np.int64)
-        for k, e in self.edges_by_order.items():
-            nodes[starts[e, None] + np.arange(k)] = self._rows[k]
-        edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), sizes)
+            nodes[offsets[e, None] + np.arange(k)] = self._rows[k]
+        edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(offsets))
         edge_ids.flags.writeable = nodes.flags.writeable = False
         return edge_ids, nodes
 

@@ -10,6 +10,7 @@ from hyperbethe import (
     SymmetricHsbmSpec,
     degrees_from_rates,
     order_experiment_spec,
+    pair_rate_matrix,
     rates_from_mean_degree,
     sample_symmetric,
     shape_experiment_spec,
@@ -193,6 +194,13 @@ class TestSymmetricSampler:
         spec = PlantedPatternSpec(10, 2, (PlantedPattern(6, ((0, 6),), 5.0),))
         with pytest.raises(HsbmError):
             sample_symmetric(spec)
+
+    def test_oversized_order_in_expectations(self):
+        # community 0 holds 5 nodes, so no hyperedge of 6 nodes from it can be drawn
+        spec = PlantedPatternSpec(10, 2, (PlantedPattern(6, ((0, 6),), 5.0),))
+        for reader in (expected_order_counts, pair_rate_matrix):
+            with pytest.raises(HsbmError, match="composition needs 6 nodes from community 0 of size 5"):
+                reader(spec)
 
 
 class TestOneSampler:

@@ -201,8 +201,9 @@ class TestConstruction:
 
 class TestDegrees:
     def test_single_3_edge(self):
-        stats = Hypergraph(3, [(0, 1, 2)]).degree_stats()
-        assert list(stats.node_degrees) == [1, 1, 1]
+        h = Hypergraph(3, [(0, 1, 2)])
+        stats = h.degree_stats()
+        assert h.node_degrees().tolist() == [1, 1, 1]
         assert stats.per_order == {3: 1.0}
         assert stats.mean == 1.0
         assert stats.mean_order == 3.0

@@ -232,6 +232,11 @@ def test_largest_order_whose_scale_fits_is_accepted():
             {"n": 10**7, "q": 2, "orders": [150], "d": 5.0, "eps": 0.1},
             r"cell 0 \(order 150, composition \{0: 150\}\): its Poisson mean is beyond the range .*",
         ),
+        # the first cell draws about 2e15 hyperedges, more than numpy can allocate
+        (
+            {"n": 100, "q": 2, "orders": [2], "d": 1e14, "eps": 0.1},
+            r"cell 0 \(order 2, composition \{0: 2\}\): its \d+ drawn hyperedges do not fit in memory",
+        ),
     ],
 )
 def test_cell_mean_out_of_range_exits_2(model, needle, tmp_path, capsys):

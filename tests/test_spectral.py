@@ -688,6 +688,25 @@ class TestSignResolvedCount:
         assert np.allclose(v, fixed_v[:, :count], atol=1e-6)
 
 
+# Symmetric HSBM instances (q, orders, d, n, eps, seed) on which the filtered
+# count misses one negative eigenvalue and raises nothing.
+MISSED_COUNTS = [
+    (9, (3,), 6.58189372096948, 1031, 0.023732177300310756, 874268231),
+    (4, (3,), 7.175204189769515, 1335, 0.13018510708326664, 761949237),
+    (8, (2,), 13.728577693220492, 1849, 0.231652958164681, 968759222),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+@pytest.mark.parametrize("q, orders, d, n, eps, seed", MISSED_COUNTS, ids=["q9", "q4", "q8"])
+def test_filtered_count_equals_dense_count(q, orders, d, n, eps, seed):
+    h, _ = sample_symmetric(SymmetricHsbmSpec(n=n, q=q, orders=orders, d=d, eps=eps, seed=seed))
+    B = bethe_hessian(h, bulk_radius(h))
+    assert B.n > spectral.DENSE_CUTOFF  # the filtered Lanczos path
+    w, _ = spectral._negative_eigenpairs(B)
+    assert len(w) == int((np.linalg.eigvalsh(B.matrix.toarray()) < B.threshold).sum())
+
+
 class TestBlasThreads:
     def test_cluster_identical_across_thread_counts(self, tmp_path):
         # n = 3000 takes the Lanczos path; the thread counts are set in the children only
