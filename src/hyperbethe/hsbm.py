@@ -187,11 +187,9 @@ def _distinct_rows(rng, lo, hi, c, m):
     """m >= 1 rows of c <= hi - lo distinct uniform draws from [lo, hi); deterministic in rng."""
     size = hi - lo
     if 2 * c > size:
-        # dense regime: per-row permutation, rejection would thrash
-        out = np.empty((m, c), dtype=np.int64)
-        for r in range(m):
-            out[r] = lo + rng.permutation(size)[:c]
-        return out
+        # dense regime: each row a permutation's first c entries, rejection would thrash
+        rows = np.tile(np.arange(lo, hi), (m, 1))
+        return rng.permuted(rows, axis=1, out=rows)[:, :c]
     out = rng.integers(lo, hi, size=(m, c))
     while True:
         srt = np.sort(out, axis=1)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from math import factorial
 
@@ -112,6 +113,13 @@ def planted_run(h, q, rates, planted, config=None):
 def small_instance():
     spec = SymmetricHsbmSpec(n=400, q=2, orders=(2, 3), d=8.0, eps=0.1, seed=3)
     return spec, *sample_symmetric(spec)
+
+
+@pytest.fixture
+def two_parts(monkeypatch):
+    """Sweeps in two parts, whatever the input's size and the CPUs at hand."""
+    monkeypatch.setattr(bp, "_SPLIT_CUTOFF", 0)
+    monkeypatch.setattr(bp, "_cpus", lambda: 2)
 
 
 class TestInit:
@@ -509,26 +517,36 @@ class TestPinnedSweepBytes:
         return hashlib.sha256(b"".join(a.tobytes() for a in (state.e2n, state.n2e, state.marginal, deltas))).hexdigest()
 
     @pytest.mark.parametrize("q, orders, damping, eps", list(HSBM))
-    def test_hsbm_instance(self, q, orders, damping, eps):
+    def test_hsbm_instance(self, q, orders, damping, eps, parts=1):
         spec = SymmetricHsbmSpec(n=2000, q=q, orders=orders, d=12.0, eps=eps, seed=1)
         h, _ = sample_symmetric(spec)
         state = bp_init(h, q, spec.rates(), BpConfig(seed=3, damping=damping))
+        assert len(bp._parts(state)) == parts
         assert self.digest(state) == self.HSBM[q, orders, damping, eps]
 
-    def test_zero_hat_instance(self):
+    @pytest.mark.parametrize("q, orders, damping, eps", list(HSBM))
+    def test_hsbm_instance_two_parts(self, q, orders, damping, eps, two_parts):
+        self.test_hsbm_instance(q, orders, damping, eps, parts=2)
+
+    def test_zero_hat_instance(self, parts=1):
         # the instance of TestKernelReference.test_zero_hat_row_sends_uniform
         h = Hypergraph(8, [(0, 1, 2, 3, 4, 5), (0, 6), (3, 7)])
         planted = Partition(np.array([0, 0, 0, 1, 1, 1, 0, 1]), 2)
         state = planted_start(bp_init(h, 2, (5.0, 0.0), BpConfig(seed=3)), planted, smoothing=0.0)
+        assert len(bp._parts(state)) == parts
         assert self.digest(state) == "aaa46e19dca766e25436bd85b8a885b778083ca8ec4b907c61e922d6dba51d2e"
+
+    def test_zero_hat_instance_two_parts(self, two_parts):
+        self.test_zero_hat_instance(parts=2)
 
 
 class TestSweepAllocations:
     @pytest.mark.parametrize("damping", [0.0, 0.5])
-    def test_sweep_allocates_under_one_column(self, damping):
+    def test_sweep_allocates_under_one_column(self, damping, parts=1):
         spec = SymmetricHsbmSpec(n=3000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0)
         h, _ = sample_symmetric(spec)
         state = bp_init(h, 3, spec.rates(), BpConfig(damping=damping))
+        assert len(bp._parts(state)) == parts
         shape = (state.num_messages, 3)
         buffers = {}
 
@@ -551,3 +569,96 @@ class TestSweepAllocations:
         collect()
         assert peak < 8 * state.num_messages  # one float64 column
         assert len(buffers) == 3
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_sweep_allocates_under_one_column_two_parts(self, damping, two_parts):
+        self.test_sweep_allocates_under_one_column(damping, parts=2)
+
+
+class TestTwoParts:
+    @staticmethod
+    def instance(q):
+        spec = SymmetricHsbmSpec(n=3000, q=q, orders=(2, 3), d=12.0, eps=0.2, seed=2)
+        return sample_symmetric(spec)[0], spec.rates()
+
+    @pytest.mark.parametrize("q", [3, 9])
+    def test_run_matches_one_part(self, q, monkeypatch):
+        h, rates = self.instance(q)
+        runs = []
+        monkeypatch.setattr(bp, "_cpus", lambda: 2)
+        for cutoff in (1 << 62, 0):
+            monkeypatch.setattr(bp, "_SPLIT_CUTOFF", cutoff)
+            runs.append(bp_run(h, q, rates, BpConfig(seed=4, max_sweeps=60)))
+        one, two = runs
+        assert one.marginals.tobytes() == two.marginals.tobytes()
+        assert one.partition.labels.tobytes() == two.partition.labels.tobytes()
+        assert (one.sweeps, one.converged) == (two.sweeps, two.converged)
+
+    def test_no_thread_outlives_run(self, two_parts):
+        h, rates = self.instance(3)
+        before = threading.active_count()
+        bp_run(h, 3, rates, BpConfig(max_sweeps=5))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_raise(self, two_parts, monkeypatch):
+        # a NaN in the last row, which the worker's half owns
+        h, rates = self.instance(3)
+        init = bp.bp_init
+
+        def nan_start(*args):
+            state = init(*args)
+            state.n2e[-1, 0] = np.nan
+            assert bp._parts(state)[-1].rows.stop == state.num_messages
+            return state
+
+        monkeypatch.setattr(bp, "bp_init", nan_start)
+        before = threading.active_count()
+        with pytest.raises(BpError, match="non-finite"):
+            bp_run(h, 3, rates)
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, two_parts):
+        h, rates = self.instance(3)
+        state = bp_init(h, 3, rates)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError):
+            with bp._worker(state) as each:
+                each(lambda part: 1 / (state.num_messages - part.rows.stop))  # raises in the last part only
+        assert threading.active_count() == before and state.worker is None
+
+    def test_concurrent_runs_keep_their_bytes(self, monkeypatch):
+        # two runs at once on two parts each, four threads in all,
+        # with the interpreter switching threads as often as it can
+        h, rates = self.instance(3)
+        cfg = BpConfig(seed=4, max_sweeps=30)
+        want = bp_run(h, 3, rates, cfg).marginals.tobytes()
+        monkeypatch.setattr(bp, "_SPLIT_CUTOFF", 0)
+        monkeypatch.setattr(bp, "_cpus", lambda: 2)
+        got = [None, None]
+
+        def run(i):
+            got[i] = bp_run(h, 3, rates, cfg).marginals.tobytes()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want, want]
+
+    def test_one_cpu_keeps_one_part(self, monkeypatch):
+        h, rates = self.instance(3)
+        state = bp_init(h, 3, rates)
+        monkeypatch.setattr(bp, "_SPLIT_CUTOFF", 0)
+        monkeypatch.setattr(bp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert len(bp._parts(state)) == 1
+        before = threading.active_count()
+        with bp._worker(state) as each:
+            assert each(lambda part: part.rows) == [slice(0, state.num_messages)]
+            assert threading.active_count() == before

@@ -190,6 +190,29 @@ class TestSymmetricSampler:
         for k in h.orders:
             assert h.edge_array(k).tobytes() == again.edge_array(k).tobytes()
 
+    @staticmethod
+    def permutation_rows(rng, lo, size, c, m):
+        # the dense regime's former per-row loop, kept as the oracle of its bytes
+        out = np.empty((m, c), dtype=np.int64)
+        for r in range(m):
+            out[r] = lo + rng.permutation(size)[:c]
+        return out
+
+    @pytest.mark.parametrize("size, c, m", [(5, 3, 100_000), (7, 4, 1000), (2, 2, 10), (9, 5, 30_000), (3, 2, 1)])
+    def test_dense_rows_match_per_row_permutations(self, size, c, m):
+        lo = 11
+        rng, oracle = np.random.default_rng([4, size, c]), np.random.default_rng([4, size, c])
+        out = hsbm._distinct_rows(rng, lo, lo + size, c, m)
+        assert out.dtype == np.int64 and out.shape == (m, c)
+        assert out.tobytes() == self.permutation_rows(oracle, lo, size, c, m).tobytes()
+        assert rng.integers(2**62, size=4).tolist() == oracle.integers(2**62, size=4).tolist()
+
+    def test_dense_cell_beyond_memory(self):
+        # 3 of community 0's 5 nodes per row, about 1e15 rows: the dense regime's table cannot be held
+        spec = PlantedPatternSpec(10, 2, (PlantedPattern(3, ((0, 3),), 1e16),))
+        with pytest.raises(HsbmError, match="do not fit in memory"):
+            sample_symmetric(spec)
+
     def test_oversized_order_at_sampling(self):
         spec = PlantedPatternSpec(10, 2, (PlantedPattern(6, ((0, 6),), 5.0),))
         with pytest.raises(HsbmError):
