@@ -91,6 +91,8 @@ class SpectralConfig:
         # the bound bulk_radius applies to its own value
         if self.eta is not None and not 1.0 + 1e-9 < self.eta < math.inf:
             raise SpectralError(f"eta override {self.eta:g} must be finite and > 1")
+        if self.kmeans_restarts < 1:
+            raise SpectralError(f"need kmeans_restarts >= 1, not {self.kmeans_restarts}")
 
 
 @dataclass(frozen=True)
@@ -366,26 +368,36 @@ def kmeans(points, k, *, restarts=20, seed=0):
 
     Each restart runs at most KMEANS_ITERS Lloyd iterations.
 
-    The points are copied once into column layout (dim, n), and all
-    restarts and Lloyd iterations reuse buffers allocated once per call.
-    Squared distances take the BLAS form ||x||^2 - 2 x.c + ||c||^2 into a
-    (k, n) buffer; a strict < scan over its rows gives each point the first
-    minimum of those rounded values.  Only ties exact in floating point go
-    to the lowest index, as argmin's would; a tie exact in real arithmetic
-    is broken by how each side's BLAS form rounds.  Centers are bincount
-    sums over the coordinate rows, adding points in ascending order per
-    cluster; the seeding weights and the inertia sum squared differences
-    coordinate by coordinate.  Non-finite points, which no comparison picks,
-    are rejected.
+    The points are copied once into column layout (dim, n) and once into
+    rows with a ones column appended, [X | 1]; all restarts and Lloyd
+    iterations reuse buffers allocated once per call.  Squared distances
+    take the BLAS form ||x||^2 - 2 x.c + ||c||^2 into a (k, n) buffer; a
+    strict < scan over its rows gives each point the first minimum of those
+    rounded values.  Only ties exact in floating point go to the lowest
+    index, as argmin's would; a tie exact in real arithmetic is broken by
+    how each side's BLAS form rounds.  Centers are the rows of one product
+    of a (k, n) one-hot CSC matrix, whose index array holds the labels, with
+    [X | 1]: scipy's CSC product walks the points in ascending order and
+    adds 1.0 * x, which is exact, into its cluster's row from 0.0.  Those
+    are a bincount's additions in a bincount's order, so every coordinate
+    sum keeps its bits, and the ones column counts each cluster exactly.
+    The seeding weights and the inertia sum squared differences coordinate
+    by coordinate.  Non-finite points, which no comparison picks, are
+    rejected.
     """
+    import scipy.sparse as sp
+
     X = np.asarray(points, dtype=float)
-    n = X.shape[0]
+    n, dim = X.shape
     if k < 1 or k > n or restarts < 1:
         raise SpectralError(f"need 1 <= k <= {n} and restarts >= 1")
     xx = np.einsum("ij,ij->i", X, X)
     if not np.isfinite(xx).all():
         raise SpectralError("k-means points must be finite")
     cols = np.ascontiguousarray(X.T)
+    x1 = np.ones((n, dim + 1))
+    x1[:, :dim] = X
+    onehot = sp.csc_matrix((np.ones(n), np.zeros(n, dtype=np.intp), np.arange(n + 1)), shape=(k, n))
     d2 = np.empty((k, n))
     dmin, dist, tmp = np.empty((3, n))
     less = np.empty(n, dtype=bool)
@@ -408,10 +420,10 @@ def kmeans(points, k, *, restarts=20, seed=0):
             if it and np.array_equal(labels, prev):
                 break
             labels, prev = prev, labels
-            sizes = np.bincount(prev, minlength=k)
-            sums = np.stack([np.bincount(prev, weights=row, minlength=k) for row in cols], axis=1)
-            filled = sizes > 0
-            centers[filled] = sums[filled] / sizes[filled, None]
+            np.copyto(onehot.indices, prev)
+            sums = onehot @ x1
+            filled = sums[:, dim] > 0
+            centers[filled] = sums[filled, :dim] / sums[filled, dim:]
             if not filled.all():
                 # re-seed an empty cluster at the farthest point
                 centers[~filled] = cols[:, dmin.argmax()]
@@ -455,6 +467,8 @@ def spectral_cluster(h: Hypergraph, num_communities=None, config: SpectralConfig
     even when some of those eigenvalues are nonnegative.
     """
     cfg = config or SpectralConfig()
+    if num_communities is not None and not 1 <= num_communities <= h.n:
+        raise SpectralError(f"k must be in [1, {h.n}]")
     eta = cfg.eta if cfg.eta is not None else bulk_radius(h)
     B = bethe_hessian(h, eta)
     if num_communities is None:

@@ -781,6 +781,9 @@ class TestCli:
             pytest.param(["generate"], None, "No such file", id="generate-config"),
             pytest.param(["run"], None, "No such file", id="run-config"),
             pytest.param(["cluster", "--input", "MISSING"], (), "No such file", id="cluster-input"),
+            # the settings are checked before the input is read
+            pytest.param(["cluster", "--input", "MISSING", "--kmeans-restarts", "0"], (), "need kmeans_restarts >= 1",
+                         id="kmeans-restarts-before-input"),
             pytest.param(["cluster", "--input", "EDGES", "--labels", "MISSING"], (), "No such file", id="labels"),
             pytest.param(BP[:2] + ["MISSING"] + BP[3:], (), "No such file", id="bp-input"),
             pytest.param(["eval", "--input", "EDGES", "--pred", "MISSING", "--truth", "LABELS"], (), "No such file",

@@ -1,5 +1,5 @@
-"""scipy is loaded only where an operator is built, and the names the
-benchmark reaches exist.
+"""scipy is loaded only where an operator is built or k-means runs, and the
+names the benchmark reaches exist.
 
 Each scipy case runs this file as a script in a fresh process.  The BP,
 generator, file, metrics, detectability and CLI-parse path must finish with

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 
 import numpy as np
@@ -840,6 +841,64 @@ class TestKmeans:
         with pytest.raises(ValueError, match="need 1 <= k <= 20 and restarts >= 1"):
             kmeans(np.random.default_rng(0).standard_normal((20, 2)), k, restarts=restarts)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_centers_sum_in_point_order(self, seed):
+        # A's 1000 x-coordinates are 1 + j 2^-52 (j < 128).  Once the running
+        # sum passes 256 its ulp is 2^-44, so adding in point order rounds
+        # every offset away, while a pairwise or blocked sum keeps some of
+        # them.  p sits between the two orders' edges of A: with A's center
+        # summed in point order p stays in A, with the other orders it moves
+        # to the cluster at +-1/4.  These seeds pass p through A on the way.
+        m, ulp = 1000, 2.0**-52
+        a = 1.0 + (np.arange(m) % 128) * ulp
+        total = np.cumsum(a)[-1]  # point order
+        assert np.sum(a) != total  # numpy's pairwise sum rounds otherwise
+        p = total / (2 * m + 1) + 11 * ulp
+        x = np.concatenate([a, [p], np.tile([-0.25, 0.25], 3)])
+        X = np.stack([x, np.zeros_like(x)], axis=1)  # dim 2: the oracle's mean adds rows in point order
+        labels = kmeans(X, 2, restarts=1, seed=seed)
+        assert np.array_equal(labels, broadcast_kmeans(X, 2, restarts=1, seed=seed))
+        assert labels[m] == labels[0] != labels[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 300), st.integers(2, 5), st.integers(1, 6), st.integers(1, 3),
+        st.integers(0, 2**32 - 1), st.floats(0.0, 16.0),
+    )
+    def test_matches_broadcast_loop_property(self, n, dim, k, restarts, seed, spread):
+        # rows scaled by 10^[0, spread), so that a center's sum rounds by order;
+        # dim >= 2, where the oracle's mean adds rows in point order
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        means = rng.normal(0.0, 3.0, (k, dim))
+        X = (means[rng.integers(k, size=n)] + rng.standard_normal((n, dim))) * 10.0 ** rng.uniform(0, spread, (n, 1))
+        labels = kmeans(X, k, restarts=restarts, seed=seed)
+        assert np.array_equal(labels, broadcast_kmeans(X, k, restarts=restarts, seed=seed))
+
+    def test_allocates_only_its_buffers(self):
+        n, dim, k = 20_000, 3, 3
+        rng = np.random.default_rng(0)
+        X = rng.normal(0.0, 2.0, (k, dim))[rng.integers(k, size=n)] + rng.standard_normal((n, dim))
+        kmeans(X, k, restarts=3)  # scipy.sparse loaded, numpy's caches warm
+        # float64 n-vectors: the points as (dim, n) and as [X | 1], d2, xx and
+        # three scratch rows, three label arrays, the one-hot CSC's data; then
+        # the CSC's int32 indices and indptr, and the n-byte `less` mask
+        buffers = 8 * n * (dim + (dim + 1) + k + 4 + 3 + 1) + 4 * (2 * n + 1) + n
+        # rng.choice's n-long cumulative weights while seeding, and one n-byte
+        # array (array_equal's) that also covers the small arrays and objects
+        transient = 8 * n + n
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kmeans(X, k, restarts=3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < buffers + transient
+        assert peaks[1] <= peaks[0] + 4096  # small Python objects, not a buffer
+
 
 class TestClusterPipeline:
     def test_deep_detectable_regime(self):
@@ -859,6 +918,22 @@ class TestClusterPipeline:
         # a hyperedge-free operator is the identity: nothing negative
         with pytest.raises(SpectralError, match="no negative eigenvalues"):
             spectral_cluster(Hypergraph(40, []), config=SpectralConfig(eta=2.0))
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_config_rejects_no_restart(self, restarts):
+        with pytest.raises(SpectralError, match="kmeans_restarts >= 1"):
+            SpectralConfig(kmeans_restarts=restarts)
+
+    @pytest.mark.parametrize("q", [0, -1, 41])
+    def test_community_count_checked_before_operator(self, monkeypatch, q):
+        def unexpected(*args):
+            raise AssertionError("operator built")
+
+        monkeypatch.setattr(spectral, "bethe_hessian", unexpected)
+        monkeypatch.setattr(spectral, "bulk_radius", unexpected)
+        h = Hypergraph(40, [(0, 1), (1, 2, 3)])
+        with pytest.raises(SpectralError, match=r"k must be in \[1, 40\]"):
+            spectral_cluster(h, num_communities=q)
 
     @pytest.mark.parametrize("eta", [0.5, 1.0 + 1e-12, np.nan, np.inf, -2.0])
     def test_eta_override_obeys_bulk_radius_rule(self, eta):
