@@ -210,33 +210,44 @@ def _parts(state):
 
 
 @contextmanager
-def _worker(state):
-    """Set state.worker, for a with block, to each(step) -> [step(part) for part in _parts(state)].
+def _each_part(parts):
+    """Yield each(step) -> [step(part) for part in parts], for a with block.
 
-    The first part runs in the calling thread, a second on a one-thread pool
-    that the end of the block shuts down, whether the block returns or raises.
+    The first part runs in the calling thread, the others on a pool that the
+    end of the block shuts down, whether the block returns or raises; one
+    part starts no thread.  BP's sweeps and spectral's k-means restarts and
+    filter products share it.
     """
-    parts, pool = _parts(state), None
+    pool = None
     if len(parts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(1)
+        pool = ThreadPoolExecutor(len(parts) - 1)
 
     def each(step):
         rest = [pool.submit(step, part) for part in parts[1:]]
         try:
             first = step(parts[0])
-        finally:  # the worker's part is done before any step that reads it, even on a raise
+        finally:  # the other parts are done before any step that reads them, even on a raise
             rest = [future.result() for future in rest]
         return [first] + rest
 
-    state.worker = each
     try:
         yield each
     finally:
-        state.worker = None
         if pool is not None:
             pool.shutdown()
+
+
+@contextmanager
+def _worker(state):
+    """Set state.worker, for a with block, to _each_part's each over _parts(state)."""
+    with _each_part(_parts(state)) as each:
+        state.worker = each
+        try:
+            yield each
+        finally:
+            state.worker = None
 
 
 def bp_sweep(state: BpState):

@@ -15,16 +15,26 @@ filter of B, which maps the negative eigenvalues above 1 and the rest into
 [-1, 1] (Fang and Saad, "A filtered Lanczos procedure for extreme and
 interior eigenvalue problems", SIAM J. Sci. Comput. 2012); the same solve's
 Ritz vectors give the embedding.
+
+When the process may run on two CPUs, the two stages that dominate a large
+clustering run on two threads, each from its own cutoff on and each with a
+worker that lives for one call: the filter's products with S as two row
+blocks of S (FILTER_SPLIT_CUTOFF), and the k-means restarts, which the two
+threads take in turn (KMEANS_SPLIT_CUTOFF).  Every operation keeps its
+operands and their order, so the outputs have the same bytes as on one
+thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bp import _cpus, _each_part
 from .hypergraph import Hypergraph, Partition
 
 # Matrices with at most this many rows are solved densely.
@@ -46,6 +56,27 @@ EIG_TOL = 1e-8
 NEG_TOL = 1e-8
 # Lloyd iterations per k-means restart.
 KMEANS_ITERS = 300
+# From this many points times restarts on, when the process may use two CPUs,
+# k-means runs its restarts on two threads.  kmeans time, two threads over one:
+# 20 restarts on the count's embedding of the q = 3, orders (2, 3), d = 10,
+# eps = 0.1 model, medians of 9 (runs 1, 2) and 11 (runs 3, 4) alternating
+# runs, 2-vCPU VM whose second vCPU was not always free, one BLAS thread:
+#   points x restarts  1.0e5  1.5e5  2.0e5  2.5e5  3.0e5  4.0e5  6.0e5
+#   run 1              1.33   1.04   0.87   0.81   0.69   0.72   0.64
+#   run 2              1.57   1.39   1.02   0.88   0.79   0.71   0.71
+#   run 3              -      1.34   1.09   1.06   0.98   1.02   0.65
+#   run 4              -      1.38   0.99   1.00   0.83   0.80   0.66
+KMEANS_SPLIT_CUTOFF = 300_000
+# From this many stored entries of B on, when the process may use two CPUs, the
+# filter's products with S run on two row blocks of S, the second on a worker
+# thread.  _negative_eigenpairs time, two blocks over one, on the same model
+# and runs as above:
+#   entries of B  1.3e5  1.9e5  2.6e5  3.2e5  3.9e5  5.2e5
+#   run 1         1.06   1.03   0.90   0.92   1.02   0.90
+#   run 2         1.05   1.15   0.95   0.97   1.01   0.95
+#   run 3         -      0.96   0.95   0.95   0.94   0.90
+#   run 4         -      0.96   0.99   0.91   0.97   0.89
+FILTER_SPLIT_CUTOFF = 300_000
 
 
 class SpectralError(ValueError):
@@ -307,44 +338,63 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
     """
     thr = B.threshold
     if B.n > DENSE_CUTOFF:
-        P, start = _chebyshev_filter(B), np.random.default_rng(seed).standard_normal(B.n)
-        k = FIRST_BATCH
-        while k < B.n - 1:
-            try:
-                w, v, res, resolved = _filtered_batch(B, P, k, COUNT_TOL, start)
-            except EigenConvergenceError:
-                resolved = False
-            if not resolved:
-                w, v, res, _ = _filtered_batch(B, P, k, EIG_TOL, start)
-            count = int(np.sum(w < thr))
-            if count < k:
-                if np.all(res[:count] <= EIG_TOL * B.norm):
-                    return w[:count], v[:, :count]
-                w, v, res, _ = _filtered_batch(B, P, count, EIG_TOL, v[:, :count].sum(axis=1))
-                return _guarded(B, w, v, res)
-            k *= 2
+        start = np.random.default_rng(seed).standard_normal(B.n)
+        with _chebyshev_filter(B) as P:
+            k = FIRST_BATCH
+            while k < B.n - 1:
+                try:
+                    w, v, res, resolved = _filtered_batch(B, P, k, COUNT_TOL, start)
+                except EigenConvergenceError:
+                    resolved = False
+                if not resolved:
+                    w, v, res, _ = _filtered_batch(B, P, k, EIG_TOL, start)
+                count = int(np.sum(w < thr))
+                if count < k:
+                    if np.all(res[:count] <= EIG_TOL * B.norm):
+                        return w[:count], v[:, :count]
+                    w, v, res, _ = _filtered_batch(B, P, count, EIG_TOL, v[:, :count].sum(axis=1))
+                    return _guarded(B, w, v, res)
+                k *= 2
     w, v = _dense_eigh(B)
     count = int(np.sum(w < thr))
     return _guarded(B, w[:count], v[:, :count])
 
 
+@contextmanager
 def _chebyshev_filter(B: BetheHessian):
-    """p(B) = T_2(S) = 2 S^2 - I as a LinearOperator, with S one CSR.
+    """Yield p(B) = T_2(S) = 2 S^2 - I as a LinearOperator, for a with block.
 
     S = (2B - (U + thr) I) / (U - thr), with U = B.norm >= lambda_max and
     thr = B.threshold, maps [thr, U] onto [-1, 1], where |T_2| <= 1, and
     p > 1 exactly below thr.  Each matvec is two sparse products with S.
+    From FILTER_SPLIT_CUTOFF stored entries of B on, when the process may use
+    two CPUs, S is kept as its two row blocks of about equal entries, and each
+    product runs one block in the calling thread and the other on a worker
+    that the end of the block shuts down.  A row's sum is csr_matvec's over
+    the same entries in the same order either way, so the bits are the same.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     U, thr = B.norm, B.threshold
     S = B.matrix * (2.0 / (U - thr)) - sp.identity(B.n, format="csr") * ((U + thr) / (U - thr))
+    if B.matrix.nnz >= FILTER_SPLIT_CUTOFF and _cpus() > 1:
+        mid = int(np.searchsorted(S.indptr, S.nnz // 2))
+        blocks = [S[:mid], S[mid:]]
+    else:
+        blocks = [S]
+    del S  # the blocks take its place
 
-    def apply(x):
-        return 2.0 * (S @ (S @ x)) - x
+    with _each_part(blocks) as each:
 
-    return spla.LinearOperator(S.shape, matvec=apply, matmat=apply, dtype=float)
+        def product(x):
+            rows = each(lambda block: block @ x)
+            return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+        def apply(x):
+            return 2.0 * product(product(x)) - x
+
+        yield spla.LinearOperator((B.n, B.n), matvec=apply, matmat=apply, dtype=float)
 
 
 def _filtered_batch(B: BetheHessian, P, k, tol, v0):
@@ -369,21 +419,31 @@ def kmeans(points, k, *, restarts=20, seed=0):
     Each restart runs at most KMEANS_ITERS Lloyd iterations.
 
     The points are copied once into column layout (dim, n) and once into
-    rows with a ones column appended, [X | 1]; all restarts and Lloyd
-    iterations reuse buffers allocated once per call.  Squared distances
-    take the BLAS form ||x||^2 - 2 x.c + ||c||^2 into a (k, n) buffer; a
-    strict < scan over its rows gives each point the first minimum of those
-    rounded values.  Only ties exact in floating point go to the lowest
-    index, as argmin's would; a tie exact in real arithmetic is broken by
-    how each side's BLAS form rounds.  Centers are the rows of one product
-    of a (k, n) one-hot CSC matrix, whose index array holds the labels, with
-    [X | 1]: scipy's CSC product walks the points in ascending order and
-    adds 1.0 * x, which is exact, into its cluster's row from 0.0.  Those
-    are a bincount's additions in a bincount's order, so every coordinate
-    sum keeps its bits, and the ones column counts each cluster exactly.
-    The seeding weights and the inertia sum squared differences coordinate
-    by coordinate.  Non-finite points, which no comparison picks, are
-    rejected.
+    rows with a ones column appended, [X | 1], which every restart reads.
+    The restarts run in the calling thread, or from KMEANS_SPLIT_CUTOFF
+    points times restarts on, when the process may use two CPUs, in it and
+    in a worker thread that lives for this call.  Each thread takes the next
+    restart and draws its k-means++ seeds from the one rng under a lock, so
+    restart r gets the seeds of the r-th draw whichever thread runs it; a
+    seeding reads only the rng and the points, and a Lloyd loop only its
+    seeds and the points.  Each thread reuses buffers of its own across its
+    restarts and iterations.  The result is the lowest-inertia restart's
+    labels, the lowest restart index on a tie, as a strict < over the
+    restarts in order picks.
+
+    Squared distances take the BLAS form ||x||^2 - 2 x.c + ||c||^2 into a
+    (k, n) buffer; a strict < scan over its rows gives each point the first
+    minimum of those rounded values.  Only ties exact in floating point go to
+    the lowest index, as argmin's would; a tie exact in real arithmetic is
+    broken by how each side's BLAS form rounds.  Centers are the rows of one
+    product of a (k, n) one-hot CSC matrix, whose index array holds the
+    labels, with [X | 1]: scipy's CSC product walks the points in ascending
+    order and adds 1.0 * x, which is exact, into its cluster's row from 0.0.
+    Those are a bincount's additions in a bincount's order, so every
+    coordinate sum keeps its bits, and the ones column counts each cluster
+    exactly.  The seeding weights and the inertia sum squared differences
+    coordinate by coordinate.  Non-finite points, which no comparison picks,
+    are rejected.
     """
     import scipy.sparse as sp
 
@@ -397,41 +457,51 @@ def kmeans(points, k, *, restarts=20, seed=0):
     cols = np.ascontiguousarray(X.T)
     x1 = np.ones((n, dim + 1))
     x1[:, :dim] = X
-    onehot = sp.csc_matrix((np.ones(n), np.zeros(n, dtype=np.intp), np.arange(n + 1)), shape=(k, n))
-    d2 = np.empty((k, n))
-    dmin, dist, tmp = np.empty((3, n))
-    less = np.empty(n, dtype=bool)
-    labels, prev = np.empty((2, n), dtype=np.intp)
-    best_labels, best_inertia = np.empty(n, dtype=np.intp), np.inf
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        centers = _kmeanspp(cols, k, rng, dmin, dist, tmp)
-        for it in range(KMEANS_ITERS):
-            np.matmul(centers, cols, out=d2)
-            d2 *= -2.0  # exact, and xx + (-2 x.c) is xx - 2 x.c in IEEE arithmetic
-            d2 += xx
-            d2 += np.einsum("ij,ij->i", centers, centers)[:, None]
-            labels.fill(0)
-            np.copyto(dmin, d2[0])
-            for j in range(1, k):
-                np.less(d2[j], dmin, out=less)
-                np.copyto(labels, j, where=less)
-                np.minimum(dmin, d2[j], out=dmin)
-            if it and np.array_equal(labels, prev):
-                break
-            labels, prev = prev, labels
-            np.copyto(onehot.indices, prev)
-            sums = onehot @ x1
-            filled = sums[:, dim] > 0
-            centers[filled] = sums[filled, :dim] / sums[filled, dim:]
-            if not filled.all():
-                # re-seed an empty cluster at the farthest point
-                centers[~filled] = cols[:, dmin.argmax()]
-        inertia = _sq_dist(cols, centers, dist, tmp, prev).sum()
-        if inertia < best_inertia:
-            best_inertia = inertia
-            np.copyto(best_labels, prev)
-    return best_labels
+    rng, todo, lock = np.random.default_rng(seed), iter(range(restarts)), threading.Lock()
+
+    def buffers():
+        onehot = sp.csc_matrix((np.ones(n), np.zeros(n, dtype=np.intp), np.arange(n + 1)), shape=(k, n))
+        return onehot, np.empty((k, n)), np.empty((3, n)), np.empty(n, dtype=bool), np.empty((3, n), dtype=np.intp)
+
+    def restarts_of_one_thread(own):
+        """(inertia, restart, labels) of the best restart this thread ran, the first on a tie."""
+        onehot, d2, (dmin, dist, tmp), less, (labels, prev, best_labels) = own
+        best_inertia, best = np.inf, restarts  # a thread that ran no restart loses every tie
+        while True:
+            with lock:  # restarts are taken, and their seeds drawn, in restart order
+                r = next(todo, None)
+                if r is None:
+                    return best_inertia, best, best_labels
+                centers = _kmeanspp(cols, k, rng, dmin, dist, tmp)
+            for it in range(KMEANS_ITERS):
+                np.matmul(centers, cols, out=d2)
+                d2 *= -2.0  # exact, and xx + (-2 x.c) is xx - 2 x.c in IEEE arithmetic
+                d2 += xx
+                d2 += np.einsum("ij,ij->i", centers, centers)[:, None]
+                labels.fill(0)
+                np.copyto(dmin, d2[0])
+                for j in range(1, k):
+                    np.less(d2[j], dmin, out=less)
+                    np.copyto(labels, j, where=less)
+                    np.minimum(dmin, d2[j], out=dmin)
+                if it and np.array_equal(labels, prev):
+                    break
+                labels, prev = prev, labels
+                np.copyto(onehot.indices, prev)
+                sums = onehot @ x1
+                filled = sums[:, dim] > 0
+                centers[filled] = sums[filled, :dim] / sums[filled, dim:]
+                if not filled.all():
+                    # re-seed an empty cluster at the farthest point
+                    centers[~filled] = cols[:, dmin.argmax()]
+            inertia = _sq_dist(cols, centers, dist, tmp, prev).sum()
+            if inertia < best_inertia:
+                best_inertia, best = inertia, r
+                np.copyto(best_labels, prev)
+
+    p = 2 if restarts > 1 and n * restarts >= KMEANS_SPLIT_CUTOFF and _cpus() > 1 else 1
+    with _each_part([buffers() for _ in range(p)]) as each:
+        return min(each(restarts_of_one_thread), key=lambda result: result[:2])[2]
 
 
 def _sq_dist(cols, centers, out, tmp, labels=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from hyperbethe import Hypergraph
+from hyperbethe import Hypergraph, bp, spectral
 
 
 def labels_match_up_to_permutation(a, b, q):
@@ -42,6 +42,16 @@ def random_hypergraph(rng, n, orders=(2, 3), mean_edges_per_order=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def two_parts(monkeypatch):
+    """BP sweeps, k-means restarts and filter products in two parts, whatever the input's size and the CPUs at hand."""
+    monkeypatch.setattr(bp, "_SPLIT_CUTOFF", 0)
+    monkeypatch.setattr(spectral, "KMEANS_SPLIT_CUTOFF", 0)
+    monkeypatch.setattr(spectral, "FILTER_SPLIT_CUTOFF", 0)
+    for module in (bp, spectral):
+        monkeypatch.setattr(module, "_cpus", lambda: 2)
 
 
 @pytest.fixture

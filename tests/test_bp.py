@@ -115,13 +115,6 @@ def small_instance():
     return spec, *sample_symmetric(spec)
 
 
-@pytest.fixture
-def two_parts(monkeypatch):
-    """Sweeps in two parts, whatever the input's size and the CPUs at hand."""
-    monkeypatch.setattr(bp, "_SPLIT_CUTOFF", 0)
-    monkeypatch.setattr(bp, "_cpus", lambda: 2)
-
-
 class TestInit:
     def test_perturbed_deterministic(self, small_instance):
         spec, h, _ = small_instance

@@ -3,8 +3,9 @@ names the benchmark reaches exist.
 
 Each scipy case runs this file as a script in a fresh process.  The BP,
 generator, file, metrics, detectability and CLI-parse path must finish with
-no scipy module loaded; each operator, built first in its process, must
-equal the one built in the test process.
+no scipy module loaded, and, with BP far below its split size, no thread
+pool module either; each operator, built first in its process, must equal
+the one built in the test process.
 """
 
 import importlib.util
@@ -93,6 +94,7 @@ def test_plain_path_loads_no_scipy(tmp_path):
     run_child("plain", out)
     child = json.loads(out.read_text())
     assert child["scipy"] == []
+    assert not child["thread_pool"]
     assert child["ami"] == plain_path(tmp_path)
 
 
@@ -162,7 +164,7 @@ if __name__ == "__main__":
     if case == "plain":
         score = plain_path(os.path.dirname(out))
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump({"scipy": scipy_modules(), "ami": score}, fh)
+            json.dump({"scipy": scipy_modules(), "ami": score, "thread_pool": "concurrent.futures" in sys.modules}, fh)
     else:
         h = operator_input(case)
         if scipy_modules():

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -5,13 +6,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperbethe import (
@@ -52,7 +54,9 @@ def broadcast_kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
     """The (n, k, dim) broadcast Lloyd loop with inline k-means++ seeding, as a reference.
 
     Squared distances add the squared coordinate differences in coordinate
-    order, the sum kmeans documents for its seeding weights and inertia.
+    order, the sum kmeans documents for its seeding weights and inertia, and
+    a center adds its points in point order, as a cumulative sum does in any
+    dim (numpy's mean would sum a single column pairwise).
     """
     X = np.asarray(points, dtype=float)
     n, dim = X.shape
@@ -80,7 +84,7 @@ def broadcast_kmeans(points, k, *, restarts=20, max_iter=300, seed=0):
             for c in range(k):
                 mask = labels == c
                 if mask.any():
-                    centers[c] = X[mask].mean(axis=0)
+                    centers[c] = np.cumsum(X[mask], axis=0)[-1] / mask.sum()
                 else:
                     centers[c] = X[d2.min(axis=1).argmax()]
         inertia = sq(X - centers[labels]).sum()
@@ -544,7 +548,8 @@ class TestSignResolvedCount:
     def test_filter_exceeds_one_exactly_below_threshold(self):
         _, B = bench_model(700)
         lam, vecs = np.linalg.eigh(B.matrix.toarray())
-        mu = np.einsum("ij,ij->j", vecs, spectral._chebyshev_filter(B) @ vecs)
+        with spectral._chebyshev_filter(B) as P:
+            mu = np.einsum("ij,ij->j", vecs, P @ vecs)
         S = (2.0 * lam - (B.norm + B.threshold)) / (B.norm - B.threshold)
         np.testing.assert_allclose(mu, 2.0 * S**2 - 1.0, rtol=0, atol=1e-12)
         assert np.array_equal(mu > 1.0, lam < B.threshold)
@@ -571,7 +576,8 @@ class TestSignResolvedCount:
         result = spectral_cluster(h)
         assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
         mu, v = seen[0]
-        resolved, theta = self.filtered_solve_checks(B, spectral._chebyshev_filter(B), mu, v)
+        with spectral._chebyshev_filter(B) as P:
+            resolved, theta = self.filtered_solve_checks(B, P, mu, v)
         assert not resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
         assert_same_result(result, reference)
 
@@ -581,14 +587,14 @@ class TestSignResolvedCount:
         h, B = bench_model(800)
         reference = dense_cluster(h)
         pivot = 0.5 * (reference.eigenvalues[0] + reference.eigenvalues[1])
-        P = spectral._chebyshev_filter(dataclasses.replace(B, threshold=pivot))
-        monkeypatch.setattr(spectral, "_chebyshev_filter", lambda B: P)
         seen = []
         calls = record_solves(monkeypatch, lambda mu, v: seen.append((mu.copy(), v.copy())))
-        result = spectral_cluster(h)
+        with spectral._chebyshev_filter(dataclasses.replace(B, threshold=pivot)) as P:
+            monkeypatch.setattr(spectral, "_chebyshev_filter", lambda B: contextlib.nullcontext(P))
+            result = spectral_cluster(h)
+            mu, v = seen[0]
+            resolved, theta = self.filtered_solve_checks(B, P, mu, v)
         assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
-        mu, v = seen[0]
-        resolved, theta = self.filtered_solve_checks(B, P, mu, v)
         assert resolved.all()
         assert (theta < B.threshold).sum() == 3 and (mu > 1.0).sum() == 1
         assert_same_result(result, reference)
@@ -734,6 +740,34 @@ class TestBlasThreads:
             assert one[key].tobytes() == two[key].tobytes(), key
         assert len(one["w"]) == 3
 
+    def test_two_parts_identical_across_thread_counts(self, tmp_path):
+        # the same run with k-means and the filter's products forced into two parts
+        child = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from hyperbethe import SymmetricHsbmSpec, sample_symmetric, spectral, spectral_cluster
+            spectral.KMEANS_SPLIT_CUTOFF = spectral.FILTER_SPLIT_CUTOFF = 0
+            spectral._cpus = lambda: 2
+            spec = SymmetricHsbmSpec(n=3000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0)
+            r = spectral_cluster(sample_symmetric(spec)[0])
+            np.savez(sys.argv[1], w=r.eigenvalues, v=r.embedding, labels=r.partition.labels)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", child, str(out)], env=env, check=True, timeout=300)
+            runs.append(np.load(out))
+        one, two = runs
+        for key in ("w", "v", "labels"):
+            assert one[key].tobytes() == two[key].tobytes(), key
+        digest = hashlib.sha256(b"".join(one[key].tobytes() for key in ("w", "v", "labels"))).hexdigest()
+        assert digest == TestPinnedLanczosBytes.AUTO_Q
+
     def test_dense_solve_without_thread_symbols_raises(self, monkeypatch):
         h, _ = sample_symmetric(SymmetricHsbmSpec(n=300, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=4))
         monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
@@ -841,39 +875,58 @@ class TestKmeans:
         with pytest.raises(ValueError, match="need 1 <= k <= 20 and restarts >= 1"):
             kmeans(np.random.default_rng(0).standard_normal((20, 2)), k, restarts=restarts)
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_centers_sum_in_point_order(self, seed):
-        # A's 1000 x-coordinates are 1 + j 2^-52 (j < 128).  Once the running
-        # sum passes 256 its ulp is 2^-44, so adding in point order rounds
-        # every offset away, while a pairwise or blocked sum keeps some of
-        # them.  p sits between the two orders' edges of A: with A's center
-        # summed in point order p stays in A, with the other orders it moves
-        # to the cluster at +-1/4.  These seeds pass p through A on the way.
-        m, ulp = 1000, 2.0**-52
+    @staticmethod
+    def point_order_line(m=1000):
+        """x-coordinates whose first cluster's center moves with the order of its sum.
+
+        A's m x-coordinates are 1 + j 2^-52 (j < 128).  Once the running sum
+        passes 256 its ulp is 2^-44, so adding in point order rounds every
+        offset away, while a pairwise or blocked sum keeps some of them.  p
+        sits between the two orders' edges of A: with A's center summed in
+        point order p stays in A, with the other orders it moves to the
+        cluster at +-1/4.
+        """
+        ulp = 2.0**-52
         a = 1.0 + (np.arange(m) % 128) * ulp
         total = np.cumsum(a)[-1]  # point order
         assert np.sum(a) != total  # numpy's pairwise sum rounds otherwise
         p = total / (2 * m + 1) + 11 * ulp
-        x = np.concatenate([a, [p], np.tile([-0.25, 0.25], 3)])
-        X = np.stack([x, np.zeros_like(x)], axis=1)  # dim 2: the oracle's mean adds rows in point order
+        return np.concatenate([a, [p], np.tile([-0.25, 0.25], 3)])
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_centers_sum_in_point_order(self, seed, m=1000):
+        # these seeds pass p through A on the way
+        x = self.point_order_line(m)
+        X = np.stack([x, np.zeros_like(x)], axis=1)
         labels = kmeans(X, 2, restarts=1, seed=seed)
         assert np.array_equal(labels, broadcast_kmeans(X, 2, restarts=1, seed=seed))
         assert labels[m] == labels[0] != labels[-1]
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(2, 300), st.integers(2, 5), st.integers(1, 6), st.integers(1, 3),
-        st.integers(0, 2**32 - 1), st.floats(0.0, 16.0),
-    )
-    def test_matches_broadcast_loop_property(self, n, dim, k, restarts, seed, spread):
-        # rows scaled by 10^[0, spread), so that a center's sum rounds by order;
-        # dim >= 2, where the oracle's mean adds rows in point order
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_dim_centers_sum_in_point_order(self, seed, m=1000):
+        # the same line as one column, which a mean would sum pairwise
+        x = self.point_order_line(m)
+        labels = kmeans(x[:, None], 2, restarts=1, seed=seed)
+        assert np.array_equal(labels, broadcast_kmeans(x[:, None], 2, restarts=1, seed=seed))
+        assert labels[m] == labels[0] != labels[-1]
+
+    @staticmethod
+    def check_against_broadcast_loop(n, dim, k, restarts, seed, spread):
+        # rows scaled by 10^[0, spread), so that a center's sum rounds by order
         rng = np.random.default_rng(seed)
         k = min(k, n)
         means = rng.normal(0.0, 3.0, (k, dim))
         X = (means[rng.integers(k, size=n)] + rng.standard_normal((n, dim))) * 10.0 ** rng.uniform(0, spread, (n, 1))
         labels = kmeans(X, k, restarts=restarts, seed=seed)
         assert np.array_equal(labels, broadcast_kmeans(X, k, restarts=restarts, seed=seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 300), st.integers(1, 5), st.integers(1, 6), st.integers(1, 3),
+        st.integers(0, 2**32 - 1), st.floats(0.0, 16.0),
+    )
+    def test_matches_broadcast_loop_property(self, n, dim, k, restarts, seed, spread):
+        self.check_against_broadcast_loop(n, dim, k, restarts, seed, spread)
 
     def test_allocates_only_its_buffers(self):
         n, dim, k = 20_000, 3, 3
@@ -898,6 +951,113 @@ class TestKmeans:
                 tracemalloc.stop()
         assert peaks[0] < buffers + transient
         assert peaks[1] <= peaks[0] + 4096  # small Python objects, not a buffer
+
+
+def record_parts(monkeypatch):
+    """The parts of each _each_part block spectral opens, in order."""
+    each_part, opened = spectral._each_part, []
+
+    def recorded(parts):
+        opened.append(parts)
+        return each_part(parts)
+
+    monkeypatch.setattr(spectral, "_each_part", recorded)
+    return opened
+
+
+class TestTwoParts:
+    def test_auto_q_digest_holds(self, two_parts, monkeypatch):
+        opened = record_parts(monkeypatch)
+        h, _ = bench_model(3000)
+        before = threading.active_count()
+        assert TestPinnedLanczosBytes.digest(spectral_cluster(h)) == TestPinnedLanczosBytes.AUTO_Q
+        assert [len(parts) for parts in opened] == [2, 2]  # the count's filter, then k-means
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 7])
+    def test_kmeans_matches_broadcast_loop_embedding(self, restarts, two_parts, monkeypatch):
+        opened = record_parts(monkeypatch)
+        spec = SymmetricHsbmSpec(n=2000, q=4, orders=(2, 3), d=10.0, eps=0.05, seed=2)
+        emb = spectral_cluster(sample_symmetric(spec)[0], num_communities=4).embedding
+        opened.clear()
+        assert np.array_equal(kmeans(emb, 4, restarts=restarts), broadcast_kmeans(emb, 4, restarts=restarts))
+        assert [len(parts) for parts in opened] == [1 if restarts == 1 else 2]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(2, 300), st.integers(1, 5), st.integers(1, 6), st.integers(1, 5),
+        st.integers(0, 2**32 - 1), st.floats(0.0, 16.0),
+    )
+    def test_kmeans_matches_broadcast_loop_property(self, two_parts, n, dim, k, restarts, seed, spread):
+        TestKmeans.check_against_broadcast_loop(n, dim, k, restarts, seed, spread)
+
+    def test_no_thread_outlives_kmeans_worker_raise(self, two_parts, monkeypatch):
+        # the worker raises while seeding a restart; the calling thread waits for
+        # that before its first restart ends, so the worker always takes one
+        kmeanspp, sq_dist, seeded = spectral._kmeanspp, spectral._sq_dist, threading.Event()
+
+        def worker_raises(*args):
+            if threading.current_thread() is not threading.main_thread():
+                seeded.set()
+                raise FloatingPointError("worker")
+            return kmeanspp(*args)
+
+        def main_waits(cols, centers, out, tmp, labels=None):
+            if labels is not None and threading.current_thread() is threading.main_thread():
+                assert seeded.wait(timeout=60)
+            return sq_dist(cols, centers, out, tmp, labels)
+
+        monkeypatch.setattr(spectral, "_kmeanspp", worker_raises)
+        monkeypatch.setattr(spectral, "_sq_dist", main_waits)
+        X = np.random.default_rng(0).standard_normal((500, 2))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker"):
+            kmeans(X, 3, restarts=6)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_count_no_convergence(self, two_parts, monkeypatch):
+        _, B = bench_model(800)
+        opened = record_parts(monkeypatch)
+        calls = TestSignResolvedCount.stop_short(monkeypatch, {spectral.COUNT_TOL, spectral.EIG_TOL})
+        before = threading.active_count()
+        with pytest.raises(EigenConvergenceError):
+            spectral._negative_eigenpairs(B)
+        assert calls == [TestSignResolvedCount.LOOSE, TestSignResolvedCount.TIGHT]
+        assert [len(parts) for parts in opened] == [2]
+        assert threading.active_count() == before
+
+    def test_concurrent_clusterings_keep_their_bytes(self, two_parts):
+        # two clusterings at once on two parts each, four threads in all,
+        # with the interpreter switching threads as often as it can
+        h, _ = bench_model(3000)
+        got = [None, None]
+
+        def run(i):
+            got[i] = TestPinnedLanczosBytes.digest(spectral_cluster(h))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [TestPinnedLanczosBytes.AUTO_Q] * 2
+
+    def test_one_cpu_keeps_one_part(self, monkeypatch):
+        monkeypatch.setattr(spectral, "KMEANS_SPLIT_CUTOFF", 0)
+        monkeypatch.setattr(spectral, "FILTER_SPLIT_CUTOFF", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        opened = record_parts(monkeypatch)
+        h, _ = bench_model(3000)
+        before = threading.active_count()
+        assert TestPinnedLanczosBytes.digest(spectral_cluster(h)) == TestPinnedLanczosBytes.AUTO_Q
+        assert [len(parts) for parts in opened] == [1, 1]
+        assert threading.active_count() == before
 
 
 class TestClusterPipeline:
