@@ -25,7 +25,7 @@ scratch column.  A sweep allocates nothing of D or more elements.
 
 From _SPLIT_CUTOFF incidences on, when the process may run on two CPUs, a
 sweep runs each step in two parts, the second on a worker thread that lives
-as long as bp_run: the hyperedge products on two halves of each plane's
+for one sweep: the hyperedge products on two halves of each plane's
 hyperedges, the row-wise steps (normalise, damp, log; gather, subtract, exp,
 normalise, damp, floor) on two halves of the D rows, and the node sums'
 bincounts on two halves of the communities.  Each element, row sum and
@@ -126,7 +126,6 @@ class BpState:
         self.node_sum = np.empty((h.n, q), order="F")
         self.marginal = np.full((h.n, q), 1.0 / q)
         self.field = external_field(self)
-        self.worker = None  # set by _worker while bp_run runs
 
     @property
     def num_messages(self):
@@ -215,8 +214,8 @@ def _each_part(parts):
 
     The first part runs in the calling thread, the others on a pool that the
     end of the block shuts down, whether the block returns or raises; one
-    part starts no thread.  BP's sweeps and spectral's k-means restarts and
-    filter products share it.
+    part starts no thread.  BP's sweeps and spectral's k-means restarts
+    share it.
     """
     pool = None
     if len(parts) > 1:
@@ -239,28 +238,14 @@ def _each_part(parts):
             pool.shutdown()
 
 
-@contextmanager
-def _worker(state):
-    """Set state.worker, for a with block, to _each_part's each over _parts(state)."""
-    with _each_part(_parts(state)) as each:
-        state.worker = each
-        try:
-            yield each
-        finally:
-            state.worker = None
-
-
 def bp_sweep(state: BpState):
     """One synchronous sweep; mutates state, returns the max message change.
 
     Order: refresh the field from current marginals, update all
     hyperedge-to-node messages from the previous node-to-hyperedge messages,
-    then all node-to-hyperedge messages, then marginals.  Outside bp_run the
-    sweep opens a worker of its own.
+    then all node-to-hyperedge messages, then marginals.
     """
-    if state.worker is not None:
-        return _sweep(state, state.worker)
-    with _worker(state) as each:
+    with _each_part(_parts(state)) as each:
         return _sweep(state, each)
 
 
@@ -350,11 +335,10 @@ def bp_run(h: Hypergraph, q, rates, config: BpConfig = None) -> BpResult:
     cfg = config or BpConfig()
     state = bp_init(h, q, rates, cfg)
     converged = False
-    with _worker(state):
-        for sweeps in range(1, cfg.max_sweeps + 1):
-            delta = bp_sweep(state)
-            if delta < cfg.tol:
-                converged = True
-                break
+    for sweeps in range(1, cfg.max_sweeps + 1):
+        delta = bp_sweep(state)
+        if delta < cfg.tol:
+            converged = True
+            break
     labels = np.argmax(state.marginal, axis=1)
     return BpResult(Partition(labels, q), state.marginal.copy(), sweeps, converged)

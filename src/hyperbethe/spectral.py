@@ -16,13 +16,10 @@ filter of B, which maps the negative eigenvalues above 1 and the rest into
 interior eigenvalue problems", SIAM J. Sci. Comput. 2012); the same solve's
 Ritz vectors give the embedding.
 
-When the process may run on two CPUs, the two stages that dominate a large
-clustering run on two threads, each from its own cutoff on and each with a
-worker that lives for one call: the filter's products with S as two row
-blocks of S (FILTER_SPLIT_CUTOFF), and the k-means restarts, which the two
-threads take in turn (KMEANS_SPLIT_CUTOFF).  Every operation keeps its
-operands and their order, so the outputs have the same bytes as on one
-thread.
+From KMEANS_SPLIT_CUTOFF on, when the process may run on two CPUs, the
+k-means restarts run on two threads, which take them in turn, with a worker
+that lives for one call.  Every operation keeps its operands and their
+order, so the labels have the same bytes as on one thread.
 """
 
 from __future__ import annotations
@@ -67,16 +64,6 @@ KMEANS_ITERS = 300
 #   run 3              -      1.34   1.09   1.06   0.98   1.02   0.65
 #   run 4              -      1.38   0.99   1.00   0.83   0.80   0.66
 KMEANS_SPLIT_CUTOFF = 300_000
-# From this many stored entries of B on, when the process may use two CPUs, the
-# filter's products with S run on two row blocks of S, the second on a worker
-# thread.  _negative_eigenpairs time, two blocks over one, on the same model
-# and runs as above:
-#   entries of B  1.3e5  1.9e5  2.6e5  3.2e5  3.9e5  5.2e5
-#   run 1         1.06   1.03   0.90   0.92   1.02   0.90
-#   run 2         1.05   1.15   0.95   0.97   1.01   0.95
-#   run 3         -      0.96   0.95   0.95   0.94   0.90
-#   run 4         -      0.96   0.99   0.91   0.97   0.89
-FILTER_SPLIT_CUTOFF = 300_000
 
 
 class SpectralError(ValueError):
@@ -338,63 +325,44 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
     """
     thr = B.threshold
     if B.n > DENSE_CUTOFF:
-        start = np.random.default_rng(seed).standard_normal(B.n)
-        with _chebyshev_filter(B) as P:
-            k = FIRST_BATCH
-            while k < B.n - 1:
-                try:
-                    w, v, res, resolved = _filtered_batch(B, P, k, COUNT_TOL, start)
-                except EigenConvergenceError:
-                    resolved = False
-                if not resolved:
-                    w, v, res, _ = _filtered_batch(B, P, k, EIG_TOL, start)
-                count = int(np.sum(w < thr))
-                if count < k:
-                    if np.all(res[:count] <= EIG_TOL * B.norm):
-                        return w[:count], v[:, :count]
-                    w, v, res, _ = _filtered_batch(B, P, count, EIG_TOL, v[:, :count].sum(axis=1))
-                    return _guarded(B, w, v, res)
-                k *= 2
+        P, start = _chebyshev_filter(B), np.random.default_rng(seed).standard_normal(B.n)
+        k = FIRST_BATCH
+        while k < B.n - 1:
+            try:
+                w, v, res, resolved = _filtered_batch(B, P, k, COUNT_TOL, start)
+            except EigenConvergenceError:
+                resolved = False
+            if not resolved:
+                w, v, res, _ = _filtered_batch(B, P, k, EIG_TOL, start)
+            count = int(np.sum(w < thr))
+            if count < k:
+                if np.all(res[:count] <= EIG_TOL * B.norm):
+                    return w[:count], v[:, :count]
+                w, v, res, _ = _filtered_batch(B, P, count, EIG_TOL, v[:, :count].sum(axis=1))
+                return _guarded(B, w, v, res)
+            k *= 2
     w, v = _dense_eigh(B)
     count = int(np.sum(w < thr))
     return _guarded(B, w[:count], v[:, :count])
 
 
-@contextmanager
 def _chebyshev_filter(B: BetheHessian):
-    """Yield p(B) = T_2(S) = 2 S^2 - I as a LinearOperator, for a with block.
+    """p(B) = T_2(S) = 2 S^2 - I as a LinearOperator, with S one CSR.
 
     S = (2B - (U + thr) I) / (U - thr), with U = B.norm >= lambda_max and
     thr = B.threshold, maps [thr, U] onto [-1, 1], where |T_2| <= 1, and
     p > 1 exactly below thr.  Each matvec is two sparse products with S.
-    From FILTER_SPLIT_CUTOFF stored entries of B on, when the process may use
-    two CPUs, S is kept as its two row blocks of about equal entries, and each
-    product runs one block in the calling thread and the other on a worker
-    that the end of the block shuts down.  A row's sum is csr_matvec's over
-    the same entries in the same order either way, so the bits are the same.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     U, thr = B.norm, B.threshold
     S = B.matrix * (2.0 / (U - thr)) - sp.identity(B.n, format="csr") * ((U + thr) / (U - thr))
-    if B.matrix.nnz >= FILTER_SPLIT_CUTOFF and _cpus() > 1:
-        mid = int(np.searchsorted(S.indptr, S.nnz // 2))
-        blocks = [S[:mid], S[mid:]]
-    else:
-        blocks = [S]
-    del S  # the blocks take its place
 
-    with _each_part(blocks) as each:
+    def apply(x):
+        return 2.0 * (S @ (S @ x)) - x
 
-        def product(x):
-            rows = each(lambda block: block @ x)
-            return rows[0] if len(rows) == 1 else np.concatenate(rows)
-
-        def apply(x):
-            return 2.0 * product(product(x)) - x
-
-        yield spla.LinearOperator((B.n, B.n), matvec=apply, matmat=apply, dtype=float)
+    return spla.LinearOperator(S.shape, matvec=apply, matmat=apply, dtype=float)
 
 
 def _filtered_batch(B: BetheHessian, P, k, tol, v0):
@@ -443,7 +411,8 @@ def kmeans(points, k, *, restarts=20, seed=0):
     coordinate sum keeps its bits, and the ones column counts each cluster
     exactly.  The seeding weights and the inertia sum squared differences
     coordinate by coordinate.  Non-finite points, which no comparison picks,
-    are rejected.
+    are rejected, and so are points whose 4 n max ||x||^2 overflows: a squared
+    distance is at most 4 max ||x||^2, and the seeding sums n of them.
     """
     import scipy.sparse as sp
 
@@ -452,8 +421,8 @@ def kmeans(points, k, *, restarts=20, seed=0):
     if k < 1 or k > n or restarts < 1:
         raise SpectralError(f"need 1 <= k <= {n} and restarts >= 1")
     xx = np.einsum("ij,ij->i", X, X)
-    if not np.isfinite(xx).all():
-        raise SpectralError("k-means points must be finite")
+    if not xx.max() <= np.finfo(float).max / (4 * n):  # NaN fails too
+        raise SpectralError("k-means points must be finite, and so must 4 n max ||x||^2")
     cols = np.ascontiguousarray(X.T)
     x1 = np.ones((n, dim + 1))
     x1[:, :dim] = X

@@ -46,10 +46,9 @@ def rng():
 
 @pytest.fixture
 def two_parts(monkeypatch):
-    """BP sweeps, k-means restarts and filter products in two parts, whatever the input's size and the CPUs at hand."""
+    """BP sweeps and k-means restarts in two parts, whatever the input's size and the CPUs at hand."""
     monkeypatch.setattr(bp, "_SPLIT_CUTOFF", 0)
     monkeypatch.setattr(spectral, "KMEANS_SPLIT_CUTOFF", 0)
-    monkeypatch.setattr(spectral, "FILTER_SPLIT_CUTOFF", 0)
     for module in (bp, spectral):
         monkeypatch.setattr(module, "_cpus", lambda: 2)
 

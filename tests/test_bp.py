@@ -587,6 +587,22 @@ class TestTwoParts:
         assert one.partition.labels.tobytes() == two.partition.labels.tobytes()
         assert (one.sweeps, one.converged) == (two.sweeps, two.converged)
 
+    def test_run_sweeps_through_module_bp_sweep(self, monkeypatch, parts=1):
+        # perfbench's tracer times each sweep by wrapping bp.bp_sweep
+        h, rates = self.instance(3)
+        sweep, calls = bp.bp_sweep, []
+
+        def counted(state):
+            calls.append(len(bp._parts(state)))
+            return sweep(state)
+
+        monkeypatch.setattr(bp, "bp_sweep", counted)
+        result = bp_run(h, 3, rates, BpConfig(seed=4, max_sweeps=60))
+        assert result.sweeps > 1 and calls == [parts] * result.sweeps
+
+    def test_run_sweeps_through_module_bp_sweep_two_parts(self, monkeypatch, two_parts):
+        self.test_run_sweeps_through_module_bp_sweep(monkeypatch, parts=2)
+
     def test_no_thread_outlives_run(self, two_parts):
         h, rates = self.instance(3)
         before = threading.active_count()
@@ -615,9 +631,9 @@ class TestTwoParts:
         state = bp_init(h, 3, rates)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError):
-            with bp._worker(state) as each:
+            with bp._each_part(bp._parts(state)) as each:
                 each(lambda part: 1 / (state.num_messages - part.rows.stop))  # raises in the last part only
-        assert threading.active_count() == before and state.worker is None
+        assert threading.active_count() == before
 
     def test_concurrent_runs_keep_their_bytes(self, monkeypatch):
         # two runs at once on two parts each, four threads in all,
@@ -652,6 +668,6 @@ class TestTwoParts:
         monkeypatch.setattr(bp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert len(bp._parts(state)) == 1
         before = threading.active_count()
-        with bp._worker(state) as each:
+        with bp._each_part(bp._parts(state)) as each:
             assert each(lambda part: part.rows) == [slice(0, state.num_messages)]
             assert threading.active_count() == before

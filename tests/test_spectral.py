@@ -1,4 +1,3 @@
-import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -548,8 +547,8 @@ class TestSignResolvedCount:
     def test_filter_exceeds_one_exactly_below_threshold(self):
         _, B = bench_model(700)
         lam, vecs = np.linalg.eigh(B.matrix.toarray())
-        with spectral._chebyshev_filter(B) as P:
-            mu = np.einsum("ij,ij->j", vecs, P @ vecs)
+        P = spectral._chebyshev_filter(B)
+        mu = np.einsum("ij,ij->j", vecs, P @ vecs)
         S = (2.0 * lam - (B.norm + B.threshold)) / (B.norm - B.threshold)
         np.testing.assert_allclose(mu, 2.0 * S**2 - 1.0, rtol=0, atol=1e-12)
         assert np.array_equal(mu > 1.0, lam < B.threshold)
@@ -576,8 +575,8 @@ class TestSignResolvedCount:
         result = spectral_cluster(h)
         assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
         mu, v = seen[0]
-        with spectral._chebyshev_filter(B) as P:
-            resolved, theta = self.filtered_solve_checks(B, P, mu, v)
+        P = spectral._chebyshev_filter(B)
+        resolved, theta = self.filtered_solve_checks(B, P, mu, v)
         assert not resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
         assert_same_result(result, reference)
 
@@ -589,11 +588,11 @@ class TestSignResolvedCount:
         pivot = 0.5 * (reference.eigenvalues[0] + reference.eigenvalues[1])
         seen = []
         calls = record_solves(monkeypatch, lambda mu, v: seen.append((mu.copy(), v.copy())))
-        with spectral._chebyshev_filter(dataclasses.replace(B, threshold=pivot)) as P:
-            monkeypatch.setattr(spectral, "_chebyshev_filter", lambda B: contextlib.nullcontext(P))
-            result = spectral_cluster(h)
-            mu, v = seen[0]
-            resolved, theta = self.filtered_solve_checks(B, P, mu, v)
+        P = spectral._chebyshev_filter(dataclasses.replace(B, threshold=pivot))
+        monkeypatch.setattr(spectral, "_chebyshev_filter", lambda B: P)
+        result = spectral_cluster(h)
+        mu, v = seen[0]
+        resolved, theta = self.filtered_solve_checks(B, P, mu, v)
         assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
         assert resolved.all()
         assert (theta < B.threshold).sum() == 3 and (mu > 1.0).sum() == 1
@@ -701,11 +700,13 @@ MISSED_COUNTS = [
     (9, (3,), 6.58189372096948, 1031, 0.023732177300310756, 874268231),
     (4, (3,), 7.175204189769515, 1335, 0.13018510708326664, 761949237),
     (8, (2,), 13.728577693220492, 1849, 0.231652958164681, 968759222),
+    (8, (2,), 7.567017162006513, 1375, 0.19705722373931428, 287164066),
+    (6, (2, 4), 12.782154275175213, 762, 0.1765470690475727, 212689209),
 ]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
-@pytest.mark.parametrize("q, orders, d, n, eps, seed", MISSED_COUNTS, ids=["q9", "q4", "q8"])
+@pytest.mark.parametrize("q, orders, d, n, eps, seed", MISSED_COUNTS, ids=["q9", "q4", "q8", "q8b", "q6"])
 def test_filtered_count_equals_dense_count(q, orders, d, n, eps, seed):
     h, _ = sample_symmetric(SymmetricHsbmSpec(n=n, q=q, orders=orders, d=d, eps=eps, seed=seed))
     B = bethe_hessian(h, bulk_radius(h))
@@ -741,13 +742,13 @@ class TestBlasThreads:
         assert len(one["w"]) == 3
 
     def test_two_parts_identical_across_thread_counts(self, tmp_path):
-        # the same run with k-means and the filter's products forced into two parts
+        # the same run with k-means forced into two parts
         child = textwrap.dedent(
             """
             import sys
             import numpy as np
             from hyperbethe import SymmetricHsbmSpec, sample_symmetric, spectral, spectral_cluster
-            spectral.KMEANS_SPLIT_CUTOFF = spectral.FILTER_SPLIT_CUTOFF = 0
+            spectral.KMEANS_SPLIT_CUTOFF = 0
             spectral._cpus = lambda: 2
             spec = SymmetricHsbmSpec(n=3000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0)
             r = spectral_cluster(sample_symmetric(spec)[0])
@@ -870,6 +871,12 @@ class TestKmeans:
         with pytest.raises(ValueError, match="finite"):
             kmeans(X, 2)
 
+    def test_overflowing_distance_sum_raises(self):
+        # each |x|^2 is finite, but the seeding's sum of squared distances is not
+        X = [[1.3e154, 0.0], [-1.3e154, 0.0], [0.0, 1.3e154], [0.0, -1.3e154]]
+        with pytest.raises(SpectralError, match="finite"):
+            kmeans(X, 2)
+
     @pytest.mark.parametrize("k, restarts", [(0, 20), (21, 20), (2, 0)])
     def test_k_and_restarts_out_of_range_raise(self, k, restarts):
         with pytest.raises(ValueError, match="need 1 <= k <= 20 and restarts >= 1"):
@@ -971,7 +978,7 @@ class TestTwoParts:
         h, _ = bench_model(3000)
         before = threading.active_count()
         assert TestPinnedLanczosBytes.digest(spectral_cluster(h)) == TestPinnedLanczosBytes.AUTO_Q
-        assert [len(parts) for parts in opened] == [2, 2]  # the count's filter, then k-means
+        assert [len(parts) for parts in opened] == [2]  # k-means
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("restarts", [1, 2, 3, 7])
@@ -1023,7 +1030,7 @@ class TestTwoParts:
         with pytest.raises(EigenConvergenceError):
             spectral._negative_eigenpairs(B)
         assert calls == [TestSignResolvedCount.LOOSE, TestSignResolvedCount.TIGHT]
-        assert [len(parts) for parts in opened] == [2]
+        assert [len(parts) for parts in opened] == []  # the count runs in the calling thread
         assert threading.active_count() == before
 
     def test_concurrent_clusterings_keep_their_bytes(self, two_parts):
@@ -1050,13 +1057,12 @@ class TestTwoParts:
 
     def test_one_cpu_keeps_one_part(self, monkeypatch):
         monkeypatch.setattr(spectral, "KMEANS_SPLIT_CUTOFF", 0)
-        monkeypatch.setattr(spectral, "FILTER_SPLIT_CUTOFF", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         opened = record_parts(monkeypatch)
         h, _ = bench_model(3000)
         before = threading.active_count()
         assert TestPinnedLanczosBytes.digest(spectral_cluster(h)) == TestPinnedLanczosBytes.AUTO_Q
-        assert [len(parts) for parts in opened] == [1, 1]
+        assert [len(parts) for parts in opened] == [1]
         assert threading.active_count() == before
 
 
