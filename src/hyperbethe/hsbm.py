@@ -46,16 +46,6 @@ def block_sizes(n, q):
     return [base + (1 if b < n % q else 0) for b in range(q)]
 
 
-def block_ranges(n, q):
-    """Contiguous [lo, hi) node-index ranges of the q blocks."""
-    bounds = np.cumsum([0] + block_sizes(n, q)).tolist()
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def planted_partition(n, q) -> Partition:
-    return Partition(np.repeat(np.arange(q), block_sizes(n, q)), q)
-
-
 def check_q(q):
     if q < 2:
         raise HsbmError(f"q = {q} must be >= 2")
@@ -204,12 +194,12 @@ def _sample_cells(n, q, cells, seed):
 
     Each cell gets an independent RNG stream derived from
     (seed, order, cell_index), so cells could run in parallel and still merge
-    deterministically in cell order.  Returns the hypergraph of all cells'
-    hyperedges in cell order.
+    deterministically in cell order.  Each nonempty cell is one block, its
+    rows numbered after the earlier cells', so hyperedge ids run in cell order.
     """
-    ranges = block_ranges(n, q)
     sizes = block_sizes(n, q)
-    blocks, drawn = [np.zeros(0, dtype=np.int64)], []  # drawn: (order, m_cell) of each nonempty cell
+    starts = np.cumsum([0] + sizes).tolist()  # block b holds nodes [starts[b], starts[b + 1])
+    blocks, m = [], 0
     for cell_id, (order, counts, rate) in enumerate(cells):
         rng = np.random.default_rng([seed, order, cell_id])
         try:
@@ -221,14 +211,13 @@ def _sample_cells(n, q, cells, seed):
         if m_cell == 0:
             continue
         try:
-            cols = [_distinct_rows(rng, *ranges[community], c, m_cell) for community, c in counts]
+            cols = [_distinct_rows(rng, starts[b], starts[b + 1], c, m_cell) for b, c in counts]
         except MemoryError:
             raise HsbmError(f"cell {cell_id} (order {order}, composition {dict(counts)}): its {m_cell} drawn "
                             "hyperedges do not fit in memory") from None
-        blocks.append(np.concatenate(cols, axis=1).ravel())
-        drawn.append((order, m_cell))
-    drawn = np.array(drawn, dtype=np.int64).reshape(-1, 2)
-    return Hypergraph(n, np.concatenate(blocks), np.repeat(drawn[:, 0], drawn[:, 1]))
+        blocks.append((np.arange(m, m + m_cell), np.concatenate(cols, axis=1)))
+        m += m_cell
+    return Hypergraph(n, blocks=blocks)
 
 
 def _cell_mean(n, sizes, order, counts, rate):
@@ -260,7 +249,8 @@ def _cells(spec):
 
 def sample_symmetric(spec: SymmetricHsbmSpec | PlantedPatternSpec):
     """Draw (hypergraph, planted partition) from a symmetric HSBM or a pattern-planted model."""
-    return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), planted_partition(spec.n, spec.q)
+    labels = np.repeat(np.arange(spec.q), block_sizes(spec.n, spec.q))
+    return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), Partition(labels, spec.q)
 
 
 def expected_order_counts(spec):

@@ -1,9 +1,9 @@
 """Hypergraph data model: incidence structure, degrees, per-order projections, file I/O.
 
 Hyperedges are stored as one (m_k, k) int64 array of sorted, distinct node
-indices per order k, next to the ids that keep their input order.  Duplicate
-hyperedges are allowed and everything downstream treats them as multiplicity
-counts (the generators are Poisson and may legitimately emit repeats).
+indices per order k, next to the ids that keep their input order; only
+Hypergraph.__init__ builds them.  Duplicate hyperedges are allowed and count
+as multiplicity everywhere downstream (Poisson generators may repeat one).
 Hyperedges must have at least 2 distinct nodes; order-1 edges are rejected
 because the spectral operators are undefined for them.
 """
@@ -58,34 +58,52 @@ class DegreeStats:
 class Hypergraph:
     """Immutable incidence structure: per order k, a read-only (m_k, k) int64
     array of sorted distinct node rows, and edges_by_order[k], their ids in
-    input order.  hyperedges is an iterable of node sequences; or, with
-    lengths, all hyperedges' nodes concatenated, lengths[e] for hyperedge e.
+    input order.  Takes node sequences, or blocks of (ids, rows): int64 ids,
+    0..m-1 once over all blocks, and (m_b, k) int64 rows, taken over: sorted in
+    place, an order's one block kept read-only.  Repeated nodes are dropped.
     """
 
-    def __init__(self, n, hyperedges, lengths=None):
+    def __init__(self, n, hyperedges=None, blocks=None):
         n = int(n)
         if n < 0:
             raise HypergraphError("node count must be nonnegative")
-        if lengths is None:
-            hyperedges = [tuple(e) for e in hyperedges]
-            hyperedges, lengths = list(itertools.chain.from_iterable(hyperedges)), list(map(len, hyperedges))
-        raw, lengths = np.asarray(hyperedges, dtype=np.int64).ravel(), np.asarray(lengths, dtype=np.int64)
-        if lengths.sum() != raw.size or (lengths < 0).any():
-            raise HypergraphError(f"lengths do not split {raw.size} nodes into hyperedges")
-        nodes, sizes = _sorted_distinct(raw, lengths)
-        bad = sizes < 2
-        bad[np.repeat(np.arange(sizes.size), sizes)[(nodes < 0) | (nodes >= n)]] = True
-        if bad.any():
-            e = int(np.argmax(bad))
-            edge = raw[lengths[:e].sum():][:lengths[e]].tolist()
+        if (hyperedges is None) == (blocks is None):
+            raise HypergraphError("give hyperedges or blocks, one of the two")
+        if blocks is None:
+            blocks = ((np.array([e]), np.array([tuple(edge)], dtype=np.int64)) for e, edge in enumerate(hyperedges))
+        widths, parts, bad = {}, {}, []  # widths: k -> the blocks k nodes wide; bad: (id, nodes) of bad rows
+        for ids, rows in blocks:
+            ids, rows = np.asarray(ids), np.asarray(rows)
+            if rows.ndim != 2 or ids.shape != rows.shape[:1] or not ids.dtype == rows.dtype == np.int64:
+                raise HypergraphError("a block needs a 2-D int64 rows array and one int64 id per row")
+            rows.sort(axis=1)
+            widths.setdefault(rows.shape[1], []).append((ids, rows))
+        ids = np.concatenate([np.zeros(0, dtype=np.int64), *(ids for part in widths.values() for ids, _ in part)])
+        if ids.size and ids.min() < 0 or (np.bincount(ids, minlength=ids.size) != 1).any():
+            raise HypergraphError("block ids do not number the hyperedges 0..m-1 once each")
+        self.n, self.m = n, int(ids.size)
+        while widths:  # widest first, so a row that loses nodes joins a width still to come
+            k = max(widths)
+            ids, rows = widths.pop(k)[0] if len(widths[k]) == 1 else map(np.concatenate, zip(*widths.pop(k)))
+            if (ids[1:] < ids[:-1]).any():
+                order = np.argsort(ids, kind="stable")
+                ids, rows = ids[order], rows[order]
+            step = np.ones(rows.shape, dtype=bool)  # step[e, j]: row e's node j is not its node j - 1
+            step[:, 1:] = rows[:, 1:] != rows[:, :-1]
+            size = step.sum(axis=1)  # distinct nodes per row
+            e = np.flatnonzero((size < 2) | (rows[:, :1] < 0).any(axis=1) | (rows[:, -1:] >= n).any(axis=1))[:1]
+            bad += [(ids[i], rows[i].tolist()) for i in e]  # ids ascend, so this is the lowest bad id of width k
+            for j in np.unique(size[size < k]).tolist():  # the rows that repeat a node join width j
+                e = np.flatnonzero(size == j)
+                widths.setdefault(j, []).append((ids[e], rows[e][step[e]].reshape(-1, j)))
+            parts[k] = (ids[size == k], rows[size == k]) if (size < k).any() else (ids, rows)
+        if bad:  # the lowest id; of equal ids the widest, as the row was given
+            edge = min(bad, key=lambda b: b[0])[1]
             if len(set(edge)) < 2:
                 raise HypergraphError(f"hyperedge {tuple(edge)} has fewer than 2 distinct nodes")
             raise HypergraphError(f"hyperedge {tuple(sorted(set(edge)))} has node index outside [0, {n})")
-        self.n, self.m = n, int(sizes.size)
-        self.orders = tuple(np.flatnonzero(np.bincount(sizes)).tolist())
-        starts = np.cumsum(sizes) - sizes
-        self.edges_by_order = {k: np.flatnonzero(sizes == k) for k in self.orders}
-        self._rows = {k: nodes[starts[e, None] + np.arange(k)] for k, e in self.edges_by_order.items()}
+        self.orders = tuple(k for k in sorted(parts) if parts[k][0].size)
+        self.edges_by_order, self._rows = ({k: parts[k][i] for k in self.orders} for i in (0, 1))
         for arr in [*self.edges_by_order.values(), *self._rows.values()]:
             arr.flags.writeable = False
 
@@ -152,18 +170,6 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m}, orders={list(self.orders)})"
 
 
-def _sorted_distinct(nodes, lengths):
-    """Each hyperedge's nodes sorted, repeats dropped: (nodes, sizes), laid out as (nodes, lengths)."""
-    starts, out = np.cumsum(lengths) - lengths, nodes.copy()
-    for k in np.flatnonzero(np.bincount(lengths, minlength=2)[2:]) + 2:
-        pos = starts[lengths == k, None] + np.arange(k)
-        out[pos] = np.sort(nodes[pos], axis=1)
-    edge = np.repeat(np.arange(lengths.size), lengths)
-    keep = np.ones(out.size, dtype=bool)
-    keep[1:] = (out[1:] != out[:-1]) | (edge[1:] != edge[:-1])
-    return out[keep], np.bincount(edge[keep], minlength=lengths.size)
-
-
 def load_hyperedge_list(path):
     """Read a hyperedge-list text file.
 
@@ -221,7 +227,10 @@ def load_hyperedge_list(path):
     node[seen] = np.arange(seen.size)
     ids = node[ids]
     del node
-    return Hypergraph(seen.size, ids, lengths[kept]), names
+    lengths = lengths[kept]
+    starts = np.cumsum(lengths) - lengths
+    lines = {k: np.flatnonzero(lengths == k) for k in np.flatnonzero(np.bincount(lengths)).tolist()}  # by token count
+    return Hypergraph(seen.size, blocks=[(e, ids[starts[e, None] + np.arange(k)]) for k, e in lines.items()]), names
 
 
 def _token_ids(data, start, size):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -243,6 +244,26 @@ class TestOneSampler:
             assert {k: v.tolist() for k, v in h.edges_by_order.items()} == {
                 k: v.tolist() for k, v in draws[0][0].edges_by_order.items()}
             assert np.array_equal(planted.labels, draws[0][1].labels) and planted.q == 3
+
+
+class TestPinnedEdgeIds:
+    # sha256 of every edges_by_order[k] and edge_array(k), orders ascending: the hyperedge ids run in
+    # cell order, interleaving orders when the patterns do, and BP's start reads this id order
+    SPECS = {
+        "patterns 3, 2, 3": (PlantedPatternSpec(600, 3, (
+            PlantedPattern(3, {0: 2, 1: 1}, 40.0), PlantedPattern(2, {1: 1, 2: 1}, 20.0),
+            PlantedPattern(3, {0: 1, 1: 1, 2: 1}, 30.0)), seed=3),
+            "6f35d75ca969011b28174d65cd6b1d8ad1a329390ccf4e1e1e445ebc3dedc0d1"),
+        "symmetric": (SymmetricHsbmSpec(n=600, q=3, orders=(2, 3, 4), d=9.0, eps=0.3, seed=5),
+                      "6c5353b960dada9dae50489b3bbb8cfe03e6f6280fa3ca3020f2846dd275ecd0"),
+    }
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_digest(self, name):
+        spec, digest = self.SPECS[name]
+        h, _ = sample_symmetric(spec)
+        arrays = [a for k in h.orders for a in (h.edges_by_order[k], h.edge_array(k))]
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
 
 
 class TestPlantedSampler:

@@ -153,12 +153,50 @@ class TestConstruction:
         with pytest.raises(HypergraphError):
             h.edge_array(4)
 
-    def test_concatenated_input(self):
-        edges = [(2, 1, 0), (4, 3), (3, 3, 1)]
-        h = Hypergraph(5, [2, 1, 0, 4, 3, 3, 3, 1], lengths=[3, 2, 3])
+    def test_blocks_input(self):
+        edges = [(2, 1, 0), (4, 3), (3, 3, 1), (0, 4, 2), (1, 0), (4, 1, 3)]
+        # two order-3 blocks with interleaved ids; (3, 3, 1) repeats a node and drops to order 2
+        blocks = [(np.array([5, 2]), np.array([[4, 1, 3], [3, 3, 1]])),
+                  (np.array([1, 4]), np.array([[4, 3], [1, 0]])),
+                  (np.array([3, 0]), np.array([[0, 4, 2], [2, 1, 0]]))]
+        h = Hypergraph(5, blocks=blocks)
         assert edge_tuples(h) == edge_tuples(Hypergraph(5, edges))
-        with pytest.raises(HypergraphError, match="lengths"):
-            Hypergraph(5, [0, 1, 2], lengths=[2, 2])
+        assert {k: v.tolist() for k, v in h.edges_by_order.items()} == {2: [1, 2, 4], 3: [0, 3, 5]}
+        assert h.edge_array(2).tolist() == [[3, 4], [1, 3], [0, 1]]
+        assert h.edge_array(3).tolist() == [[0, 1, 2], [0, 2, 4], [1, 3, 4]]
+
+    def test_one_block_is_sorted_in_place_and_stored(self):
+        ids, rows = np.arange(3), np.array([[3, 0], [2, 1], [0, 3]])
+        h = Hypergraph(4, blocks=[(ids, rows)])
+        assert h.edge_array(2) is rows and h.edges_by_order[2] is ids
+        assert rows.tolist() == [[0, 3], [1, 2], [0, 3]] and not rows.flags.writeable
+
+    @pytest.mark.parametrize("blocks", [
+        [(np.array([0, 0]), np.array([[0, 1], [1, 2]]))],
+        [(np.array([0, 2]), np.array([[0, 1], [1, 2]]))],
+        [(np.array([-1, 0]), np.array([[0, 1], [1, 2]]))],
+        [(np.array([0]), np.array([[0, 1]])), (np.array([0]), np.array([[1, 2, 3]]))],
+        [(np.array([0]), np.array([[0, 1]])), (np.array([0]), np.array([[1, 1, 3]]))],  # both in order 2
+    ])
+    def test_blocks_must_number_the_hyperedges_once(self, blocks):
+        with pytest.raises(HypergraphError, match=r"^block ids do not number the hyperedges 0\.\.m-1 once each$"):
+            Hypergraph(4, blocks=blocks)
+
+    @pytest.mark.parametrize("ids, rows", [
+        ([0, 1], [0, 1]),
+        ([0], np.zeros((1, 2, 1), dtype=np.int64)),
+        ([0], [[0.0, 1.0]]),
+        ([0.0], [[0, 1]]),
+        ([0, 1], [[0, 1]]),
+    ])
+    def test_blocks_need_2d_integer_rows(self, ids, rows):
+        with pytest.raises(HypergraphError, match=r"^a block needs a 2-D int64 rows array and one int64 id per row$"):
+            Hypergraph(4, blocks=[(ids, rows)])
+
+    def test_hyperedges_or_blocks(self):
+        for args, kwargs in (((), {}), (([(0, 1)],), {"blocks": []})):
+            with pytest.raises(HypergraphError, match="hyperedges or blocks"):
+                Hypergraph(3, *args, **kwargs)
 
     def test_empty(self):
         h = Hypergraph(3, [])
@@ -170,16 +208,29 @@ class TestConstruction:
     @given(
         st.integers(1, 8),
         st.lists(st.lists(st.integers(-1, 8), max_size=6), max_size=12),
+        st.randoms(use_true_random=False),
     )
-    def test_matches_per_edge_reference(self, n, hyperedges):
+    def test_matches_per_edge_reference(self, n, hyperedges, random):
+        # the same hyperedges as blocks, one per raw length, in a shuffled block order
+        lengths = sorted({len(e) for e in hyperedges})
+        random.shuffle(lengths)
+        ids = {k: [i for i, e in enumerate(hyperedges) if len(e) == k] for k in lengths}
+        blocks = [(ids[k], np.array([hyperedges[i] for i in ids[k]], dtype=np.int64).reshape(len(ids[k]), k))
+                  for k in lengths]
         try:
             edges = reference_edges(n, hyperedges)
         except HypergraphError as exc:
-            with pytest.raises(HypergraphError) as got:
-                Hypergraph(n, hyperedges)
-            assert str(got.value) == str(exc)
+            for kwargs in ({"hyperedges": hyperedges}, {"blocks": blocks}):
+                with pytest.raises(HypergraphError) as got:
+                    Hypergraph(n, **kwargs)
+                assert str(got.value) == str(exc)
             return
         h = Hypergraph(n, hyperedges)
+        from_blocks = Hypergraph(n, blocks=blocks)
+        assert (from_blocks.m, from_blocks.orders) == (h.m, h.orders)
+        for k in h.orders:
+            assert np.array_equal(from_blocks.edges_by_order[k], h.edges_by_order[k])
+            assert np.array_equal(from_blocks.edge_array(k), h.edge_array(k))
         assert h.m == len(edges)
         assert edge_tuples(h) == tuple(edges)
         assert h.orders == tuple(sorted({len(e) for e in edges}))

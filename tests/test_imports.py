@@ -19,6 +19,7 @@ import pytest
 
 import hyperbethe
 from hyperbethe import (
+    Hypergraph,
     SymmetricHsbmSpec,
     ami,
     bethe_hessian,
@@ -157,6 +158,25 @@ def test_bench_span_readers_read_results():
     assert info["bp.init"] == {"incidences": incidences}
     assert info["bp.run"] == {"sweeps": run.sweeps, "converged": run.converged}
     assert run.sweeps >= 1 and isinstance(run.converged, bool)
+
+
+def test_sampler_and_loader_build_once(tmp_path, monkeypatch):
+    """The sampler and the loader each build their hypergraph in one Hypergraph.__init__ call, the span
+    perfbench times as hypergraph.build and reads m and the incidence count off."""
+    spec = SymmetricHsbmSpec(n=300, q=2, orders=(2, 3), d=8.0, eps=0.1, seed=0)
+    path = tmp_path / "edges.txt"
+    save_hyperedge_list(sample_symmetric(spec)[0], path)
+    built, init = [], Hypergraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Hypergraph, "__init__", counted)
+    for build in (lambda: sample_symmetric(spec), lambda: load_hyperedge_list(path)):
+        built.clear()
+        h = build()[0]
+        assert built == [h] and h.m > 0
 
 
 if __name__ == "__main__":
