@@ -36,6 +36,7 @@ from hyperbethe.hsbm import shape_experiment_spec
 from hyperbethe.spectral import BlasThreadError, EigenConvergenceError
 
 from conftest import edge_tuples, labels_match_up_to_permutation, random_hypergraph
+from differential import check as differential_check, near_threshold_specs
 
 
 def dense_operator(h, eta):
@@ -143,6 +144,13 @@ def unresolve_top_value(mu, v):
     """Move the largest filtered Ritz value to within its residual of 1, still above 1."""
     top = np.argmax(mu)
     mu[top] = 1.0 + 1e-3 * (mu[top] - 1.0)
+
+
+def perturb_top(mu, v):
+    """Move the vector of the largest filtered Ritz value, the lowest theta, out of the guard."""
+    i = np.argmax(mu)
+    x = v[:, i] + 1e-5 * np.random.default_rng(0).standard_normal(v.shape[0])
+    v[:, i] = x / np.linalg.norm(x)
 
 
 def with_isolated(h, extra):
@@ -497,52 +505,64 @@ class TestSignResolvedCount:
         assert count_negative_eigenvalues(B) == 3
         assert solve_kinds(calls) == [self.LOOSE]
 
-    @staticmethod
-    def unconverge_first_pair(B, out, loose):
-        """A batch's first vector moved out of the guard at EIG_TOL, its sign still resolved."""
-        w, v, res, resolved = out
-        x = v[:, 0] + 1e-5 * np.random.default_rng(0).standard_normal(B.n)
-        v[:, 0] = x / np.linalg.norm(x)
-        res[0] = np.linalg.norm(B.matrix @ v[:, 0] - w[0] * v[:, 0])
-        loose.append(v.copy())
-        return w, v, res, resolved
-
-    def test_guard_failure_refines_from_loose_vectors(self, monkeypatch):
+    def test_guard_failure_is_solved_again_tight(self, monkeypatch):
+        # the loose batch's lowest pair is moved out of the guard, its sign still
+        # resolved: the batch is solved again at EIG_TOL from the seeded start
         _, B = bench_model(800)
         ref_w, ref_v = lowest_eigenpairs(B, 3)
-        loose = []
-        batch = spectral._filtered_batch
+        seen = []
 
-        def first_unconverged(*args):
-            out = batch(*args)
-            return out if loose else self.unconverge_first_pair(B, out, loose)
+        def first_batch_only(mu, v):
+            if not seen:
+                perturb_top(mu, v)
+                seen.append((mu.copy(), v.copy()))
 
-        monkeypatch.setattr(spectral, "_filtered_batch", first_unconverged)
-        calls = record_solves(monkeypatch)
+        calls = record_solves(monkeypatch, first_batch_only)
         w, v = spectral._negative_eigenpairs(B)
-        assert solve_kinds(calls) == [self.LOOSE, ("LA", 3, spectral.EIG_TOL)]
-        assert np.array_equal(calls[-1][3], loose[0][:, :3].sum(axis=1))
+        assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
+        start = np.random.default_rng(0).standard_normal(B.n)
+        assert all(np.array_equal(v0, start) for *_, v0 in calls)
+        mu, loose = seen[0]
+        resolved, theta = self.filtered_solve_checks(B, spectral._chebyshev_filter(B), mu, loose)
+        # only the guard rejects the loose batch
+        assert resolved.all() and np.array_equal(theta < B.threshold, mu > 1.0)
+        assert np.abs(mu - 1.0).min() >= spectral.COUNT_MARGIN
         res = np.linalg.norm(B.matrix @ v - v * w, axis=0)
         assert res.max() <= guard_bound(B)
         assert np.allclose(w, ref_w, atol=1e-8)
         assert np.allclose(v, ref_v, atol=1e-6)
 
     def test_guard_rejects_perturbed_embedding_pair(self, monkeypatch):
-        # the filtered batch is accepted; the guard sends it to a refinement,
-        # perturbed too, which fails the guard
+        # the loose batch fails the guard and is solved again at EIG_TOL,
+        # perturbed too, so the returned pairs fail the guard
         h, B = bench_model(800)
-
-        def perturb_top(mu, v):
-            # the lowest theta: the largest mu
-            i = np.argmax(mu)
-            x = v[:, i] + 1e-5 * np.random.default_rng(0).standard_normal(v.shape[0])
-            v[:, i] = x / np.linalg.norm(x)
-
         calls = record_solves(monkeypatch, perturb_top)
         with pytest.raises(EigenConvergenceError) as info:
             spectral_cluster(h)
         assert info.value.residuals.max() > guard_bound(B)
-        assert solve_kinds(calls) == [self.LOOSE, ("LA", 3, spectral.EIG_TOL)]
+        assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
+
+    def test_thin_margin_is_solved_again_tight(self, monkeypatch):
+        # a generated near-threshold instance whose loose batch passes every
+        # check but the margin: min |mu - 1| = 0.013 < COUNT_MARGIN
+        h, _ = sample_symmetric(
+            SymmetricHsbmSpec(n=747, q=4, orders=(2, 4), d=6.87643615509848, eps=0.19033766194081095, seed=416216477)
+        )
+        B = bethe_hessian(h, bulk_radius(h))
+        seen = []
+        calls = record_solves(monkeypatch, lambda mu, v: seen.append((mu.copy(), v.copy())))
+        w, v = spectral._negative_eigenpairs(B)
+        assert solve_kinds(calls) == [self.LOOSE, self.TIGHT]
+        mu, loose = seen[0]
+        resolved, theta = self.filtered_solve_checks(B, spectral._chebyshev_filter(B), mu, loose)
+        below = theta < B.threshold
+        assert resolved.all() and np.array_equal(below, mu > 1.0) and 0 < below.sum() < 4
+        res = np.linalg.norm(B.matrix @ loose[:, below] - loose[:, below] * theta[below], axis=0)
+        assert res.max() <= guard_bound(B)
+        assert np.abs(mu - 1.0).min() < spectral.COUNT_MARGIN
+        lam = np.linalg.eigvalsh(B.matrix.toarray())
+        assert len(w) == int((lam < B.threshold).sum())
+        assert np.allclose(w, lam[: len(w)], atol=1e-8)
 
     def test_filter_exceeds_one_exactly_below_threshold(self):
         _, B = bench_model(700)
@@ -705,14 +725,24 @@ MISSED_COUNTS = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
 @pytest.mark.parametrize("q, orders, d, n, eps, seed", MISSED_COUNTS, ids=["q9", "q4", "q8", "q8b", "q6"])
-def test_filtered_count_equals_dense_count(q, orders, d, n, eps, seed):
+def test_filtered_count_equals_dense_count(monkeypatch, q, orders, d, n, eps, seed):
     h, _ = sample_symmetric(SymmetricHsbmSpec(n=n, q=q, orders=orders, d=d, eps=eps, seed=seed))
     B = bethe_hessian(h, bulk_radius(h))
     assert B.n > spectral.DENSE_CUTOFF  # the filtered Lanczos path
+    calls = record_solves(monkeypatch)
     w, _ = spectral._negative_eigenpairs(B)
     assert len(w) == int((np.linalg.eigvalsh(B.matrix.toarray()) < B.threshold).sum())
+    if q == 9:  # the loose k = 8 batch misses one and is solved again at EIG_TOL
+        loose, tight = spectral.COUNT_TOL, spectral.EIG_TOL
+        assert solve_kinds(calls) == [("LA", 4, loose), ("LA", 8, loose), ("LA", 8, tight)]
+
+
+@pytest.mark.parametrize("spec", near_threshold_specs(16, seed=0), ids=lambda s: f"q{s.q}-n{s.n}-{s.seed}")
+def test_generated_near_threshold_counts_match_dense(spec):
+    # the generator of tests/differential.py, whose script runs a longer sample
+    faults, _ = differential_check(spec)
+    assert faults == []
 
 
 class TestBlasThreads:
