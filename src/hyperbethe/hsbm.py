@@ -15,8 +15,8 @@ the sparse-regime equivalent of independent Bernoulli draws over all
 C(n, order) tuples and avoids their O(n^max_order) cost.  One sampler,
 sample_symmetric, takes either spec kind.
 
-The parameter rules (q, the order set, the rate pair, the (d, eps) pair,
-the degree scale) are written here once: check_q, model_orders,
+The parameter rules (n, q, the order set, the rate and (d, eps) pairs, the
+degree scale) are written here once: check_n, check_q, model_orders,
 check_rates, rates_from_mean_degree, model_rates and degree_scale.  The
 detectability calculators, BP and the CLI call them instead of checking on
 their own.  read_json is the one reader of every JSON config.
@@ -49,6 +49,11 @@ def block_sizes(n, q):
 def check_q(q):
     if q < 2:
         raise HsbmError(f"q = {q} must be >= 2")
+
+
+def check_n(n):
+    if n < 0:
+        raise HsbmError(f"n = {n} must be >= 0")
 
 
 def model_orders(q, orders):
@@ -128,6 +133,7 @@ class SymmetricHsbmSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_n(self.n)
         object.__setattr__(self, "orders", model_orders(self.q, self.orders))
         if self.orders[-1] > self.n // self.q:
             raise HsbmError(f"order {self.orders[-1]} exceeds block size {self.n // self.q}")
@@ -167,6 +173,7 @@ class PlantedPatternSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_n(self.n)
         check_q(self.q)
         for p in self.patterns:
             if any(c < 0 or c >= self.q for c, _ in p.composition):
@@ -190,16 +197,16 @@ def _distinct_rows(rng, lo, hi, c, m):
 
 
 def _sample_cells(n, q, cells, seed):
-    """Sample all (order, composition, rate) cells.
+    """Yield each nonempty (order, composition, rate) cell as one (ids, rows) block of Hypergraph.
 
-    Each cell gets an independent RNG stream derived from
-    (seed, order, cell_index), so cells could run in parallel and still merge
-    deterministically in cell order.  Each nonempty cell is one block, its
-    rows numbered after the earlier cells', so hyperedge ids run in cell order.
+    Each cell draws from its own RNG stream, seeded by (seed, order,
+    cell_index), and its rows are numbered after the earlier cells', so
+    hyperedge ids run in cell order.  The blocks live only in the
+    constructor, which frees each order's once it has joined them.
     """
     sizes = block_sizes(n, q)
     starts = np.cumsum([0] + sizes).tolist()  # block b holds nodes [starts[b], starts[b + 1])
-    blocks, m = [], 0
+    m = 0
     for cell_id, (order, counts, rate) in enumerate(cells):
         rng = np.random.default_rng([seed, order, cell_id])
         try:
@@ -215,9 +222,8 @@ def _sample_cells(n, q, cells, seed):
         except MemoryError:
             raise HsbmError(f"cell {cell_id} (order {order}, composition {dict(counts)}): its {m_cell} drawn "
                             "hyperedges do not fit in memory") from None
-        blocks.append((np.arange(m, m + m_cell), np.concatenate(cols, axis=1)))
+        yield np.arange(m, m + m_cell), np.concatenate(cols, axis=1)
         m += m_cell
-    return Hypergraph(n, blocks=blocks)
 
 
 def _cell_mean(n, sizes, order, counts, rate):
@@ -250,7 +256,7 @@ def _cells(spec):
 def sample_symmetric(spec: SymmetricHsbmSpec | PlantedPatternSpec):
     """Draw (hypergraph, planted partition) from a symmetric HSBM or a pattern-planted model."""
     labels = np.repeat(np.arange(spec.q), block_sizes(spec.n, spec.q))
-    return _sample_cells(spec.n, spec.q, _cells(spec), spec.seed), Partition(labels, spec.q)
+    return Hypergraph(spec.n, blocks=_sample_cells(spec.n, spec.q, _cells(spec), spec.seed)), Partition(labels, spec.q)
 
 
 def expected_order_counts(spec):

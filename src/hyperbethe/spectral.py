@@ -46,9 +46,6 @@ FILTER_NCV = 18
 # ARPACK's stopping tolerance for the count's first solve of each batch, whose
 # Ritz values only have to be sign-resolved against 1 by their own residuals.
 COUNT_TOL = 1e-2
-# A final COUNT_TOL batch (some Ritz value of p(B) at or below 1) must keep
-# every Ritz value this far from 1; the known misses sat at 0.005-0.017.
-COUNT_MARGIN = 0.02
 # ARPACK's stopping tolerance for the pairs that feed the embedding, for a
 # batch solved again, and the residual guard's.
 EIG_TOL = 1e-8
@@ -321,11 +318,11 @@ def _negative_eigenpairs(B: BetheHessian, *, seed=0):
         k = FIRST_BATCH
         while k < B.n - 1:
             try:
-                w, v, res, accepted = _filtered_batch(B, P, k, COUNT_TOL, start)
+                w, v, res, accepted = _filtered_batch(B, P, k, start)
             except EigenConvergenceError:
                 accepted = False
             if not accepted:
-                w, v, res, _ = _filtered_batch(B, P, k, EIG_TOL, start)
+                _, w, v, res = _lanczos(B, P, k, "LA", start, EIG_TOL, FILTER_NCV)
             count = int(np.sum(w < thr))
             if count < k:
                 return _guarded(B, w[:count], v[:, :count], res[:count])
@@ -354,8 +351,8 @@ def _chebyshev_filter(B: BetheHessian):
     return spla.LinearOperator(S.shape, matvec=apply, matmat=apply, dtype=float)
 
 
-def _filtered_batch(B: BetheHessian, P, k, tol, v0):
-    """The k largest eigenpairs of P = p(B) by Lanczos at tol from v0, as pairs of B.
+def _filtered_batch(B: BetheHessian, P, k, v0):
+    """The k largest eigenpairs of P = p(B) by Lanczos at COUNT_TOL from v0, as pairs of B.
 
     Returns _lanczos' Rayleigh quotients, vectors and B residuals, and
     whether _negative_eigenpairs may take the batch.  Some eigenvalue lies
@@ -364,15 +361,12 @@ def _filtered_batch(B: BetheHessian, P, k, tol, v0):
     resolved, |mu_i - 1| > 2 ||r_i|| with r_i the P residual, and the thetas
     must fall below thr for exactly the i with mu_i > 1.  A final batch, with
     some mu_i <= 1, must also have its pairs below thr pass the residual
-    guard and every mu_i at least COUNT_MARGIN from 1.  The margin is a
-    heuristic, not a bound: it rejects the thin batches where every known
-    miss was accepted, but an eigenvalue that no Ritz value approximates can
-    still be missed.
+    guard.
     """
-    mu, theta, v, res = _lanczos(B, P, k, "LA", v0, tol, FILTER_NCV)
+    mu, theta, v, res = _lanczos(B, P, k, "LA", v0, COUNT_TOL, FILTER_NCV)
     resolved = np.abs(mu - 1.0) > 2.0 * np.linalg.norm(P @ v - v * mu, axis=0)
     below = theta < B.threshold
-    settled = below.all() or (np.abs(mu - 1.0).min() >= COUNT_MARGIN and np.all(res[below] <= EIG_TOL * B.norm))
+    settled = below.all() or np.all(res[below] <= EIG_TOL * B.norm)
     return theta, v, res, resolved.all() and np.array_equal(below, mu > 1.0) and settled
 
 

@@ -1,9 +1,10 @@
 """Generated near-threshold instances for the filtered negative-eigenvalue count, checked against dense solves.
 
 Each instance is a symmetric HSBM sampled near the Bethe Hessian threshold:
-eps = eps_bh x U(0.7, 1.3) (capped at 1), orders drawn from (2), (3), (2, 3),
-(2, 4) and (3, 4), d from U(3, 15), and q and n uniform over given ranges
-whose n lie above DENSE_CUTOFF, so the count takes the filtered Lanczos path.
+eps = eps_bh x U(0.7, 1.3) (capped at 1), an order set drawn from a given
+list, by default (2), (3), (2, 3), (2, 4) and (3, 4), d from U(3, 15), and q
+and n uniform over given ranges whose n lie above DENSE_CUTOFF, so the count
+takes the filtered Lanczos path.
 On the operator at the bulk radius, `check` compares
 
 - the count, len(_negative_eigenpairs(B)[0]), with the number of eigvalsh
@@ -11,10 +12,16 @@ On the operator at the bulk radius, `check` compares
 - every returned pair's residual with the guard's EIG_TOL * ||B||_inf;
 - lowest_eigenpairs(B, q) with the q lowest dense eigenvalues, within 1e-6.
 
-tests/test_spectral.py runs a few instances.  Run as a script for a longer
-sample, from the repository root:
+tests/test_spectral.py runs a few instances on the default ranges and a few
+single-order ones with q = 2-3.  Run as a script for a longer sample, from
+the repository root:
 
     PYTHONPATH=src python tests/differential.py --instances 1000
+
+and for the regime of criterion c01, small q at larger n, where most final
+loose batches have a Ritz value of p(B) within 0.02 of 1:
+
+    PYTHONPATH=src python tests/differential.py --seed 13 --q 2 3 --n 1500 3000 --instances 150
 
 It prints each instance that fails a check or raises, then the number of
 misses (a count that differs from the dense one), of other faults and of
@@ -42,23 +49,24 @@ from hyperbethe.detectability import DetectabilityError
 ORDERS = ((2,), (3,), (2, 3), (2, 4), (3, 4))
 
 
-def near_threshold_specs(count, *, seed=7, q=(4, 10), n=(700, 1500)):
+def near_threshold_specs(count, *, seed=7, q=(4, 10), n=(700, 1500), orders=ORDERS):
     """count SymmetricHsbmSpecs near the Bethe Hessian threshold, drawn from one seeded rng.
 
-    q and n are inclusive ranges.  A draw that no eps makes detectable is
-    skipped, so the same seed and ranges always give the same specs.
+    q and n are inclusive ranges, and each spec's order set is drawn from
+    orders.  A draw that no eps makes detectable is skipped, so the same
+    arguments always give the same specs.
     """
     rng = np.random.default_rng(seed)
     specs = []
     while len(specs) < count:
         qi, size = int(rng.integers(q[0], q[1] + 1)), int(rng.integers(n[0], n[1] + 1))
-        orders, d = ORDERS[rng.integers(len(ORDERS))], float(rng.uniform(3.0, 15.0))
+        order_set, d = orders[rng.integers(len(orders))], float(rng.uniform(3.0, 15.0))
         scale, instance_seed = float(rng.uniform(0.7, 1.3)), int(rng.integers(2**30))
         try:
-            eps = min(1.0, scale * critical_epsilon(qi, orders, d, which="bh"))
+            eps = min(1.0, scale * critical_epsilon(qi, order_set, d, which="bh"))
         except DetectabilityError:
             continue
-        specs.append(SymmetricHsbmSpec(n=size, q=qi, orders=orders, d=d, eps=eps, seed=instance_seed))
+        specs.append(SymmetricHsbmSpec(n=size, q=qi, orders=order_set, d=d, eps=eps, seed=instance_seed))
     return specs
 
 

@@ -14,7 +14,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hyperbethe import SymmetricHsbmSpec, sample_symmetric, save_hyperedge_list, save_partition
@@ -170,6 +170,7 @@ def test_generate(config, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(mutated(EXPERIMENT), SEED_FLAG)
+@example({"experiment": "shape-sweep", "n": -1, "reps": 1, "d": 1.0, "shape_order": 4, "grid": [0.0]}, [])
 def test_run(config, seed):
     exits_0_or_2(["run"] + seed, config)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -84,6 +86,15 @@ class TestSpecValidation:
     def test_order_vs_block_size(self):
         with pytest.raises(HsbmError):
             SymmetricHsbmSpec(n=10, q=2, orders=(6,), d=3.0, eps=0.1)
+
+    def test_negative_node_count(self):
+        # both spec kinds reject it, before the order check or the sampler's np.repeat see it
+        with pytest.raises(HsbmError, match="n = -3 must be >= 0"):
+            SymmetricHsbmSpec(n=-3, q=2, orders=(2,), d=3.0, eps=0.1)
+        with pytest.raises(HsbmError, match="n = -1 must be >= 0"):
+            PlantedPatternSpec(-1, 2, (PlantedPattern(2, {0: 1, 1: 1}, 3.0),))
+        with pytest.raises(HsbmError, match="n = -1 must be >= 0"):
+            shape_experiment_spec(-1, 1.0, 0.0)
 
     def test_shape_experiment_orders(self):
         with pytest.raises(HsbmError, match="orders 4 and 5"):
@@ -213,6 +224,21 @@ class TestSymmetricSampler:
         spec = PlantedPatternSpec(10, 2, (PlantedPattern(3, ((0, 3),), 1e16),))
         with pytest.raises(HsbmError, match="do not fit in memory"):
             sample_symmetric(spec)
+
+    def test_peak_memory_near_what_it_keeps(self):
+        # the cells reach the constructor one by one, which frees each order's blocks once
+        # it has joined them: the peak is 1.83x the hypergraph and labels kept, where
+        # holding every cell until the constructor returns would peak at 2.38x
+        spec = SymmetricHsbmSpec(n=30000, q=3, orders=(2, 3), d=10.0, eps=0.1, seed=0)
+        sample_symmetric(dataclasses.replace(spec, n=300))  # one-time allocations stay out of the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = sample_symmetric(spec)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept[0].m > 0 and peak - base < 2.1 * (current - base)
 
     def test_oversized_order_at_sampling(self):
         spec = PlantedPatternSpec(10, 2, (PlantedPattern(6, ((0, 6),), 5.0),))
